@@ -25,7 +25,7 @@ import numpy as np
 from . import oracle, protocols, verify
 from .ladder import LadderSpec, coherent_ladder, incoherent_ladder
 from .majorization import InfeasibleTargetError
-from .protocols import single_cycle_coherent_cost
+from .protocols import incoherent_temperature_of_work, single_cycle_coherent_cost
 from .thermal import (
     DomainError,
     INFINITE,
@@ -172,35 +172,6 @@ def _coherent_population(spec: MachineSpec, mu: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def incoherent_temperature_of_work(spec: MachineSpec, delta_f: float) -> float:
-    """Invert the t_hot-parametrized incoherent curve at a given work budget."""
-    if delta_f <= 0.0:
-        return spec.t_room
-
-    def work_of(y: float) -> float:
-        # y in [0, 1) maps monotonically onto t_hot in [t_room, inf).
-        t_hot = spec.t_room / (1.0 - y) if y < 1.0 else INFINITE
-        out = protocols.two_qubit_incoherent_single(
-            MachineSpec(spec.target, spec.machine, spec.t_room, t_hot)
-        )
-        return out.work_cost
-
-    lo, hi = 0.0, 1.0 - 1e-16
-    if delta_f >= work_of(hi):
-        raise InfeasibleTargetError("work budget beyond the incoherent curve")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if work_of(mid) < delta_f:
-            lo = mid
-        else:
-            hi = mid
-    t_hot = spec.t_room / (1.0 - 0.5 * (lo + hi))
-    out = protocols.two_qubit_incoherent_single(
-        MachineSpec(spec.target, spec.machine, spec.t_room, t_hot)
-    )
-    return out.t_final
-
-
 def coherent_temperature_of_work(spec: MachineSpec, delta_f: float) -> float:
     """Invert the piecewise-linear coherent curve at a given work budget."""
     r = boltzmann_population(spec.e, spec.t_room)
@@ -229,10 +200,16 @@ def crossing_report(spec: MachineSpec, tolerance: float) -> CrossingReport:
 
     The shared origin (both curves start at zero cost, temperature t_room)
     always counts as one sign change when the domain is non-empty; interior
-    zeros are bracketed on a log grid and refined by bisection to
-    ``tolerance``.  ``delta_f_crit`` is the first interior zero and
-    ``delta_f_crit_prime`` the last (the two coincide when the crossing is
-    unique, which is not assumed).
+    zeros are bracketed on a 161-point log grid of work budgets and refined
+    by bisection in the budget until the bracket is at most ``tolerance``
+    wide; ``tolerance`` (the CLI's ``--tolerance``) is that outer bracket
+    width and nothing else.  Each probe inverts the incoherent curve through
+    its parametrisation by C's hot ground population x, W(x) =
+    (r_C - x)(E_C - T_R ln(x/(1-x))), to double precision (see
+    :func:`qfridge.protocols.incoherent_temperature_of_work`), and the
+    coherent curve piecewise-linearly.  ``delta_f_crit`` is the first
+    interior zero and ``delta_f_crit_prime`` the last (the two coincide when
+    the crossing is unique, which is not assumed).
     """
     if not tolerance > 0.0:
         raise DomainError(f"tolerance must be > 0, got {tolerance}")

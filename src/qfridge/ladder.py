@@ -174,11 +174,17 @@ def incoherent_ladder(spec: LadderSpec) -> LadderOutcome:
     target at exactly the coherent stage temperature; the work cost is the
     coherent one plus the Carnot-weighted preheating heat q_init of the N
     hot-side qubits (real qubits, or the embedded virtual ladder when
-    e_ground_offset is set).
+    e_ground_offset is set).  A hot bath at room temperature cannot drive
+    the stages, so ``t_hot == t_room`` raises :class:`DomainError`.
     """
     t_hot = spec.t_hot
     if t_hot is None:
         raise ConfigurationError("incoherent ladder needs t_hot")
+    if t_hot == spec.t_room:
+        raise DomainError(
+            "incoherent ladder needs t_hot > t_room: a hot bath at room "
+            "temperature supplies no free energy to cool with"
+        )
     coherent = coherent_ladder(spec)
     carnot = 1.0 - spec.t_room / t_hot
     if spec.e_ground_offset is not None:

@@ -52,6 +52,15 @@ class ProtocolOutcome:
     flag: str | None = None
 
 
+def _require_repetition_count(n: float) -> None:
+    # Integer-valued floats (the curve grid passes float(k)) and math.inf are
+    # counts; anything else would be silently truncated by int(n).
+    if not n >= 0:
+        raise DomainError(f"repetition count must be >= 0, got {n}")
+    if not (math.isinf(n) or float(n).is_integer()):
+        raise DomainError(f"repetition count must be an integer or inf, got {n}")
+
+
 @dataclass(frozen=True)
 class RepetitionPlan:
     """Repetition count plus the protocol's control parameter map.
@@ -65,8 +74,7 @@ class RepetitionPlan:
     control: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not self.n >= 0:
-            raise DomainError(f"repetition count must be >= 0, got {self.n}")
+        _require_repetition_count(self.n)
         for key in ("mu", "nu"):
             value = self.control.get(key)
             if value is not None and not 0.0 <= value <= 1.0:
@@ -143,6 +151,12 @@ def one_qubit_coherent(spec: MachineSpec, r_target: float) -> ProtocolOutcome:
     )
 
 
+def _degenerate_swap_population(r: float, r_b: float, c_pop: float) -> float:
+    # Target ground population after one swap of |010>, |101> with B thermal
+    # at r_b and C's ground population at c_pop.
+    return r * r_b + ((1.0 - r) * r_b + r * (1.0 - r_b)) * (1.0 - c_pop)
+
+
 def two_qubit_incoherent_single(spec: MachineSpec) -> ProtocolOutcome:
     """Heat qubit C, swap the degenerate pair |010>, |101> once."""
     spec.require_resonance()
@@ -150,7 +164,7 @@ def two_qubit_incoherent_single(spec: MachineSpec) -> ProtocolOutcome:
     r = _room_population(spec)
     r_b, r_c = _machine_room_populations(spec)
     r_ch = boltzmann_population(spec.e_c, t_hot)
-    r_final = r * r_b + ((1.0 - r) * r_b + r * (1.0 - r_b)) * (1.0 - r_ch)
+    r_final = _degenerate_swap_population(r, r_b, r_ch)
     heat = spec.e_c * (r_c - r_ch)
     work = resource_free_energy(heat, t_hot, spec.t_room)
     return ProtocolOutcome(
@@ -160,6 +174,39 @@ def two_qubit_incoherent_single(spec: MachineSpec) -> ProtocolOutcome:
         heat_drawn=heat,
         trajectory=(TrajectoryPoint(0, r, 0.0), TrajectoryPoint(1, r_final, work)),
     )
+
+
+def incoherent_temperature_of_work(spec: MachineSpec, delta_f: float) -> float:
+    """Invert the single-cycle incoherent frontier at a given work budget.
+
+    The frontier of :func:`two_qubit_incoherent_single` over t_hot >= t_room
+    is parametrised by C's hot ground population x in [1/2, r_C]: its work
+    cost W(x) = (r_C - x)(E_C - T_R ln(x/(1-x))) falls monotonically from
+    E_C (r_C - 1/2) at x = 1/2 (t_hot = inf) to 0 at x = r_C (t_hot = t_room).
+    W is inverted in plain float arithmetic by bisecting x until the interval
+    holds two adjacent doubles (no tolerance parameter), and the target
+    population follows from the same degenerate-pair swap.  Budgets at or
+    beyond W(1/2) raise :class:`InfeasibleTargetError`; budgets <= 0 return
+    t_room.
+    """
+    if delta_f <= 0.0:
+        return spec.t_room
+    spec.require_resonance()
+    e_c, t_room = spec.e_c, spec.t_room
+    r = _room_population(spec)
+    r_b, r_c = _machine_room_populations(spec)
+    if delta_f >= e_c * (r_c - 0.5):
+        raise InfeasibleTargetError("work budget beyond the incoherent curve")
+    lo, hi = 0.5, r_c
+    while True:
+        x = 0.5 * (lo + hi)
+        if x == lo or x == hi:
+            break
+        if (r_c - x) * (e_c - t_room * math.log(x / (1.0 - x))) < delta_f:
+            hi = x
+        else:
+            lo = x
+    return _final_temperature(spec, _degenerate_swap_population(r, r_b, x))
 
 
 def single_cycle_coherent_cost(spec: MachineSpec) -> float:
@@ -294,8 +341,7 @@ def repeated_coherent(spec: MachineSpec, n: float) -> ProtocolOutcome:
     rethermalized, moving population at gradient e_b + e_c - e = 2 e_c.
     """
     spec.require_resonance()
-    if not n >= 0:
-        raise DomainError(f"repetition count must be >= 0, got {n}")
+    _require_repetition_count(n)
     r = _room_population(spec)
     r_b, r_c = _machine_room_populations(spec)
     vq = _coherent_virtual_qubit(spec, r_c)
@@ -361,8 +407,7 @@ def algorithmic_cooling(
     restored.
     """
     spec.require_resonance()
-    if not n >= 0:
-        raise DomainError(f"repetition count must be >= 0, got {n}")
+    _require_repetition_count(n)
     r = _room_population(spec)
     if r0 is None:
         r0 = r
@@ -512,7 +557,7 @@ def internal_resource(
         work = (r_c - c_pop) * spec.e_c
     else:
         raise DomainError(f"unknown scenario {scenario!r}")
-    r_final = r * r_b + (1.0 - c_pop) * ((1.0 - r) * r_b + r * (1.0 - r_b))
+    r_final = _degenerate_swap_population(r, r_b, c_pop)
     return ProtocolOutcome(
         r_final=r_final,
         t_final=_final_temperature(spec, r_final),

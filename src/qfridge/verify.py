@@ -13,7 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ladder, majorization, oracle, protocols
-from .thermal import INFINITE, MachineSpec, boltzmann_population, hamiltonian_diagonal
+from .thermal import (
+    INFINITE,
+    DomainError,
+    MachineSpec,
+    boltzmann_population,
+    hamiltonian_diagonal,
+)
 
 MUTATIONS = ("r_inc", "vertex", "pareto")
 
@@ -298,6 +304,8 @@ def run_verification(
     mutate: str | None = None,
 ) -> VerificationReport:
     """Run the full oracle suite; ``samples = 0`` skips the Pareto sweep."""
+    if samples < 0:
+        raise DomainError(f"Haar sample count must be >= 0, got {samples}")
     if mutate is not None and mutate not in MUTATIONS:
         raise ValueError(f"unknown mutation {mutate!r}; choose from {MUTATIONS}")
     checks = [

@@ -198,6 +198,10 @@ class TestCrossingCommand:
             peak = int(np.argmax(crits))
             assert 0 < peak < len(grid) - 1
 
+    def test_reference_machine_critical_cost_is_pinned(self):
+        report = crossing_report(MachineSpec.two_qubit(0.4, 1.0), 1e-10)
+        assert report.delta_f_crit == 0.005055054214935581
+
     def test_crossing_exists_in_the_kinked_regime(self):
         # with e_c > e the coherent curve has a derivative kink at mu = 1/2
         # but the crossing geometry is unchanged
@@ -301,6 +305,11 @@ class TestVerifyCommand:
         names = {c["name"] for c in payload["checks"]}
         assert "pareto_sweep" in names
 
+    def test_negative_samples_is_usage_error(self, capsys):
+        rc = main(["verify", "--samples", "-5", "--machines", "2", "--instances", "2"])
+        assert rc == 2
+        assert capsys.readouterr().out == ""
+
     def test_zero_samples_skips_pareto(self, capsys):
         rc = main(
             ["verify", "--samples", "0", "--machines", "4", "--instances", "4"]
@@ -364,6 +373,13 @@ class TestLadderCommand:
     def test_needs_stage_count(self, capsys):
         rc = main(["ladder", "--e-c", "0.4", "--t-c", "0.5"])
         assert rc == 2
+
+    def test_room_temperature_hot_bath_is_usage_error(self):
+        result = _run(
+            ["ladder", "--t-c", "0.5", "--t-h", "1", "--t-r", "1", "--e-c", "0.4", "--n", "4"]
+        )
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
 
 
 class TestConfigFile:

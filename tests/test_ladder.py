@@ -112,6 +112,12 @@ class TestIncoherentLadder:
         with pytest.raises(ConfigurationError):
             incoherent_ladder(LadderSpec(4, 0.5, 1.0))
 
+    @pytest.mark.parametrize("offset", [None, 3.0])
+    def test_room_temperature_hot_bath_rejected(self, offset):
+        spec = LadderSpec(4, 0.5, 1.0, t_hot=1.0, e_ground_offset=offset)
+        with pytest.raises(DomainError):
+            incoherent_ladder(spec)
+
     def test_stage_maintenance_heat_against_dense_two_qubit_stage(self):
         # run each resonant two-qubit stage machine to (near) its steady
         # state in the dense route starting from the previous stage's target

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfridge import oracle, protocols
 from qfridge.majorization import InfeasibleTargetError
@@ -102,6 +104,82 @@ class TestTwoQubitIncoherentSingle:
             protocols.two_qubit_incoherent_single(spec)
 
 
+def _nested_bisection_temperature_of_work(spec, delta_f):
+    """Reference inversion: bisect t_hot through the full protocol evaluator."""
+    if delta_f <= 0.0:
+        return spec.t_room
+
+    def work_of(y):
+        # y in [0, 1) maps monotonically onto t_hot in [t_room, inf).
+        t_hot = spec.t_room / (1.0 - y) if y < 1.0 else INFINITE
+        out = protocols.two_qubit_incoherent_single(
+            MachineSpec(spec.target, spec.machine, spec.t_room, t_hot)
+        )
+        return out.work_cost
+
+    lo, hi = 0.0, 1.0 - 1e-16
+    if delta_f >= work_of(hi):
+        raise InfeasibleTargetError("work budget beyond the incoherent curve")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if work_of(mid) < delta_f:
+            lo = mid
+        else:
+            hi = mid
+    t_hot = spec.t_room / (1.0 - 0.5 * (lo + hi))
+    out = protocols.two_qubit_incoherent_single(
+        MachineSpec(spec.target, spec.machine, spec.t_room, t_hot)
+    )
+    return out.t_final
+
+
+def _incoherent_work_ceiling(spec):
+    # W(1/2) = E_C (r_C - 1/2): the infinite-bath end of the frontier.
+    return spec.e_c * (_r(spec.e_c, spec.t_room) - 0.5)
+
+
+@st.composite
+def _frontier_machines(draw):
+    t_room = draw(st.floats(0.02, 30.0))
+    e_c = draw(
+        st.one_of(
+            st.just(1e-6),
+            st.floats(1e-6, 5.0),
+            # E_C/T_R past ~37 saturates r_C to exactly 1.0
+            st.floats(37.0, 100.0).map(lambda ratio: ratio * t_room),
+        )
+    )
+    return MachineSpec.two_qubit(e_c, t_room)
+
+
+class TestIncoherentTemperatureOfWork:
+    @settings(max_examples=200, deadline=None)
+    @given(spec=_frontier_machines(), frac=st.floats(1e-9, 1.0 - 1e-9))
+    def test_matches_nested_bisection_reference(self, spec, frac):
+        delta_f = frac * _incoherent_work_ceiling(spec)
+        expected = _nested_bisection_temperature_of_work(spec, delta_f)
+        got = protocols.incoherent_temperature_of_work(spec, delta_f)
+        assert abs(got - expected) <= 1e-12 * expected
+
+    def test_infeasible_boundary_is_the_infinite_bath_cost(self):
+        spec = MachineSpec.two_qubit(0.4, 1.0)
+        ceiling = _incoherent_work_ceiling(spec)
+        for delta_f in (ceiling, 2.0 * ceiling):
+            with pytest.raises(InfeasibleTargetError):
+                protocols.incoherent_temperature_of_work(spec, delta_f)
+        t_inf = protocols.two_qubit_incoherent_single(
+            MachineSpec.two_qubit(0.4, 1.0, INFINITE)
+        ).t_final
+        below = math.nextafter(ceiling, 0.0)
+        t = protocols.incoherent_temperature_of_work(spec, below)
+        assert t == pytest.approx(t_inf, rel=1e-12, abs=0.0)
+
+    def test_non_positive_budget_is_room_temperature(self):
+        spec = MachineSpec.two_qubit(0.4, 1.3)
+        assert protocols.incoherent_temperature_of_work(spec, 0.0) == 1.3
+        assert protocols.incoherent_temperature_of_work(spec, -1.0) == 1.3
+
+
 class TestTwoQubitCoherentSingle:
     @pytest.mark.parametrize("e_c", [0.4, 1.7])
     def test_endpoint_cost_both_regimes(self, e_c):
@@ -141,6 +219,12 @@ class TestTwoQubitCoherentSingle:
 
 
 class TestRepeatedIncoherent:
+    def test_plan_rejects_non_integer_count(self):
+        with pytest.raises(DomainError):
+            RepetitionPlan(1.5)
+        assert RepetitionPlan(2.0).n == 2.0
+        assert RepetitionPlan(INFINITE).n == INFINITE
+
     def test_zero_steps_pays_only_preheat(self):
         spec = MachineSpec.two_qubit(0.4, 1.0, 3.0)
         out = protocols.repeated_incoherent(spec, RepetitionPlan(n=0))
@@ -243,6 +327,14 @@ class TestRepeatedCoherent:
         assert out.r_final == pytest.approx(rs[-1], abs=1e-13)
         assert out.work_cost == pytest.approx(works[-1], abs=1e-13)
 
+    def test_non_integer_count_rejected(self):
+        spec = MachineSpec.two_qubit(0.4, 1.0)
+        with pytest.raises(DomainError):
+            protocols.repeated_coherent(spec, 2.7)
+        assert protocols.repeated_coherent(spec, 3.0) == protocols.repeated_coherent(
+            spec, 3
+        )
+
 
 class TestAlgorithmicCooling:
     def test_full_precool_asymptotic_temperature(self):
@@ -291,6 +383,14 @@ class TestAlgorithmicCooling:
         out = protocols.algorithmic_cooling(spec, 0)
         assert out.work_cost == 0.0
         assert out.r_final == pytest.approx(_r(1.0, 1.0), abs=1e-15)
+
+    def test_non_integer_count_rejected(self):
+        spec = MachineSpec.two_qubit(0.4, 1.0)
+        with pytest.raises(DomainError):
+            protocols.algorithmic_cooling(spec, 1.5)
+        assert protocols.algorithmic_cooling(
+            spec, 2.0
+        ) == protocols.algorithmic_cooling(spec, 2)
 
 
 class TestOptimalSequence:
