@@ -133,11 +133,17 @@ def embedded_ladder_preheat(spec: LadderSpec) -> float:
     e_ground_offset below it.  Decays to zero once the offset freezes the
     ladder out at both temperatures (offsets well above t_hot); defaults the
     offset to 50 max(t_hot, t_room) (N+1) when unset, which puts the cost
-    below double precision.
+    below double precision.  No finite offset lies above an infinite hot
+    bath, so ``t_hot = inf`` raises :class:`DomainError`.
     """
     t_hot = spec.t_hot
     if t_hot is None:
         raise ConfigurationError("embedded preheating needs t_hot")
+    if math.isinf(t_hot):
+        raise DomainError(
+            "embedded preheating needs a finite t_hot: no ground offset can "
+            "freeze the ladder out at an infinite hot-bath temperature"
+        )
     if t_hot == spec.t_room:
         return 0.0
     e_g = spec.e_ground_offset

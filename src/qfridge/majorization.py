@@ -15,6 +15,7 @@ subspace is literally the first half of every vector.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -296,7 +297,12 @@ def endpoint_minimizer(
 
 @lru_cache(maxsize=4)
 def _permutation_indices(n: int) -> np.ndarray:
-    return np.array(list(itertools.permutations(range(n))), dtype=np.int8)
+    # Lexicographic order (itertools' contract): each run of (n-k)! rows
+    # shares its first k entries.  Stored as intp so fancy indexing does not
+    # convert it on every call; read-only because the cache shares it.
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    perms.flags.writeable = False
+    return perms
 
 
 def _lower_envelope_at(f: np.ndarray, obj: np.ndarray, x: float) -> float:
@@ -365,7 +371,11 @@ def vertex_oracle_min(
             f"ground sum {r_target} outside the reachable range [{f_min}, {f_max}]"
         )
 
+    # Vertices that share their first k entries share their ground sum, and
+    # at a shared abscissa only the lowest objective can touch the envelope,
+    # so each lexicographic block of (n-k)! vertices is reduced to its best.
+    block = math.factorial(n - k)
     perms = rho[_permutation_indices(n)]
-    f = perms[:, :k].sum(axis=1)
-    obj = perms @ h_arr
+    obj = (perms @ h_arr).reshape(-1, block).min(axis=1)
+    f = perms[::block, :k].sum(axis=1)
     return _lower_envelope_at(f, obj, r_target)

@@ -44,7 +44,8 @@ class DenseState:
             raise DomainError("state matrix must be square")
         if mat.shape[0] not in (2, 4, 8):
             raise DomainError("oracle states are capped at dimension 8")
-        if abs(np.trace(mat).real - 1.0) > TRACE_ATOL or abs(np.trace(mat).imag) > TRACE_ATOL:
+        trace = np.trace(mat)
+        if abs(trace.real - 1.0) > TRACE_ATOL or abs(trace.imag) > TRACE_ATOL:
             raise DomainError("state matrix must have unit trace")
         if np.linalg.eigvalsh((mat + mat.conj().T) / 2.0).min() < -1e-12:
             raise DomainError("state matrix must be positive semidefinite")
@@ -122,6 +123,12 @@ def qubit_swap_unitary(n_qubits: int, qa: int, qb: int, weight: float = 1.0) -> 
     return UnitaryOp(mat)
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two matrices: np.kron's entries without its overhead."""
+    rows, cols = a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
+    return np.multiply.outer(a, b).transpose(0, 2, 1, 3).reshape(rows, cols)
+
+
 def build_thermal_state(spec: MachineSpec, per_qubit_temps: Sequence[float]) -> DenseState:
     """Diagonal tensor product of single-qubit Gibbs states, target first."""
     gaps = spec.gaps
@@ -134,7 +141,7 @@ def build_thermal_state(spec: MachineSpec, per_qubit_temps: Sequence[float]) -> 
     mat = np.array([[1.0]], dtype=complex)
     for gap, temp in zip(gaps, per_qubit_temps):
         r = boltzmann_population(gap, temp)
-        mat = np.kron(mat, np.diag([r, 1.0 - r]).astype(complex))
+        mat = _kron(mat, np.diag([r, 1.0 - r]).astype(complex))
     return DenseState(mat)
 
 
@@ -194,7 +201,7 @@ def replace_qubit_marginal(
         raise DomainError(f"qubit index {qubit} out of range for {n} qubits")
     rest = _partial_trace(state.matrix, n, qubit)
     tau = np.diag([ground_population, 1.0 - ground_population]).astype(complex)
-    full = np.kron(rest, tau).reshape((2,) * (2 * n))
+    full = _kron(rest, tau).reshape((2,) * (2 * n))
     # kron left the fresh qubit in the least significant slot; move it home.
     remaining = [q for q in range(n) if q != qubit]
     src_axis = {q: a for a, q in enumerate(remaining)}
@@ -440,10 +447,15 @@ class DominanceReport:
 
 def haar_unitaries(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Batch of Haar-distributed unitaries via QR with phase-fixed diagonal."""
-    z = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
-    q, r = np.linalg.qr(z / math.sqrt(2.0))
+    shape = (count, dim, dim)
+    z = np.empty(shape, dtype=complex)
+    z.real = rng.standard_normal(shape)
+    z.imag = rng.standard_normal(shape)
+    z /= math.sqrt(2.0)
+    q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=1, axis2=2)
-    return q * (d / np.abs(d))[:, None, :]
+    q *= (d / np.abs(d))[:, None, :]
+    return q
 
 
 def _curve_arrays(curve: Sequence[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:

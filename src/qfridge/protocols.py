@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple
 
-import numpy as np
-
 from . import majorization, virtual
 from .majorization import InfeasibleTargetError, Regime
 from .thermal import (
@@ -238,7 +236,12 @@ def two_qubit_coherent_single(spec: MachineSpec, r_target: float) -> ProtocolOut
 def _incoherent_virtual_qubit(spec: MachineSpec, t_hot: float) -> virtual.VirtualQubit:
     r_b, _ = _machine_room_populations(spec)
     r_ch = boltzmann_population(spec.e_c, t_hot)
-    machine_state = np.kron([r_b, 1.0 - r_b], [r_ch, 1.0 - r_ch])
+    machine_state = (
+        r_b * r_ch,
+        r_b * (1.0 - r_ch),
+        (1.0 - r_b) * r_ch,
+        (1.0 - r_b) * (1.0 - r_ch),
+    )
     return virtual.extract_virtual_qubit(machine_state, 1, 2, spec.e_b - spec.e_c)
 
 
@@ -262,11 +265,6 @@ def repeated_incoherent(spec: MachineSpec, plan: RepetitionPlan) -> ProtocolOutc
     vq = _incoherent_virtual_qubit(spec, t_hot)
     preheat = spec.e_c * (r_c - r_ch)
 
-    def heat_after(steps: int) -> float:
-        if steps == 0:
-            return preheat
-        return preheat + spec.e_c * (virtual.n_swap_population(r, vq, steps - 1) - r)
-
     if math.isinf(n):
         t_final = _incoherent_limit_temperature(spec, t_hot)
         r_final = boltzmann_population(spec.e, t_final)
@@ -279,14 +277,18 @@ def repeated_incoherent(spec: MachineSpec, plan: RepetitionPlan) -> ProtocolOutc
     else:
         steps = int(n)
         points = []
+        # The heat ledger at point k is the preheat plus the re-heats of C,
+        # which follow the population r_(k-1) moved by the earlier swaps.
+        heat = preheat
         for k in range(steps + 1):
             r_k = virtual.n_swap_population(r, vq, k)
-            f_k = resource_free_energy(heat_after(k), t_hot, spec.t_room)
+            f_k = resource_free_energy(heat, t_hot, spec.t_room)
             points.append(TrajectoryPoint(k, r_k, f_k))
+            if k < steps:
+                heat = preheat + spec.e_c * (r_k - r)
         trajectory = tuple(points)
         r_final = trajectory[-1].r
         t_final = _final_temperature(spec, r_final)
-        heat = heat_after(steps)
         work = trajectory[-1].delta_f
     return ProtocolOutcome(
         r_final=r_final,
@@ -328,7 +330,12 @@ def autonomous_steady_state(spec: MachineSpec) -> ProtocolOutcome:
 
 def _coherent_virtual_qubit(spec: MachineSpec, r_c_pop: float) -> virtual.VirtualQubit:
     r_b, _ = _machine_room_populations(spec)
-    machine_state = np.kron([r_b, 1.0 - r_b], [r_c_pop, 1.0 - r_c_pop])
+    machine_state = (
+        r_b * r_c_pop,
+        r_b * (1.0 - r_c_pop),
+        (1.0 - r_b) * r_c_pop,
+        (1.0 - r_b) * (1.0 - r_c_pop),
+    )
     return virtual.extract_virtual_qubit(machine_state, 0, 3, spec.e_b + spec.e_c)
 
 
@@ -436,10 +443,11 @@ def algorithmic_cooling(
     else:
         steps = int(n)
         points = [TrajectoryPoint(0, r0, 0.0)]
+        r_prev = virtual.n_swap_population(r0, vq, 0)
         for k in range(1, steps + 1):
             r_k = virtual.n_swap_population(r0, vq, k)
-            r_prev = virtual.n_swap_population(r0, vq, k - 1)
             points.append(TrajectoryPoint(k, r_k, cost_at(r_k, r_prev)))
+            r_prev = r_k
         trajectory = tuple(points)
         r_final = trajectory[-1].r
         t_final = spec.t_room if steps == 0 and r0 == r else (

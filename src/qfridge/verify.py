@@ -236,12 +236,14 @@ def check_thermalization_gradients(
         t_c = float(rng.uniform(spec.t_room, t_hot))
         slope_b, slope_c = oracle.thermalization_gradient_check(spec, t_b, t_c)
         if not (slope_b < 0.0 < slope_c):
+            wrong, label = (slope_b, "B") if not slope_b < 0.0 else (slope_c, "C")
             return CheckResult(
                 name="thermalization_gradients",
                 passed=False,
-                residual=float("nan"),
+                residual=wrong,
                 tolerance=tol,
-                detail=f"wrong slope signs at t_b={t_b}, t_c={t_c}",
+                detail=f"wrong sign of d/dT_{label} = {wrong!r} at e_c={spec.e_c!r}, "
+                f"t_room={spec.t_room!r}, t_hot={t_hot!r}, t_b={t_b!r}, t_c={t_c!r}",
             )
         r = boltzmann_population(spec.e, spec.t_room)
         r_b = boltzmann_population(spec.e_b, t_b)

@@ -374,6 +374,15 @@ class TestLadderCommand:
         rc = main(["ladder", "--e-c", "0.4", "--t-c", "0.5"])
         assert rc == 2
 
+    def test_embedded_ladder_at_infinite_hot_bath_is_usage_error(self):
+        result = _run(
+            ["ladder", "--t-c", "0.5", "--t-h", "inf", "--e-c", "0.4", "--n", "4", "--e-g", "10"]
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "finite t_hot" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_room_temperature_hot_bath_is_usage_error(self):
         result = _run(
             ["ladder", "--t-c", "0.5", "--t-h", "1", "--t-r", "1", "--e-c", "0.4", "--n", "4"]

@@ -188,3 +188,13 @@ class TestEmbeddedPreheat:
         inc = incoherent_ladder(spec)
         coh = coherent_ladder(spec)
         assert abs(inc.w_total - coh.w_total) < 1e-9
+
+    @pytest.mark.parametrize("e_g", [None, 10.0])
+    def test_infinite_hot_bath_is_a_domain_error(self, e_g):
+        # No finite ground offset sits above an infinite bath, default or set.
+        spec = LadderSpec(4, 0.5, 1.0, t_hot=INFINITE, e_ground_offset=e_g)
+        with pytest.raises(DomainError):
+            embedded_ladder_preheat(spec)
+        if e_g is not None:
+            with pytest.raises(DomainError):
+                incoherent_ladder(spec)

@@ -367,3 +367,87 @@ def test_solver_never_beaten_by_oracle(e_c, t, frac):
     reference = vertex_oracle_min(rho, h, 4, r_target)
     assert analytic <= reference + 1e-10
     assert abs(analytic - reference) <= 1e-10
+
+
+_ALL_PERMUTATIONS = {
+    n: np.array(list(itertools.permutations(range(n))), dtype=np.int8) for n in (4, 8)
+}
+
+
+def _lexsort_vertex_oracle_min(rho, h, k, r_target):
+    # The vertex oracle as it was before its blocks were reduced: every one of
+    # the n! vertices goes through the coalescing lexsort and the hull.
+    perms = rho[_ALL_PERMUTATIONS[rho.size]]
+    f = perms[:, :k].sum(axis=1)
+    obj = perms @ h
+    order = np.lexsort((obj, f))
+    f_sorted, obj_sorted = f[order], obj[order]
+    starts = np.concatenate(([True], np.diff(f_sorted) > 1e-12))
+    f_sorted = f_sorted[starts]
+    obj_sorted = np.minimum.reduceat(obj_sorted, np.nonzero(starts)[0])
+    hull = []
+    for px, py in zip(f_sorted, obj_sorted):
+        while len(hull) >= 2:
+            (ax, ay), (bx, by) = hull[-2], hull[-1]
+            if (bx - ax) * (py - ay) - (by - ay) * (px - ax) <= 0.0:
+                hull.pop()
+            else:
+                break
+        hull.append((float(px), float(py)))
+    xs = np.array([p[0] for p in hull])
+    ys = np.array([p[1] for p in hull])
+    x = min(max(r_target, xs[0]), xs[-1])
+    pos = int(np.searchsorted(xs, x))
+    if pos < xs.size and xs[pos] == x:
+        return float(ys[pos])
+    lam = (xs[pos] - x) / (xs[pos] - xs[pos - 1])
+    return float(lam * ys[pos - 1] + (1.0 - lam) * ys[pos])
+
+
+def _reachable_target(rho, k, frac):
+    ordered = np.sort(rho)
+    lo, hi = float(ordered[:k].sum()), float(ordered[-k:].sum())
+    return lo + frac * (hi - lo)
+
+
+class TestVertexOracleBlockReduction:
+    """The per-block minimum gives what the full vertex enumeration gave."""
+
+    def test_every_k_on_resonant_thermal_states(self):
+        # |010> and |101> are degenerate, so their thermal populations repeat
+        # up to rounding: the clusters the envelope has to coalesce.
+        for e_c, t in ((0.4, 1.0), (1.7, 0.6), (1e-3, 2.0)):
+            spec = MachineSpec.two_qubit(e_c, t)
+            rho = thermal_populations(spec.gaps, (t, t, t))
+            h = hamiltonian_diagonal(spec.gaps)
+            for k in range(1, 8):
+                for frac in (0.0, 0.3, 0.5, 1.0):
+                    r_target = _reachable_target(rho, k, frac)
+                    new = vertex_oracle_min(rho, h, k, r_target)
+                    old = _lexsort_vertex_oracle_min(rho, h, k, r_target)
+                    assert abs(new - old) <= 1e-15
+
+    @given(
+        data=st.data(),
+        dim=st.sampled_from([4, 8]),
+        thermal=st.booleans(),
+        e_c=st.floats(1e-3, 3.0),
+        t=st.floats(0.2, 5.0),
+        raw=st.lists(st.floats(0.01, 1.0), min_size=8, max_size=8),
+        h_raw=st.lists(st.floats(0.0, 3.0), min_size=8, max_size=8),
+        frac=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_full_enumeration(self, data, dim, thermal, e_c, t, raw, h_raw, frac):
+        k = data.draw(st.integers(1, dim - 1), label="k")
+        if thermal:
+            gaps = (1.0, 1.0 + e_c, e_c)[: dim.bit_length() - 1]
+            rho = thermal_populations(gaps, (t,) * len(gaps))
+            h = hamiltonian_diagonal(gaps)
+        else:
+            rho = np.array(raw[:dim]) / np.sum(raw[:dim])
+            h = np.array(h_raw[:dim])
+        r_target = _reachable_target(rho, k, frac)
+        new = vertex_oracle_min(rho, h, k, r_target)
+        old = _lexsort_vertex_oracle_min(rho, h, k, r_target)
+        assert abs(new - old) <= 1e-15

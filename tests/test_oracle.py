@@ -1,7 +1,11 @@
+import ast
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from qfridge import protocols
+from qfridge import oracle, protocols
 from qfridge.oracle import (
     DEFAULT_SEED,
     DenseState,
@@ -132,6 +136,23 @@ class TestHaarSweep:
         for u in units:
             assert np.abs(u @ u.conj().T - np.eye(8)).max() < 1e-12
 
+    @pytest.mark.parametrize("dim, count", [(8, 1), (8, 300), (4, 50), (2, 9)])
+    def test_same_stream_as_the_out_of_place_construction(self, dim, count):
+        def reference(rng):
+            z = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal(
+                (count, dim, dim)
+            )
+            q, r = np.linalg.qr(z / math.sqrt(2.0))
+            d = np.diagonal(r, axis1=1, axis2=2)
+            return q * (d / np.abs(d))[:, None, :]
+
+        for seed in (0, 7, DEFAULT_SEED):
+            rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(2):
+                assert np.array_equal(
+                    haar_unitaries(dim, count, rng_new), reference(rng_old)
+                )
+
     def test_zero_samples_gives_empty_report(self):
         spec = MachineSpec.two_qubit(0.4, 1.0)
         curve = coherent_single_cycle_curve(spec, grid=21)
@@ -239,3 +260,31 @@ class TestThermalizationGradients:
         spec = MachineSpec(QubitSpec(1.0), (QubitSpec(1.0), QubitSpec(0.0)), 1.0, 3.0)
         _, slope_c = thermalization_gradient_check(spec, 1.0, 1.0)
         assert abs(slope_c) < 1e-10
+
+
+class TestKron:
+    @pytest.mark.parametrize(
+        "shape_a, shape_b", [((1, 1), (2, 2)), ((2, 2), (2, 2)), ((4, 4), (2, 2)), ((4, 4), (4, 4))]
+    )
+    def test_entries_equal_numpy_kron(self, shape_a, shape_b):
+        rng = np.random.default_rng(3)
+        a_real = rng.standard_normal(shape_a)
+        b_real = rng.standard_normal(shape_b)
+        a_cplx = a_real + 1j * rng.standard_normal(shape_a)
+        b_cplx = b_real + 1j * rng.standard_normal(shape_b)
+        for a, b in ((a_real, b_real), (a_cplx, b_cplx), (a_real, b_cplx)):
+            assert np.array_equal(oracle._kron(a, b), np.kron(a, b))
+
+
+def test_oracle_never_imports_the_closed_forms():
+    # The dense route is an independent check only while it cannot reach the
+    # protocol evaluators it is checking.
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append(node.module or "")
+            imported += [alias.name for alias in node.names]
+    assert not [name for name in imported if "protocols" in name.split(".")]
