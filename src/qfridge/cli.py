@@ -17,7 +17,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,14 +25,12 @@ import numpy as np
 from . import oracle, protocols, verify
 from .ladder import LadderSpec, coherent_ladder, incoherent_ladder
 from .majorization import InfeasibleTargetError
-from .protocols import incoherent_temperature_of_work, single_cycle_coherent_cost
-from .thermal import (
-    DomainError,
-    INFINITE,
-    MachineSpec,
-    boltzmann_population,
-    temperature_from_population,
+from .protocols import (
+    coherent_temperature_of_work,
+    incoherent_temperature_of_work,
+    single_cycle_coherent_cost,
 )
+from .thermal import DomainError, INFINITE, MachineSpec, boltzmann_population
 
 CSV_HEADER = "control,delta_f,temperature,r"
 
@@ -117,7 +115,7 @@ def curve_points(
             points.append(CurvePoint(t_hot, out.work_cost, out.t_final, out.r_final))
     elif scenario == "coh-single":
         for mu in np.linspace(0.0, 1.0, max(grid, 1)):
-            r_target = _coherent_population(spec, float(mu))
+            r_target = protocols.coherent_single_population(spec, float(mu))
             out = protocols.two_qubit_coherent_single(spec, r_target)
             points.append(CurvePoint(float(mu), out.work_cost, out.t_final, out.r_final))
     elif scenario == "inc-repeat":
@@ -156,43 +154,9 @@ def curve_points(
     return points
 
 
-def _coherent_population(spec: MachineSpec, mu: float) -> float:
-    r = boltzmann_population(spec.e, spec.t_room)
-    r_b = boltzmann_population(spec.e_b, spec.t_room)
-    r_c = boltzmann_population(spec.e_c, spec.t_room)
-    if spec.e_c <= spec.e:
-        return r + mu * (r_b - r)
-    if mu <= 0.5:
-        return r + 2.0 * mu * (r_c - r)
-    return r_c + (2.0 * mu - 1.0) * (r_b - r_c)
-
-
 # ---------------------------------------------------------------------------
 # Crossing point.
 # ---------------------------------------------------------------------------
-
-
-def coherent_temperature_of_work(spec: MachineSpec, delta_f: float) -> float:
-    """Invert the piecewise-linear coherent curve at a given work budget."""
-    r = boltzmann_population(spec.e, spec.t_room)
-    r_b = boltzmann_population(spec.e_b, spec.t_room)
-    r_c = boltzmann_population(spec.e_c, spec.t_room)
-    if delta_f <= 0.0 or r_b <= r:
-        return spec.t_room
-    if spec.e_c <= spec.e:
-        full = spec.e_c * (r_b - r)
-        r_pop = r + min(delta_f / full, 1.0) * (r_b - r)
-    else:
-        first = (spec.e_c - spec.e) * (r_c - r)
-        if delta_f <= first:
-            r_pop = r + delta_f / (spec.e_c - spec.e)
-        else:
-            r_pop = r_c + min((delta_f - first) / (spec.e_c * (r_b - r_c)), 1.0) * (
-                r_b - r_c
-            )
-    if r_pop >= 1.0:  # saturated at double precision
-        return 0.0
-    return temperature_from_population(spec.e, r_pop)
 
 
 def crossing_report(spec: MachineSpec, tolerance: float) -> CrossingReport:
@@ -259,21 +223,26 @@ def crossing_report(spec: MachineSpec, tolerance: float) -> CrossingReport:
 
 
 def summary_quantities(spec: MachineSpec) -> dict:
-    """Every boxed limit quantity for the one- and two-qubit machines."""
+    """Every boxed limit quantity for the one- and two-qubit machines.
+
+    The two-qubit entries come from the protocol evaluators: the incoherent
+    ones at an infinite hot bath, the repeated ones at n = inf.
+    """
     e, e_b, e_c, t = spec.e, spec.e_b, spec.e_c, spec.t_room
     r = boltzmann_population(e, t)
     r_b = boltzmann_population(e_b, t)
     r_c = boltzmann_population(e_c, t)
-    r_inc_star = 0.5 * (r + r_b)
     t_coh_star = t * e / e_b
-    df_coh_star = single_cycle_coherent_cost(spec)
-    t_coh_inf = t * e / (e_b + e_c)
-    r_coh_inf = boltzmann_population(e, t_coh_inf)
-    df_coh_inf = df_coh_star + 2.0 * e_c * (r_coh_inf - r_b)
-    t_algo_inf = t * e / (2.0 * e_b)
-    r_algo_inf = boltzmann_population(e, t_algo_inf)
-    df_algo_inf = (
-        df_coh_inf + e * (r_b - r_c) + (2.0 * e_c + e) * (r_algo_inf - r_coh_inf)
+    hot = replace(spec, t_hot=INFINITE)
+    inc = protocols.two_qubit_incoherent_single(hot)
+    auto = protocols.autonomous_steady_state(hot)
+    coh_inf = protocols.repeated_coherent(spec, INFINITE)
+    algo_inf = protocols.algorithmic_cooling(spec, INFINITE)
+    # The optimal_sequence cost at t_algo_inf (algo_inf.work_cost overcharges),
+    # written out because optimal_sequence drops this full-precooling tail,
+    # e (r_B - r_C) included, once r_coh_inf rounds to 1.
+    df_algo_inf = coh_inf.work_cost + e * (r_b - r_c) + (2.0 * e_c + e) * (
+        algo_inf.r_final - coh_inf.r_final
     )
     return {
         "machine": {"e": e, "e_b": e_b, "e_c": e_c, "t_room": t, "t_hot": spec.t_hot},
@@ -283,22 +252,22 @@ def summary_quantities(spec: MachineSpec) -> dict:
             "delta_f_coh_star": (r_b - r) * (e_b - e),
         },
         "two_qubit": {
-            "t_inc_star": temperature_from_population(e, r_inc_star),
-            "r_inc_star": r_inc_star,
-            "delta_f_inc_star": e_c * (r_c - 0.5),
-            "t_auto_star": t_coh_star,
-            "r_auto_star": r_b,
-            "delta_f_auto_star": e_c * (r_c - 0.5 + r_b - r),
+            "t_inc_star": inc.t_final,
+            "r_inc_star": inc.r_final,
+            "delta_f_inc_star": inc.work_cost,
+            "t_auto_star": auto.t_final,
+            "r_auto_star": auto.r_final,
+            "delta_f_auto_star": auto.work_cost,
             "t_coh_star": t_coh_star,
             "r_coh_star": r_b,
-            "delta_f_coh_star": df_coh_star,
-            "delta_f_coh_star_ab_swap": e_c * (r_b - r),
-            "delta_f_coh_star_two_swap": (e_c - e) * (r_c - r) + e_c * (r_b - r_c),
-            "t_coh_inf": t_coh_inf,
-            "r_coh_inf": r_coh_inf,
-            "delta_f_coh_inf": df_coh_inf,
-            "t_algo_inf": t_algo_inf,
-            "r_algo_inf": r_algo_inf,
+            "delta_f_coh_star": single_cycle_coherent_cost(spec),
+            "delta_f_coh_star_ab_swap": protocols.swap_route_cost(spec, False),
+            "delta_f_coh_star_two_swap": protocols.swap_route_cost(spec, True),
+            "t_coh_inf": coh_inf.t_final,
+            "r_coh_inf": coh_inf.r_final,
+            "delta_f_coh_inf": coh_inf.work_cost,
+            "t_algo_inf": algo_inf.t_final,
+            "r_algo_inf": algo_inf.r_final,
             "delta_f_algo_inf": df_algo_inf,
         },
     }

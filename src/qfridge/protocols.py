@@ -63,9 +63,9 @@ def _require_repetition_count(n: float) -> None:
 class RepetitionPlan:
     """Repetition count plus the protocol's control parameter map.
 
-    ``n`` may be a non-negative integer or ``math.inf``.  Recognized control
-    keys: ``t_hot`` (incoherent; overrides the machine's), ``mu``
-    (single-cycle coherent), ``nu`` (partial precooling).
+    ``n`` may be a non-negative integer or ``math.inf``.  The only control
+    key is ``t_hot`` (incoherent; overrides the machine's); any other key
+    raises :class:`DomainError` instead of being silently ignored.
     """
 
     n: float
@@ -73,10 +73,9 @@ class RepetitionPlan:
 
     def __post_init__(self) -> None:
         _require_repetition_count(self.n)
-        for key in ("mu", "nu"):
-            value = self.control.get(key)
-            if value is not None and not 0.0 <= value <= 1.0:
-                raise DomainError(f"{key} must lie in [0, 1], got {value}")
+        unknown = sorted(set(self.control) - {"t_hot"})
+        if unknown:
+            raise DomainError(f"unknown control keys {unknown}; only 't_hot' is read")
 
 
 def _room_population(spec: MachineSpec) -> float:
@@ -207,13 +206,72 @@ def incoherent_temperature_of_work(spec: MachineSpec, delta_f: float) -> float:
     return _final_temperature(spec, _degenerate_swap_population(r, r_b, x))
 
 
+def _swap_phases(spec: MachineSpec, via_c: bool) -> list[tuple[float, float]]:
+    # (population endpoint, gradient) of each swap raising the target from r
+    # to r_B: with C first when via_c (to r_C at e_c - e), then with B (to r_B
+    # at e_b - e = e_c).
+    r_b, r_c = _machine_room_populations(spec)
+    return ([(r_c, spec.e_c - spec.e)] if via_c else []) + [(r_b, spec.e_c)]
+
+
+def _single_cycle_phases(spec: MachineSpec) -> list[tuple[float, float]]:
+    # The work-optimal single cycle goes through C exactly when e_c > e.
+    return _swap_phases(spec, spec.e_c > spec.e)
+
+
+def swap_route_cost(spec: MachineSpec, via_c: bool) -> float:
+    """Work of swapping the target up to r_B, through C first when ``via_c``."""
+    work, r_now = 0.0, _room_population(spec)
+    for r_end, gradient in _swap_phases(spec, via_c):
+        work += (r_end - r_now) * gradient
+        r_now = r_end
+    return work
+
+
 def single_cycle_coherent_cost(spec: MachineSpec) -> float:
     """Optimal work of maximal single-cycle coherent cooling (r_target = r_B)."""
+    return swap_route_cost(spec, spec.e_c > spec.e)
+
+
+def coherent_single_population(spec: MachineSpec, mu: float) -> float:
+    """Target population of the optimal single-cycle frontier at mixing ``mu``.
+
+    mu in [0, 1] walks the swap phases, an equal share each: r to r_B, or
+    (e_c > e) r to r_C by mu = 1/2, then on to r_B.
+    """
+    spec.require_resonance()
+    if not 0.0 <= mu <= 1.0:
+        raise DomainError(f"mu must lie in [0, 1], got {mu}")
+    phases = _single_cycle_phases(spec)
+    r_now, position = _room_population(spec), len(phases) * mu
+    for k, (r_end, _) in enumerate(phases):
+        if position <= k + 1:
+            break
+        r_now = r_end
+    return r_now + (position - k) * (r_end - r_now)
+
+
+def coherent_temperature_of_work(spec: MachineSpec, delta_f: float) -> float:
+    """Invert the piecewise-linear single-cycle coherent frontier at a budget.
+
+    Walks the frontier's swap phases at their gradients.  Budgets <= 0 return
+    t_room; budgets beyond :func:`single_cycle_coherent_cost` return r_B's
+    temperature (0.0 once r_B saturates to 1 in double precision).
+    """
     r = _room_population(spec)
-    r_b, r_c = _machine_room_populations(spec)
-    if spec.e_c <= spec.e:
-        return spec.e_c * (r_b - r)
-    return (spec.e_c - spec.e) * (r_c - r) + spec.e_c * (r_b - r_c)
+    phases = _single_cycle_phases(spec)
+    if delta_f <= 0.0 or phases[-1][0] <= r:
+        return spec.t_room
+    work, r_now = 0.0, r
+    for r_end, gradient in phases[:-1]:
+        cost = (r_end - r_now) * gradient
+        if delta_f - work <= cost:
+            return _final_temperature(spec, r_now + (delta_f - work) / gradient)
+        work, r_now = work + cost, r_end
+    r_end, gradient = phases[-1]
+    cost = (r_end - r_now) * gradient
+    share = 1.0 if delta_f - work >= cost else (delta_f - work) / cost
+    return _final_temperature(spec, r_now + share * (r_end - r_now))
 
 
 def two_qubit_coherent_single(spec: MachineSpec, r_target: float) -> ProtocolOutcome:
@@ -233,16 +291,15 @@ def two_qubit_coherent_single(spec: MachineSpec, r_target: float) -> ProtocolOut
     )
 
 
-def _incoherent_virtual_qubit(spec: MachineSpec, t_hot: float) -> virtual.VirtualQubit:
+def _virtual_qubit(spec: MachineSpec, c_pop: float, coherent: bool) -> virtual.VirtualQubit:
+    # B thermal at t_room, C at ground population c_pop; the coherent swaps
+    # use the {00,11} pair (gap e_b + e_c), the incoherent ones {01,10}.
     r_b, _ = _machine_room_populations(spec)
-    r_ch = boltzmann_population(spec.e_c, t_hot)
-    machine_state = (
-        r_b * r_ch,
-        r_b * (1.0 - r_ch),
-        (1.0 - r_b) * r_ch,
-        (1.0 - r_b) * (1.0 - r_ch),
-    )
-    return virtual.extract_virtual_qubit(machine_state, 1, 2, spec.e_b - spec.e_c)
+    s_b, s_c = 1.0 - r_b, 1.0 - c_pop
+    state = (r_b * c_pop, r_b * s_c, s_b * c_pop, s_b * s_c)
+    if coherent:
+        return virtual.extract_virtual_qubit(state, 0, 3, spec.e_b + spec.e_c)
+    return virtual.extract_virtual_qubit(state, 1, 2, spec.e_b - spec.e_c)
 
 
 def repeated_incoherent(spec: MachineSpec, plan: RepetitionPlan) -> ProtocolOutcome:
@@ -262,7 +319,7 @@ def repeated_incoherent(spec: MachineSpec, plan: RepetitionPlan) -> ProtocolOutc
     r = _room_population(spec)
     _, r_c = _machine_room_populations(spec)
     r_ch = boltzmann_population(spec.e_c, t_hot)
-    vq = _incoherent_virtual_qubit(spec, t_hot)
+    vq = _virtual_qubit(spec, r_ch, False)
     preheat = spec.e_c * (r_c - r_ch)
 
     if math.isinf(n):
@@ -300,7 +357,19 @@ def repeated_incoherent(spec: MachineSpec, plan: RepetitionPlan) -> ProtocolOutc
 
 
 def _incoherent_limit_temperature(spec: MachineSpec, t_hot: float) -> float:
-    return spec.e / (spec.e_b / spec.t_room - spec.e_c / t_hot)
+    # The bias vanishes only when t_room (and so t_hot) is infinite.
+    bias = spec.e_b / spec.t_room - spec.e_c / t_hot
+    return spec.e / bias if bias > 0.0 else INFINITE
+
+
+def _coherent_limit_temperature(spec: MachineSpec) -> float:
+    # Asymptote of repeated {00,11} swaps against a thermal machine.
+    return spec.t_room * spec.e / (spec.e_b + spec.e_c)
+
+
+def _algorithmic_limit_temperature(spec: MachineSpec) -> float:
+    # Asymptote of {00,11} swaps with C fully precooled to B's population.
+    return spec.t_room * spec.e / (2.0 * spec.e_b)
 
 
 def autonomous_steady_state(spec: MachineSpec) -> ProtocolOutcome:
@@ -328,17 +397,6 @@ def autonomous_steady_state(spec: MachineSpec) -> ProtocolOutcome:
     )
 
 
-def _coherent_virtual_qubit(spec: MachineSpec, r_c_pop: float) -> virtual.VirtualQubit:
-    r_b, _ = _machine_room_populations(spec)
-    machine_state = (
-        r_b * r_c_pop,
-        r_b * (1.0 - r_c_pop),
-        (1.0 - r_b) * r_c_pop,
-        (1.0 - r_b) * (1.0 - r_c_pop),
-    )
-    return virtual.extract_virtual_qubit(machine_state, 0, 3, spec.e_b + spec.e_c)
-
-
 def repeated_coherent(spec: MachineSpec, n: float) -> ProtocolOutcome:
     """Optimal first cycle, then reset-and-swap against the {00,11} subspace.
 
@@ -351,20 +409,17 @@ def repeated_coherent(spec: MachineSpec, n: float) -> ProtocolOutcome:
     _require_repetition_count(n)
     r = _room_population(spec)
     r_b, r_c = _machine_room_populations(spec)
-    vq = _coherent_virtual_qubit(spec, r_c)
+    vq = _virtual_qubit(spec, r_c, True)
     first_cost = single_cycle_coherent_cost(spec)
 
     def cost_at(r_k: float) -> float:
         return first_cost + 2.0 * spec.e_c * (r_k - r_b)
 
     if math.isinf(n):
-        t_final = spec.t_room * spec.e / (spec.e_b + spec.e_c)
+        t_final = _coherent_limit_temperature(spec)
         r_final = boltzmann_population(spec.e, t_final)
         work = cost_at(r_final)
-        trajectory = (
-            TrajectoryPoint(0, r, 0.0),
-            TrajectoryPoint(INFINITE, r_final, work),
-        )
+        trajectory = (TrajectoryPoint(0, r, 0.0), TrajectoryPoint(INFINITE, r_final, work))
     else:
         steps = int(n)
         points = [TrajectoryPoint(0, r, 0.0)]
@@ -392,7 +447,13 @@ def precooled_population(spec: MachineSpec, nu: float) -> float:
 
 
 def precool_mixing_for_population(spec: MachineSpec, r_target: float) -> float:
-    """Mixing nu whose asymptotic {00,11} population equals ``r_target``."""
+    """Mixing nu whose asymptotic {00,11} population equals ``r_target``.
+
+    At and beyond the full-precooling floor the mixing is exactly 1; the
+    closed form would lose that to the cancellation in 1 - r_target.
+    """
+    if r_target >= boltzmann_population(spec.e, _algorithmic_limit_temperature(spec)):
+        return 1.0
     r_b, r_c = _machine_room_populations(spec)
     denom = r_target * (1.0 - r_b) + r_b * (1.0 - r_target)
     c_pop = r_target * (1.0 - r_b) / denom
@@ -422,7 +483,7 @@ def algorithmic_cooling(
         raise DomainError(f"starting population {r0} below the thermal value {r}")
     _, r_c = _machine_room_populations(spec)
     c_pop = precooled_population(spec, nu)
-    vq = _coherent_virtual_qubit(spec, c_pop)
+    vq = _virtual_qubit(spec, c_pop, True)
     precool_cost = spec.e * (c_pop - r_c)
 
     def cost_at(r_k: float, r_prev: float) -> float:
@@ -430,16 +491,13 @@ def algorithmic_cooling(
 
     if math.isinf(n):
         if nu == 1.0:
-            t_final = spec.t_room * spec.e / (2.0 * spec.e_b)
+            t_final = _algorithmic_limit_temperature(spec)
             r_final = boltzmann_population(spec.e, t_final)
         else:
             r_final = vq.r_v
             t_final = _final_temperature(spec, r_final)
         work = cost_at(r_final, r_final)
-        trajectory = (
-            TrajectoryPoint(0, r0, 0.0),
-            TrajectoryPoint(INFINITE, r_final, work),
-        )
+        trajectory = (TrajectoryPoint(0, r0, 0.0), TrajectoryPoint(INFINITE, r_final, work))
     else:
         steps = int(n)
         points = [TrajectoryPoint(0, r0, 0.0)]
@@ -474,8 +532,8 @@ def optimal_sequence(spec: MachineSpec, t_target: float) -> ProtocolOutcome:
     if not t_target > 0.0:
         raise DomainError(f"target temperature must be > 0, got {t_target}")
     r = _room_population(spec)
-    r_b, r_c = _machine_room_populations(spec)
-    t_floor = spec.t_room * spec.e / (2.0 * spec.e_b)
+    _, r_c = _machine_room_populations(spec)
+    t_floor = _algorithmic_limit_temperature(spec)
     r_t = boltzmann_population(spec.e, t_target)
     r_floor = boltzmann_population(spec.e, t_floor)
     if r_t > r_floor * (1.0 + 1e-12) or t_target < t_floor * (1.0 - 1e-12):
@@ -484,35 +542,20 @@ def optimal_sequence(spec: MachineSpec, t_target: float) -> ProtocolOutcome:
         )
     r_t = min(r_t, r_floor)
     if r_t <= r:
-        return ProtocolOutcome(
-            r_final=r, t_final=spec.t_room, work_cost=0.0, trajectory=()
-        )
+        return ProtocolOutcome(r, spec.t_room, 0.0)
 
-    r_coh_inf = boltzmann_population(
-        spec.e, spec.t_room * spec.e / (spec.e_b + spec.e_c)
-    )
-    phases: list[tuple[float, float]] = []  # (population endpoint, gradient)
-    if spec.e_c > spec.e:
-        phases.append((r_c, spec.e_c - spec.e))
-    phases.append((r_b, spec.e_b - spec.e))
-    phases.append((r_coh_inf, spec.e_b + spec.e_c - spec.e))
+    r_coh_inf = boltzmann_population(spec.e, _coherent_limit_temperature(spec))
+    # (population endpoint, gradient): the single cycle, then {00,11} swaps.
+    phases = _single_cycle_phases(spec) + [(r_coh_inf, 2.0 * spec.e_c)]
 
-    work = 0.0
-    r_now = r
-    trajectory: list[TrajectoryPoint] = [TrajectoryPoint(0, r, 0.0)]
+    work, r_now = 0.0, r
+    trajectory = [TrajectoryPoint(0, r, 0.0)]
     for index, (r_end, gradient) in enumerate(phases, start=1):
+        work += (min(r_t, r_end) - r_now) * gradient
+        r_now = min(r_t, r_end)
+        trajectory.append(TrajectoryPoint(index, r_now, work))
         if r_t <= r_end:
-            work += (r_t - r_now) * gradient
-            trajectory.append(TrajectoryPoint(index, r_t, work))
-            return ProtocolOutcome(
-                r_final=r_t,
-                t_final=t_target,
-                work_cost=work,
-                trajectory=tuple(trajectory),
-            )
-        work += (r_end - r_now) * gradient
-        r_now = r_end
-        trajectory.append(TrajectoryPoint(index, r_end, work))
+            return ProtocolOutcome(r_t, t_target, work, trajectory=tuple(trajectory))
 
     # Tuned-precooling tail from the repeated-coherent asymptote to the target.
     nu = precool_mixing_for_population(spec, r_t)
@@ -554,9 +597,11 @@ def internal_resource(
         if not t_hot >= spec.t_room:
             raise DomainError(f"internal hot temperature must be >= t_room, got {t_hot}")
         c_pop = boltzmann_population(spec.e_c, t_hot)
-        work = spec.e_c * (1.0 - spec.t_room / t_hot) * (1.0 - c_pop) + (
-            spec.t_room * math.log(c_pop / r_c)
-        )
+        work = 0.0  # an equilibrium copy is free, also at t_room = inf
+        if t_hot > spec.t_room:
+            work = spec.e_c * (1.0 - spec.t_room / t_hot) * (1.0 - c_pop) + (
+                spec.t_room * math.log(c_pop / r_c)
+            )
     elif scenario == "coherent":
         mu = control
         if not 0.0 <= mu <= 1.0:

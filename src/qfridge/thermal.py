@@ -172,13 +172,14 @@ def resource_free_energy(heat: float, t_hot: float, t_room: float) -> float:
     """Free energy drawn from a hot bath: heat times the Carnot factor.
 
     ``t_hot = math.inf`` returns ``heat`` exactly; ``t_hot = t_room`` returns
-    zero (an equilibrium resource carries no free energy).
+    zero (an equilibrium resource carries no free energy), also when both
+    are infinite.
     """
     if not t_room > 0.0:
         raise DomainError(f"t_room must be > 0, got {t_room}")
     if not t_hot >= t_room:
         raise DomainError(f"t_hot must be >= t_room, got {t_hot} < {t_room}")
-    return heat * (1.0 - t_room / t_hot)
+    return heat * (0.0 if t_hot == t_room else 1.0 - t_room / t_hot)
 
 
 def binary_entropy(r: float) -> float:

@@ -19,6 +19,7 @@ from .thermal import (
     MachineSpec,
     boltzmann_population,
     hamiltonian_diagonal,
+    thermal_populations,
 )
 
 MUTATIONS = ("r_inc", "vertex", "pareto")
@@ -88,7 +89,7 @@ def check_formula_dense_equivalence(
 
         mu = float(rng.uniform(0.0, 1.0))
         r_dense, _ = oracle.simulate_coherent_single(spec, mu)
-        r_formula = _coherent_single_population(spec, mu)
+        r_formula = protocols.coherent_single_population(spec, mu)
         worst = max(worst, abs(r_formula - r_dense))
 
         plan = protocols.RepetitionPlan(n=n)
@@ -112,17 +113,6 @@ def check_formula_dense_equivalence(
     )
 
 
-def _coherent_single_population(spec: MachineSpec, mu: float) -> float:
-    r = boltzmann_population(spec.e, spec.t_room)
-    r_b = boltzmann_population(spec.e_b, spec.t_room)
-    r_c = boltzmann_population(spec.e_c, spec.t_room)
-    if spec.e_c <= spec.e:
-        return r + mu * (r_b - r)
-    if mu <= 0.5:
-        return r + 2.0 * mu * (r_c - r)
-    return r_c + (2.0 * mu - 1.0) * (r_b - r_c)
-
-
 def coherent_single_cycle_curve(
     spec: MachineSpec, grid: int = 201
 ) -> list[tuple[float, float]]:
@@ -130,7 +120,7 @@ def coherent_single_cycle_curve(
     mus = sorted(set(np.linspace(0.0, 1.0, grid)) | {0.5})
     points = []
     for mu in mus:
-        r_target = _coherent_single_population(spec, float(mu))
+        r_target = protocols.coherent_single_population(spec, float(mu))
         out = protocols.two_qubit_coherent_single(spec, r_target)
         points.append((out.work_cost, out.r_final))
     return points
@@ -186,10 +176,7 @@ def check_vertex_oracle(
         t = spec.t_room
         if index % 2 == 0:
             gaps = (spec.e, spec.e_b)
-            rho = np.kron(
-                [boltzmann_population(spec.e, t), 1 - boltzmann_population(spec.e, t)],
-                [boltzmann_population(spec.e_b, t), 1 - boltzmann_population(spec.e_b, t)],
-            )
+            rho = thermal_populations(gaps, (t, t))
             h = hamiltonian_diagonal(gaps)
             r = rho[:2].sum()
             r_hi = rho[[0, 2]].sum()
@@ -197,8 +184,6 @@ def check_vertex_oracle(
             analytic = majorization.solve_one_qubit(rho, h, r_target).objective
             reference = majorization.vertex_oracle_min(rho, h, 2, r_target)
         else:
-            from .thermal import thermal_populations
-
             rho = thermal_populations(spec.gaps, (t, t, t))
             h = hamiltonian_diagonal(spec.gaps)
             regime = (

@@ -121,6 +121,19 @@ class TestCurveCommand:
         assert abs(auto.temperature - quantities["t_auto_star"]) <= 1e-12
         assert abs(auto.delta_f - quantities["delta_f_auto_star"]) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "scenario",
+        ["inc-single", "coh-single", "inc-repeat", "coh-repeat", "algo"]
+        + ["internal-inc", "internal-coh"],
+    )
+    def test_infinite_room_temperature_is_finite(self, scenario, capsys):
+        args = ["--e-c", "0.4", "--t-r", "inf", "--t-h", "inf", "--grid", "5"]
+        rc = main(["curve", scenario, *args])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "nan" not in out.lower()
+        assert len(out.strip().splitlines()) == 6
+
     def test_ladder_scenarios_need_cold_temperature(self, capsys):
         rc = main(["curve", "ladder-coh", *STANDARD, "--grid", "4"])
         assert rc == 2
@@ -202,6 +215,10 @@ class TestCrossingCommand:
         report = crossing_report(MachineSpec.two_qubit(0.4, 1.0), 1e-10)
         assert report.delta_f_crit == 0.005055054214935581
 
+    def test_frontier_inversions_are_the_library_functions(self):
+        assert coherent_temperature_of_work is protocols.coherent_temperature_of_work
+        assert incoherent_temperature_of_work is protocols.incoherent_temperature_of_work
+
     def test_crossing_exists_in_the_kinked_regime(self):
         # with e_c > e the coherent curve has a derivative kink at mu = 1/2
         # but the crossing geometry is unchanged
@@ -245,6 +262,32 @@ class TestSummaryCommand:
         two = payload["two_qubit"]
         assert two["delta_f_coh_star"] == pytest.approx(0.0, abs=1e-9)
         assert two["delta_f_inc_star"] == pytest.approx(0.0, abs=1e-9)
+
+    def test_saturated_target_reports_zero_temperature(self, capsys):
+        # r = r_B = 1.0 in double precision at E/T_R = 40
+        rc = main(["summary", "--e-c", "0.4", "--t-r", "0.025"])
+        payload = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert payload["two_qubit"]["t_inc_star"] == 0.0
+
+    @pytest.mark.parametrize(
+        "e_c, t_room",
+        [
+            (0.4, 1.0),
+            (1.7, 1.0),
+            (0.05, 5.0),
+            (5.0, 5.0),
+            (3.5306839722763645, 0.2469289964268594),
+        ],
+    )
+    def test_algorithmic_cost_is_the_optimal_sequence_floor(self, e_c, t_room):
+        # unsaturated machines: below r_coh_inf == 1.0 the sequence keeps its
+        # full-precooling tail
+        spec = MachineSpec.two_qubit(e_c, t_room)
+        two = summary_quantities(spec)["two_qubit"]
+        assert two["r_coh_inf"] < 1.0
+        floor = protocols.optimal_sequence(spec, two["t_algo_inf"])
+        assert floor.work_cost == pytest.approx(two["delta_f_algo_inf"], rel=1e-12)
 
     def test_missing_machine_gap_is_usage_error(self):
         result = _run(["summary"])

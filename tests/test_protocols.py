@@ -180,6 +180,55 @@ class TestIncoherentTemperatureOfWork:
         assert protocols.incoherent_temperature_of_work(spec, -1.0) == 1.3
 
 
+class TestCoherentFrontier:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        e_c=st.floats(0.05, 5.0), t_room=st.floats(0.2, 5.0), mu=st.floats(0.0, 1.0)
+    )
+    def test_inversion_recovers_the_frontier_temperature(self, e_c, t_room, mu):
+        spec = MachineSpec.two_qubit(e_c, t_room)
+        r = protocols.coherent_single_population(spec, mu)
+        work = protocols.two_qubit_coherent_single(spec, r).work_cost
+        got = protocols.coherent_temperature_of_work(spec, work)
+        expected = temperature_from_population(spec.e, r)
+        # Near r = 1 the temperature is ill-conditioned: a single ulp of r
+        # moves it by d ln T = ulp / (r (1 - r) ln(r / (1 - r))), up to ~1e-6
+        # here, so the 1e-8 bound carries that two-ulp term on top.
+        ulp_shift = math.ulp(r) / (r * (1.0 - r) * math.log(r / (1.0 - r)))
+        assert abs(got - expected) <= (1e-8 + 2.0 * ulp_shift) * expected
+
+    @pytest.mark.parametrize("e_c", [0.4, 1.7])
+    def test_population_walks_the_swap_phases(self, e_c):
+        spec = MachineSpec.two_qubit(e_c, 1.0)
+        r, r_b, r_c = _r(1.0, 1.0), _r(1.0 + e_c, 1.0), _r(e_c, 1.0)
+        assert protocols.coherent_single_population(spec, 0.0) == r
+        assert protocols.coherent_single_population(spec, 1.0) == pytest.approx(
+            r_b, abs=1e-15
+        )
+        if e_c > 1.0:  # the target<->C swap ends at mu = 1/2
+            half = protocols.coherent_single_population(spec, 0.5)
+            assert half == pytest.approx(r_c, abs=1e-15)
+        for mu in (-1e-9, 1.0 + 1e-9, math.nan):
+            with pytest.raises(DomainError):
+                protocols.coherent_single_population(spec, mu)
+
+    @pytest.mark.parametrize("e_c, t_room", [(37.0, 1.0), (40.0, 1.0), (5.0, 0.1)])
+    def test_budget_beyond_a_saturated_frontier(self, e_c, t_room):
+        # r_B == r_C == 1.0 in double precision: the last phase has zero cost
+        spec = MachineSpec.two_qubit(e_c, t_room)
+        f_max = protocols.single_cycle_coherent_cost(spec)
+        assert protocols.coherent_temperature_of_work(spec, 1.5 * f_max) == 0.0
+
+    @pytest.mark.parametrize("e_c", [0.4, 1.7])
+    def test_route_costs_bracket_the_frontier(self, e_c):
+        spec = MachineSpec.two_qubit(e_c, 1.0)
+        direct = protocols.swap_route_cost(spec, False)
+        via_c = protocols.swap_route_cost(spec, True)
+        cost = protocols.single_cycle_coherent_cost(spec)
+        assert cost == min(direct, via_c)
+        assert cost == (via_c if e_c > 1.0 else direct)
+
+
 class TestTwoQubitCoherentSingle:
     @pytest.mark.parametrize("e_c", [0.4, 1.7])
     def test_endpoint_cost_both_regimes(self, e_c):
@@ -224,6 +273,18 @@ class TestRepeatedIncoherent:
             RepetitionPlan(1.5)
         assert RepetitionPlan(2.0).n == 2.0
         assert RepetitionPlan(INFINITE).n == INFINITE
+
+    def test_infinite_room_temperature_is_finite(self):
+        spec = MachineSpec.two_qubit(0.4, INFINITE, INFINITE)
+        for n in (0, 3, INFINITE):
+            out = protocols.repeated_incoherent(spec, RepetitionPlan(n=n))
+            assert (out.work_cost, out.r_final, out.t_final) == (0.0, 0.5, INFINITE)
+
+    def test_plan_rejects_control_keys_no_evaluator_reads(self):
+        for key in ("mu", "nu", "t_cold"):
+            with pytest.raises(DomainError):
+                RepetitionPlan(2, control={key: 0.5})
+        assert RepetitionPlan(2, control={"t_hot": 5.0}).control == {"t_hot": 5.0}
 
     def test_zero_steps_pays_only_preheat(self):
         spec = MachineSpec.two_qubit(0.4, 1.0, 3.0)
@@ -394,6 +455,12 @@ class TestAlgorithmicCooling:
 
 
 class TestOptimalSequence:
+    def test_floor_target_mixes_fully(self):
+        # 1 - r_t cancels in the mixing closed form this close to r = 1
+        spec = MachineSpec.two_qubit(3.5306839722763645, 0.2469289964268594)
+        out = protocols.optimal_sequence(spec, spec.t_room * spec.e / (2 * spec.e_b))
+        assert out.flag == "precool mixing nu=1.0"
+
     def test_room_temperature_target_is_free(self):
         spec = MachineSpec.two_qubit(0.4, 1.0)
         out = protocols.optimal_sequence(spec, 1.0)
@@ -521,6 +588,12 @@ class TestOptimalSequence:
 
 
 class TestInternalResource:
+    def test_infinite_room_temperature_costs_nothing(self):
+        spec = MachineSpec.two_qubit(0.4, INFINITE)
+        out = protocols.internal_resource(spec, "incoherent", INFINITE)
+        assert out.work_cost == 0.0
+        assert out.r_final == 0.5
+
     def test_equilibrium_control_costs_nothing(self):
         spec = MachineSpec.two_qubit(1.0 / 3.0, 1.0)
         inc = protocols.internal_resource(spec, "incoherent", 1.0)

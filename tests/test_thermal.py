@@ -116,6 +116,11 @@ class TestResourceFreeEnergy:
     def test_equilibrium_resource_is_free(self):
         assert resource_free_energy(0.37, 1.0, 1.0) == 0.0
 
+    def test_infinite_room_and_hot_bath_is_free(self):
+        # 1 - inf/inf would be NaN; equal temperatures carry no free energy
+        assert resource_free_energy(0.0, INFINITE, INFINITE) == 0.0
+        assert resource_free_energy(0.37, INFINITE, INFINITE) == 0.0
+
     def test_infinite_hot_bath_gives_heat_itself(self):
         assert resource_free_energy(0.2, INFINITE, 1.0) == 0.2
 
