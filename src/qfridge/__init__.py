@@ -11,7 +11,6 @@ from .ladder import LadderOutcome, LadderSpec, coherent_ladder, embedded_ladder_
 from .majorization import (
     ConstrainedMinResult,
     InfeasibleTargetError,
-    Regime,
     TTransform,
     endpoint_minimizer,
     majorizes,
@@ -76,7 +75,6 @@ __all__ = [
     "NegativeTemperatureError",
     "ProtocolOutcome",
     "QubitSpec",
-    "Regime",
     "RepetitionPlan",
     "TTransform",
     "VirtualQubit",

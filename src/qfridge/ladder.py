@@ -53,8 +53,8 @@ class LadderSpec:
     def __post_init__(self) -> None:
         if self.n_steps < 1:
             raise DomainError(f"ladder needs n_steps >= 1, got {self.n_steps}")
-        if not self.t_room > 0.0:
-            raise DomainError(f"t_room must be > 0, got {self.t_room}")
+        if not 0.0 < self.t_room < math.inf:
+            raise DomainError(f"t_room must be finite and > 0, got {self.t_room}")
         if not 0.0 < self.t_cold <= self.t_room:
             raise DomainError(
                 f"t_cold must satisfy 0 < t_cold <= t_room, got {self.t_cold}"

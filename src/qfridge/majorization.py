@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import lru_cache
 from typing import Mapping, Sequence
 
@@ -104,13 +103,6 @@ class ConstrainedMinResult:
     swap_parameters: Mapping[str, float] = field(default_factory=dict)
 
 
-class Regime(Enum):
-    """Which machine gap is the smaller one; decides the two-qubit solution branch."""
-
-    EC_LE_E = "e_c <= e"
-    EC_GT_E = "e_c > e"
-
-
 def _check_order(pairs: list[tuple[float, float]], context: str) -> None:
     scale = max(1.0, max(abs(a) for a, _ in pairs))
     for hi, lo in pairs:
@@ -170,29 +162,22 @@ def _two_qubit_gaps(h_arr: np.ndarray) -> tuple[float, float, float]:
 
 
 def solve_two_qubit(
-    rho_in: Sequence[float],
-    h: Sequence[float],
-    r_target: float,
-    regime: Regime,
+    rho_in: Sequence[float], h: Sequence[float], r_target: float
 ) -> ConstrainedMinResult:
     """Work-optimal single-cycle cooling against a resonant two-qubit machine.
 
-    ``Regime.EC_LE_E``: one pass of partial target<->B swaps (levels (2,4) and
-    (3,5)).  ``Regime.EC_GT_E``: partial target<->C swaps (levels (1,4) and
-    (3,6)) up to the full swap, then partial target<->B swaps.  Unequal
-    mixing weights on the two doublets span a family of equally optimal
-    minimizers; the canonical t_1 = t_2 member is returned (the family is
-    reachable through :func:`vertex_oracle_min`).
+    The branch is read off the gaps in ``h``.  e_c <= e: one pass of partial
+    target<->B swaps (levels (2,4) and (3,5)).  e_c > e: partial target<->C
+    swaps (levels (1,4) and (3,6)) up to the full swap, then partial
+    target<->B swaps.  Unequal mixing weights on the two doublets span a
+    family of equally optimal minimizers; the canonical t_1 = t_2 member is
+    returned (the family is reachable through :func:`vertex_oracle_min`).
     """
     rho = _as_popvector(rho_in, "rho_in")
     h_arr = np.asarray(h, dtype=float)
     if rho.size != 8 or h_arr.size != 8:
         raise DomainError("two-qubit solver expects 8-dimensional inputs")
     e, e_b, e_c = _two_qubit_gaps(h_arr)
-    if regime is Regime.EC_LE_E and e_c > e * (1.0 + 1e-12):
-        raise DomainError("regime EC_LE_E inconsistent with e_c > e")
-    if regime is Regime.EC_GT_E and e_c <= e * (1.0 - 1e-12):
-        raise DomainError("regime EC_GT_E inconsistent with e_c <= e")
 
     r = float(rho[:4].sum())
     r_b = float(rho[[0, 1, 4, 5]].sum())
@@ -202,7 +187,7 @@ def solve_two_qubit(
             f"r_target={r_target} outside the reachable range [{r}, {r_b}]"
         )
 
-    if regime is Regime.EC_LE_E:
+    if e_c <= e:
         _check_order(
             [(rho[0], rho[1]), (rho[1], rho[4]), (rho[4], rho[2]), (rho[4], rho[5]),
              (rho[2], rho[3]), (rho[5], rho[3]), (rho[3], rho[6]), (rho[6], rho[7])],

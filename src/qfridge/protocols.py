@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple
 
-from . import majorization, virtual
-from .majorization import InfeasibleTargetError, Regime
+from . import virtual
+from .majorization import InfeasibleTargetError
 from .thermal import (
     ConfigurationError,
     DomainError,
@@ -25,10 +25,8 @@ from .thermal import (
     MachineSpec,
     RESONANCE_RTOL,
     boltzmann_population,
-    hamiltonian_diagonal,
     resource_free_energy,
     temperature_from_population,
-    thermal_populations,
 )
 
 
@@ -135,11 +133,9 @@ def one_qubit_coherent(spec: MachineSpec, r_target: float) -> ProtocolOutcome:
         raise DomainError(
             f"cooling impossible: needs e < e_b, got e={spec.e}, e_b={spec.e_b}"
         )
-    rho_in = thermal_populations(spec.gaps, (spec.t_room,) * 2)
-    h = hamiltonian_diagonal(spec.gaps)
-    result = majorization.solve_one_qubit(rho_in, h, r_target)
-    work = result.objective - float(rho_in @ h)
     r = _room_population(spec)
+    r_b = boltzmann_population(spec.e_b, spec.t_room)
+    work = _phase_work(r, [(r_b, spec.e_b - spec.e)], r_target)
     return ProtocolOutcome(
         r_final=r_target,
         t_final=_final_temperature(spec, r_target),
@@ -219,13 +215,29 @@ def _single_cycle_phases(spec: MachineSpec) -> list[tuple[float, float]]:
     return _swap_phases(spec, spec.e_c > spec.e)
 
 
-def swap_route_cost(spec: MachineSpec, via_c: bool) -> float:
-    """Work of swapping the target up to r_B, through C first when ``via_c``."""
-    work, r_now = 0.0, _room_population(spec)
-    for r_end, gradient in _swap_phases(spec, via_c):
-        work += (r_end - r_now) * gradient
+def _phase_work(r: float, phases: list[tuple[float, float]], r_target: float) -> float:
+    # Work of raising the target from r to r_target along the swap phases,
+    # each at its gradient.  Targets within 1e-12 of the range are clamped
+    # into it, as the T-transform solver clamps its mixing weight.
+    r_top = phases[-1][0]
+    if not r - 1e-12 <= r_target <= r_top + 1e-12:
+        raise InfeasibleTargetError(
+            f"r_target={r_target} outside the reachable range [{r}, {r_top}]"
+        )
+    r_target = min(max(r_target, r), r_top)
+    work, r_now = 0.0, r
+    for r_end, gradient in phases:
+        work += (min(r_target, r_end) - r_now) * gradient
+        if r_target <= r_end:
+            break
         r_now = r_end
     return work
+
+
+def swap_route_cost(spec: MachineSpec, via_c: bool) -> float:
+    """Work of swapping the target up to r_B, through C first when ``via_c``."""
+    phases = _swap_phases(spec, via_c)
+    return _phase_work(_room_population(spec), phases, phases[-1][0])
 
 
 def single_cycle_coherent_cost(spec: MachineSpec) -> float:
@@ -277,12 +289,8 @@ def coherent_temperature_of_work(spec: MachineSpec, delta_f: float) -> float:
 def two_qubit_coherent_single(spec: MachineSpec, r_target: float) -> ProtocolOutcome:
     """Work-optimal single-cycle coherent cooling of the resonant machine."""
     spec.require_resonance()
-    rho_in = thermal_populations(spec.gaps, (spec.t_room,) * 3)
-    h = hamiltonian_diagonal(spec.gaps)
-    regime = Regime.EC_LE_E if spec.e_c <= spec.e else Regime.EC_GT_E
-    result = majorization.solve_two_qubit(rho_in, h, r_target, regime)
-    work = result.objective - float(rho_in @ h)
     r = _room_population(spec)
+    work = _phase_work(r, _single_cycle_phases(spec), r_target)
     return ProtocolOutcome(
         r_final=r_target,
         t_final=_final_temperature(spec, r_target),
@@ -409,7 +417,6 @@ def repeated_coherent(spec: MachineSpec, n: float) -> ProtocolOutcome:
     _require_repetition_count(n)
     r = _room_population(spec)
     r_b, r_c = _machine_room_populations(spec)
-    vq = _virtual_qubit(spec, r_c, True)
     first_cost = single_cycle_coherent_cost(spec)
 
     def cost_at(r_k: float) -> float:
@@ -422,6 +429,7 @@ def repeated_coherent(spec: MachineSpec, n: float) -> ProtocolOutcome:
         trajectory = (TrajectoryPoint(0, r, 0.0), TrajectoryPoint(INFINITE, r_final, work))
     else:
         steps = int(n)
+        vq = _virtual_qubit(spec, r_c, True)
         points = [TrajectoryPoint(0, r, 0.0)]
         for k in range(1, steps + 1):
             r_k = virtual.n_swap_population(r, vq, k)
@@ -483,7 +491,6 @@ def algorithmic_cooling(
         raise DomainError(f"starting population {r0} below the thermal value {r}")
     _, r_c = _machine_room_populations(spec)
     c_pop = precooled_population(spec, nu)
-    vq = _virtual_qubit(spec, c_pop, True)
     precool_cost = spec.e * (c_pop - r_c)
 
     def cost_at(r_k: float, r_prev: float) -> float:
@@ -494,12 +501,13 @@ def algorithmic_cooling(
             t_final = _algorithmic_limit_temperature(spec)
             r_final = boltzmann_population(spec.e, t_final)
         else:
-            r_final = vq.r_v
+            r_final = _virtual_qubit(spec, c_pop, True).r_v
             t_final = _final_temperature(spec, r_final)
         work = cost_at(r_final, r_final)
         trajectory = (TrajectoryPoint(0, r0, 0.0), TrajectoryPoint(INFINITE, r_final, work))
     else:
         steps = int(n)
+        vq = _virtual_qubit(spec, c_pop, True)
         points = [TrajectoryPoint(0, r0, 0.0)]
         r_prev = virtual.n_swap_population(r0, vq, 0)
         for k in range(1, steps + 1):

@@ -426,6 +426,15 @@ class TestLadderCommand:
         assert "finite t_hot" in result.stderr
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize(
+        "command",
+        [["ladder", "--n", "4"], ["curve", "ladder-coh"], ["curve", "ladder-inc", "--t-h", "inf"]],
+    )
+    def test_infinite_room_temperature_is_usage_error(self, command, capsys):
+        rc = main([*command, "--t-c", "0.5", "--e-c", "0.4", "--t-r", "inf"])
+        assert rc == 2
+        assert capsys.readouterr().out == ""
+
     def test_room_temperature_hot_bath_is_usage_error(self):
         result = _run(
             ["ladder", "--t-c", "0.5", "--t-h", "1", "--t-r", "1", "--e-c", "0.4", "--n", "4"]

@@ -78,6 +78,11 @@ class TestCoherentLadder:
         with pytest.raises(DomainError):
             LadderSpec(4, 1.5, 1.0)
 
+    @pytest.mark.parametrize("t_room", [INFINITE, math.nan])
+    def test_non_finite_room_temperature_rejected(self, t_room):
+        with pytest.raises(DomainError):
+            LadderSpec(4, 0.5, t_room)
+
 
 class TestIncoherentLadder:
     def test_stage_temperatures_identical_to_coherent(self):

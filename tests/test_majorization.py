@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from qfridge.majorization import (
     InfeasibleTargetError,
-    Regime,
     TTransform,
     apply_transforms,
     endpoint_minimizer,
@@ -136,14 +135,14 @@ class TestSolveTwoQubit:
     def test_zero_cooling_costs_nothing(self):
         _, rho, h = _two_qubit_inputs()
         r = rho[:4].sum()
-        res = solve_two_qubit(rho, h, r, Regime.EC_LE_E)
+        res = solve_two_qubit(rho, h, r)
         assert res.objective - float(rho @ h) == pytest.approx(0.0, abs=1e-14)
 
     def test_small_ec_full_swap_cost(self):
         _, rho, h = _two_qubit_inputs(e_c=0.4)
         r = rho[:4].sum()
         r_b = rho[[0, 1, 4, 5]].sum()
-        res = solve_two_qubit(rho, h, r_b, Regime.EC_LE_E)
+        res = solve_two_qubit(rho, h, r_b)
         assert res.objective - float(rho @ h) == pytest.approx(
             0.4 * (r_b - r), abs=1e-13
         )
@@ -153,7 +152,7 @@ class TestSolveTwoQubit:
         _, rho, h = _two_qubit_inputs(e_c=1.7)
         r = rho[:4].sum()
         r_c = rho[[0, 2, 4, 6]].sum()
-        res = solve_two_qubit(rho, h, r_c, Regime.EC_GT_E)
+        res = solve_two_qubit(rho, h, r_c)
         assert res.swap_parameters["mu"] == pytest.approx(0.5, abs=1e-12)
         assert res.objective - float(rho @ h) == pytest.approx(
             (1.7 - 1.0) * (r_c - r), abs=1e-13
@@ -164,24 +163,30 @@ class TestSolveTwoQubit:
         r = rho[:4].sum()
         r_b = rho[[0, 1, 4, 5]].sum()
         r_c = rho[[0, 2, 4, 6]].sum()
-        res = solve_two_qubit(rho, h, r_b, Regime.EC_GT_E)
+        res = solve_two_qubit(rho, h, r_b)
         expected = (1.7 - 1.0) * (r_c - r) + 1.7 * (r_b - r_c)
         assert res.objective - float(rho @ h) == pytest.approx(expected, abs=1e-13)
 
-    def test_regime_mismatch_rejected(self):
-        _, rho, h = _two_qubit_inputs(e_c=0.4)
-        with pytest.raises(DomainError):
-            solve_two_qubit(rho, h, 0.75, Regime.EC_GT_E)
+    def test_branch_is_read_off_the_gaps(self):
+        # e_c == e takes the B-only transforms; any e_c > e swaps with C first.
+        pairs = {}
+        for e_c in (1.0, 1.0 + 1e-9):
+            _, rho, h = _two_qubit_inputs(e_c=e_c)
+            r, r_b = rho[:4].sum(), rho[[0, 1, 4, 5]].sum()
+            res = solve_two_qubit(rho, h, float(0.5 * (r + r_b)))
+            pairs[e_c] = [(tr.i, tr.j) for tr in res.transform_sequence]
+        assert pairs[1.0] == [(2, 4), (3, 5)]
+        assert pairs[1.0 + 1e-9] == [(1, 4), (3, 6), (2, 4), (3, 5)]
 
     def test_infeasible_target_rejected(self):
         _, rho, h = _two_qubit_inputs(e_c=0.4)
         with pytest.raises(InfeasibleTargetError):
-            solve_two_qubit(rho, h, 0.95, Regime.EC_LE_E)
+            solve_two_qubit(rho, h, 0.95)
 
     def test_against_dense_full_swap(self):
         spec, rho, h = _two_qubit_inputs(e_c=0.4)
         r_b = rho[[0, 1, 4, 5]].sum()
-        res = solve_two_qubit(rho, h, r_b, Regime.EC_LE_E)
+        res = solve_two_qubit(rho, h, r_b)
         state = build_thermal_state(spec, (1.0,) * 3)
         swap_ab = partial_swap_unitary(8, 2, 4, 1.0).matrix @ partial_swap_unitary(
             8, 3, 5, 1.0
@@ -195,12 +200,11 @@ class TestSolveTwoQubit:
     @pytest.mark.parametrize("e_c", [0.3, 0.9, 1.0, 1.3, 2.5])
     def test_transform_sequence_reproduces_minimizer(self, e_c):
         _, rho, h = _two_qubit_inputs(e_c=e_c)
-        regime = Regime.EC_LE_E if e_c <= 1.0 else Regime.EC_GT_E
         r = rho[:4].sum()
         r_b = rho[[0, 1, 4, 5]].sum()
         for frac in (0.0, 0.2, 0.5, 0.8, 1.0):
             r_target = r + frac * (r_b - r)
-            res = solve_two_qubit(rho, h, r_target, regime)
+            res = solve_two_qubit(rho, h, r_target)
             rebuilt = apply_transforms(rho, res.transform_sequence)
             assert np.allclose(rebuilt, res.minimizer, atol=1e-12)
             assert majorizes(rho, res.minimizer)
@@ -216,7 +220,7 @@ class TestSolveTwoQubit:
         r_b = rho[[0, 1, 4, 5]].sum()
         grid = np.linspace(r, r_b, 41)
         costs = [
-            solve_two_qubit(rho, h, float(x), Regime.EC_GT_E).objective - base
+            solve_two_qubit(rho, h, float(x)).objective - base
             for x in grid
         ]
         slopes = np.diff(costs) / np.diff(grid)
@@ -268,7 +272,7 @@ class TestEndpointMinimizer:
     def test_matches_solver_at_endpoint(self):
         _, rho, h = _two_qubit_inputs(e_c=0.4)
         r_b = rho[[0, 1, 4, 5]].sum()
-        via_solver = solve_two_qubit(rho, h, r_b, Regime.EC_LE_E)
+        via_solver = solve_two_qubit(rho, h, r_b)
         via_endpoint = endpoint_minimizer(rho, 4, h)
         assert via_endpoint.objective == pytest.approx(via_solver.objective, abs=1e-12)
 
@@ -312,11 +316,10 @@ class TestVertexOracle:
     @pytest.mark.parametrize("e_c", [0.4, 1.7])
     def test_matches_two_qubit_solver_on_grid(self, e_c):
         _, rho, h = _two_qubit_inputs(e_c=e_c)
-        regime = Regime.EC_LE_E if e_c <= 1.0 else Regime.EC_GT_E
         r = rho[:4].sum()
         r_b = rho[[0, 1, 4, 5]].sum()
         for r_target in np.linspace(r, r_b, 20):
-            analytic = solve_two_qubit(rho, h, float(r_target), regime).objective
+            analytic = solve_two_qubit(rho, h, float(r_target)).objective
             reference = vertex_oracle_min(rho, h, 4, float(r_target))
             assert analytic == pytest.approx(reference, abs=1e-10)
 
@@ -359,11 +362,10 @@ def test_solver_never_beaten_by_oracle(e_c, t, frac):
     spec = MachineSpec.two_qubit(e_c, t)
     rho = thermal_populations(spec.gaps, (t, t, t))
     h = hamiltonian_diagonal(spec.gaps)
-    regime = Regime.EC_LE_E if e_c <= 1.0 else Regime.EC_GT_E
     r = rho[:4].sum()
     r_b = rho[[0, 1, 4, 5]].sum()
     r_target = float(r + frac * (r_b - r))
-    analytic = solve_two_qubit(rho, h, r_target, regime).objective
+    analytic = solve_two_qubit(rho, h, r_target).objective
     reference = vertex_oracle_min(rho, h, 4, r_target)
     assert analytic <= reference + 1e-10
     assert abs(analytic - reference) <= 1e-10

@@ -1,4 +1,7 @@
+import ast
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfridge import oracle, protocols
-from qfridge.majorization import InfeasibleTargetError
+from qfridge.majorization import InfeasibleTargetError, solve_two_qubit, vertex_oracle_min
 from qfridge.protocols import RepetitionPlan
 from qfridge.thermal import (
     ConfigurationError,
@@ -17,6 +20,7 @@ from qfridge.thermal import (
     boltzmann_population,
     hamiltonian_diagonal,
     temperature_from_population,
+    thermal_populations,
 )
 
 
@@ -265,6 +269,45 @@ class TestTwoQubitCoherentSingle:
         spec = MachineSpec.two_qubit(0.4, 1.0)
         with pytest.raises(InfeasibleTargetError):
             protocols.two_qubit_coherent_single(spec, 0.99)
+
+    @pytest.mark.parametrize("e_c", [0.4, 1.7])
+    def test_endpoint_is_the_single_cycle_cost(self, e_c):
+        spec = MachineSpec.two_qubit(e_c, 1.0)
+        out = protocols.two_qubit_coherent_single(spec, _r(1.0 + e_c, 1.0))
+        assert out.work_cost == protocols.single_cycle_coherent_cost(spec)
+
+    def test_work_is_exact_along_the_frontier(self):
+        # One phase at e_c <= e: the work is (r_t - r) e_c rounded once.
+        spec = MachineSpec.two_qubit(0.4, 1.0)
+        r = _r(1.0, 1.0)
+        for mu in np.linspace(0.0, 1.0, 1000):
+            r_t = protocols.coherent_single_population(spec, float(mu))
+            work = protocols.two_qubit_coherent_single(spec, r_t).work_cost
+            exact = (Fraction(r_t) - Fraction(r)) * Fraction(0.4)
+            assert abs(Fraction(work) - exact) <= Fraction(2.3e-16) * exact
+
+    @pytest.mark.parametrize("e_c", [0.4, 1.7])
+    def test_targets_within_slack_are_clamped(self, e_c):
+        spec = MachineSpec.two_qubit(e_c, 1.0)
+        r, r_b = _r(1.0, 1.0), _r(1.0 + e_c, 1.0)
+        below = protocols.two_qubit_coherent_single(spec, r - 5e-13)
+        above = protocols.two_qubit_coherent_single(spec, r_b + 5e-13)
+        assert below.work_cost == 0.0
+        assert above.work_cost == protocols.single_cycle_coherent_cost(spec)
+        assert (below.r_final, above.r_final) == (r - 5e-13, r_b + 5e-13)
+
+    @settings(max_examples=100, deadline=None)
+    @given(e_c=st.floats(0.05, 5.0), t_room=st.floats(0.2, 5.0), frac=st.floats(0.0, 1.0))
+    def test_closed_form_matches_the_solver_and_the_oracle(self, e_c, t_room, frac):
+        spec = MachineSpec.two_qubit(e_c, t_room)
+        rho = thermal_populations(spec.gaps, (t_room,) * 3)
+        h = hamiltonian_diagonal(spec.gaps)
+        r, r_b = rho[:4].sum(), rho[[0, 1, 4, 5]].sum()
+        r_target = float(r + frac * (r_b - r))
+        closed = protocols.two_qubit_coherent_single(spec, r_target).work_cost
+        closed += float(rho @ h)
+        assert abs(closed - solve_two_qubit(rho, h, r_target).objective) <= 1e-14
+        assert abs(closed - vertex_oracle_min(rho, h, 4, r_target)) <= 1e-10
 
 
 class TestRepeatedIncoherent:
@@ -759,3 +802,22 @@ class TestEndpointOrderings:
         assert t_auto_star < t_inc_star
         assert t_coh_inf < t_coh_star
         assert t_algo_inf < t_coh_inf
+
+
+def test_protocols_price_without_the_solver():
+    # The T-transform solver checks the closed forms only while the closed
+    # forms cannot reach it; protocols stays free of array code too.
+    tree = ast.parse(Path(protocols.__file__).read_text())
+    imported, from_majorization = [], []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+            if (node.module or "").split(".")[-1] == "majorization":
+                from_majorization += names
+            else:
+                imported += [node.module or ""] + names
+    assert from_majorization == ["InfeasibleTargetError"]
+    assert not [name for name in imported if name.split(".")[-1] == "majorization"]
+    assert not [name for name in imported if name.split(".")[0] == "numpy"]

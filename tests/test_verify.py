@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
-from qfridge import oracle
-from qfridge.verify import check_thermalization_gradients
+import pytest
+
+from qfridge import oracle, protocols
+from qfridge.verify import check_thermalization_gradients, check_vertex_oracle
 
 
 class TestThermalizationGradientReport:
@@ -23,3 +26,20 @@ class TestThermalizationGradientReport:
         assert result.passed
         assert 0.0 <= result.residual <= result.tolerance == 1e-6
         assert result.detail == "3 machines, central differences vs closed-form slopes"
+
+
+class TestVertexOracleGatesTheClosedForm:
+    @pytest.mark.parametrize("name", ["one_qubit_coherent", "two_qubit_coherent_single"])
+    def test_shifted_closed_form_fails(self, name, monkeypatch):
+        closed_form = getattr(protocols, name)
+
+        def shifted(spec, r_target):
+            out = closed_form(spec, r_target)
+            return dataclasses.replace(out, work_cost=out.work_cost + 1e-6)
+
+        assert check_vertex_oracle(seed=3, instances=4).passed
+        monkeypatch.setattr(protocols, name, shifted)
+        result = check_vertex_oracle(seed=3, instances=4)
+        assert not result.passed
+        assert result.residual == pytest.approx(1e-6, rel=1e-6)
+        assert (result.name, result.tolerance) == ("vertex_oracle", 1e-10)
