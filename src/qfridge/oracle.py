@@ -30,6 +30,8 @@ UNITARITY_ATOL = 1e-10
 TRACE_ATOL = 1e-12
 ENERGY_ATOL = 1e-10
 
+HAAR_BATCH = 10_000  # unitaries drawn per QR call in haar_pareto_sweep
+
 
 @dataclass(frozen=True)
 class DenseState:
@@ -107,19 +109,18 @@ def partial_swap_unitary(
     return UnitaryOp(mat, tag)
 
 
-def qubit_swap_unitary(n_qubits: int, qa: int, qb: int, weight: float = 1.0) -> UnitaryOp:
-    """Partial swap of two whole qubits: rotates every (...0a..1b.., ...1a..0b..) pair."""
+def qubit_swap_unitary(n_qubits: int, qa: int, qb: int) -> UnitaryOp:
+    """Swap of two whole qubits: a quarter turn on every (...0a..1b.., ...1a..0b..) pair."""
     dim = 2**n_qubits
     mat = np.eye(dim, dtype=complex)
-    c, s = math.sqrt(1.0 - weight), math.sqrt(weight)
     bit_a, bit_b = n_qubits - 1 - qa, n_qubits - 1 - qb
     for idx in range(dim):
         if (idx >> bit_a) & 1 == 0 and (idx >> bit_b) & 1 == 1:
             jdx = idx | (1 << bit_a)
             jdx &= ~(1 << bit_b)
-            mat[idx, idx] = mat[jdx, jdx] = c
-            mat[idx, jdx] = s
-            mat[jdx, idx] = -s
+            mat[idx, idx] = mat[jdx, jdx] = 0.0
+            mat[idx, jdx] = 1.0
+            mat[jdx, idx] = -1.0
     return UnitaryOp(mat)
 
 
@@ -145,10 +146,6 @@ def build_thermal_state(spec: MachineSpec, per_qubit_temps: Sequence[float]) -> 
     return DenseState(mat)
 
 
-def state_with_diagonal(pops: Sequence[float]) -> DenseState:
-    return DenseState(np.diag(np.asarray(pops, dtype=complex)))
-
-
 def assert_energy_conserving(u: UnitaryOp, h: Sequence[float]) -> None:
     h_arr = np.asarray(h, dtype=float)
     comm = u.matrix @ np.diag(h_arr) - np.diag(h_arr) @ u.matrix
@@ -158,13 +155,15 @@ def assert_energy_conserving(u: UnitaryOp, h: Sequence[float]) -> None:
 
 def apply_and_measure(
     state: DenseState, u: UnitaryOp, h: Sequence[float]
-) -> tuple[float, float]:
+) -> tuple[float, float, DenseState]:
     """Apply U, assert the oracle invariants, and read off the observables.
 
-    Returns the target ground population of U rho U^dagger and the change in
-    <H>.  Unitarity and trace preservation are asserted on every application;
-    energy-conserving tagged unitaries are additionally checked to change <H>
-    by less than 1e-10.
+    Returns the target ground population of U rho U^dagger, the change in
+    <H>, and U rho U^dagger itself, formed once, for the next step to
+    continue from.  Unitarity is asserted on every application and the
+    evolved state passes the ``DenseState`` unit-trace and PSD checks;
+    energy-conserving tagged unitaries are additionally checked to commute
+    with H and to change <H> by less than 1e-10.
     """
     if u.dim != state.dim:
         raise DomainError(f"dimension mismatch: state {state.dim}, unitary {u.dim}")
@@ -173,16 +172,13 @@ def apply_and_measure(
         raise DomainError("energy vector length must match the state dimension")
     if np.abs(u.matrix @ u.matrix.conj().T - np.eye(u.dim)).max() > UNITARITY_ATOL:
         raise DomainError("unitary drifted away from unitarity")
-    final = u.matrix @ state.matrix @ u.matrix.conj().T
-    if abs(np.trace(final).real - 1.0) > TRACE_ATOL:
-        raise DomainError("trace not preserved")
-    delta_energy = float((final.diagonal().real - state.diagonal()) @ h_arr)
+    final = DenseState(u.matrix @ state.matrix @ u.matrix.conj().T)
+    delta_energy = float((final.diagonal() - state.diagonal()) @ h_arr)
     if u.tag == "energy_conserving":
         assert_energy_conserving(u, h_arr)
         if abs(delta_energy) > ENERGY_ATOL:
             raise DomainError("energy-conserving unitary changed <H>")
-    r_target = float(final.diagonal().real[: state.dim // 2].sum())
-    return r_target, delta_energy
+    return final.target_ground_population(), delta_energy, final
 
 
 def _partial_trace(mat: np.ndarray, n_qubits: int, qubit: int) -> np.ndarray:
@@ -229,7 +225,8 @@ def simulate_one_qubit_partial_swap(
     state = build_thermal_state(spec, (t_room, t_room))
     h = hamiltonian_diagonal(spec.gaps)
     u = partial_swap_unitary(4, 1, 2, mu)
-    return apply_and_measure(state, u, h)
+    r_final, delta_energy, _ = apply_and_measure(state, u, h)
+    return r_final, delta_energy
 
 
 def simulate_incoherent_single(spec: MachineSpec) -> tuple[float, float, float]:
@@ -241,7 +238,7 @@ def simulate_incoherent_single(spec: MachineSpec) -> tuple[float, float, float]:
         boltzmann_population(spec.e_c, spec.t_room) - boltzmann_population(spec.e_c, t_hot)
     )
     u = swap_unitary(8, 2, 5, tag="energy_conserving")
-    r_final, _ = apply_and_measure(state, u, h)
+    r_final, _, _ = apply_and_measure(state, u, h)
     work = heat * (1.0 - spec.t_room / t_hot)
     return r_final, heat, work
 
@@ -266,7 +263,13 @@ def simulate_coherent_single(spec: MachineSpec, mu: float) -> tuple[float, float
             @ partial_swap_unitary(8, 1, 4, w_ac).matrix
             @ partial_swap_unitary(8, 3, 6, w_ac).matrix
         )
-    return apply_and_measure(state, UnitaryOp(unit), h)
+    r_final, work, _ = apply_and_measure(state, UnitaryOp(unit), h)
+    return r_final, work
+
+
+def _c_ground_population(state: DenseState) -> float:
+    diag = state.diagonal()
+    return float(diag[[0, 2, 4, 6]].sum())
 
 
 def simulate_repeated_incoherent(
@@ -291,14 +294,9 @@ def simulate_repeated_incoherent(
     for step in range(n):
         if step > 0:
             state = rethermalize(state, 1, spec.e_b, spec.t_room)
-            c_ground = float(_partial_trace(state.matrix, 3, 0).diagonal().real.reshape(2, 2).sum(0)[0])
-            heat += spec.e_c * (c_ground - r_ch)
-            state = rethermalize(state, 2, spec.e_c, t_hot)
-        else:
-            state = rethermalize(state, 2, spec.e_c, t_hot)
-        r_new, _ = apply_and_measure(state, swap, h)
-        final = swap.matrix @ state.matrix @ swap.matrix.conj().T
-        state = DenseState(final)
+            heat += spec.e_c * (_c_ground_population(state) - r_ch)
+        state = rethermalize(state, 2, spec.e_c, t_hot)
+        r_new, _, state = apply_and_measure(state, swap, h)
         rs.append(r_new)
         heats.append(heat)
     return rs, heats
@@ -327,55 +325,39 @@ def simulate_repeated_coherent(
             state = rethermalize(state, 1, spec.e_b, spec.t_room)
             state = rethermalize(state, 2, spec.e_c, spec.t_room)
             u = swap_00_11
-        r_new, delta_e = apply_and_measure(state, u, h)
-        state = DenseState(u.matrix @ state.matrix @ u.matrix.conj().T)
+        r_new, delta_e, state = apply_and_measure(state, u, h)
         work += delta_e
         rs.append(r_new)
         works.append(work)
     return rs, works
 
 
-def _c_ground_population(state: DenseState) -> float:
-    diag = state.diagonal()
-    return float(diag[[0, 2, 4, 6]].sum())
-
-
 def simulate_algorithmic(
-    spec: MachineSpec,
-    n: int,
-    nu: float = 1.0,
-    r0: float | None = None,
-    precool: str = "unitary",
+    spec: MachineSpec, n: int, nu: float = 1.0, r0: float | None = None
 ) -> tuple[list[float], list[float]]:
     """Precool-and-swap cycles; returns (r after k, work after k).
 
-    ``precool='unitary'`` runs the literal four-step cycle: reset B, partial
-    B<->C swap landing C's marginal on the nu-precooled population, reset B,
-    cooling swap.  At nu = 1 the full swap hands C a fresh decorrelated
-    thermal state and this matches the closed forms exactly; at nu < 1 the
-    partial swap leaves residual target-machine correlations the closed
-    forms idealize away.  ``precool='reset'`` models the precooling as a
-    marginal replacement (decorrelating, charged at the B-swap gradient
-    e_b - e_c per unit population), which is the closed forms' idealization;
-    it coincides with the unitary cycle at nu = 1.
+    Each cycle resets B, precools C and runs the cooling swap.  At nu = 1 the
+    precooling is the literal full B<->C swap, charged through its <H>
+    change, and a second B reset; it hands C a fresh decorrelated thermal
+    state, so this matches the closed forms exactly.  At nu < 1 C's marginal
+    is replaced by the nu-precooled population, charged at the B-swap
+    gradient e_b - e_c per unit population: the closed forms' idealization,
+    which drops the target-machine correlations a literal partial swap would
+    leave.  ``r0`` overrides the target's starting population (default:
+    thermal at t_room).
     """
     if not 0.0 <= nu <= 1.0:
         raise DomainError(f"nu must lie in [0, 1], got {nu}")
-    if precool not in ("unitary", "reset"):
-        raise DomainError(f"unknown precool model {precool!r}")
     h = hamiltonian_diagonal(spec.gaps)
     r_b = boltzmann_population(spec.e_b, spec.t_room)
     r_c = boltzmann_population(spec.e_c, spec.t_room)
     r_c_nu = r_c + nu * (r_b - r_c)
 
-    if r0 is None:
-        state = build_thermal_state(spec, (spec.t_room,) * 3)
-    else:
-        pops = np.kron(
-            [r0, 1.0 - r0],
-            np.kron([r_b, 1.0 - r_b], [r_c, 1.0 - r_c]),
-        )
-        state = state_with_diagonal(pops)
+    state = build_thermal_state(spec, (spec.t_room,) * 3)
+    if r0 is not None:
+        state = replace_qubit_marginal(state, 0, r0)
+    precool_swap = qubit_swap_unitary(3, 1, 2)
     cool_swap = swap_unitary(8, 3, 4)
 
     rs = [state.target_ground_population()]
@@ -383,23 +365,14 @@ def simulate_algorithmic(
     work = 0.0
     for _ in range(n):
         state = rethermalize(state, 1, spec.e_b, spec.t_room)
-        c_now = _c_ground_population(state)
-        if precool == "unitary":
-            weight = (
-                0.0
-                if r_b - c_now <= 0.0
-                else min(max((r_c_nu - c_now) / (r_b - c_now), 0.0), 1.0)
-            )
-            swap = qubit_swap_unitary(3, 1, 2, weight)
-            _, delta_e = apply_and_measure(state, swap, h)
-            state = DenseState(swap.matrix @ state.matrix @ swap.matrix.conj().T)
+        if nu == 1.0:
+            _, delta_e, state = apply_and_measure(state, precool_swap, h)
             work += delta_e
             state = rethermalize(state, 1, spec.e_b, spec.t_room)
         else:
+            work += (spec.e_b - spec.e_c) * (r_c_nu - _c_ground_population(state))
             state = replace_qubit_marginal(state, 2, r_c_nu)
-            work += (spec.e_b - spec.e_c) * (r_c_nu - c_now)
-        r_new, delta_e = apply_and_measure(state, cool_swap, h)
-        state = DenseState(cool_swap.matrix @ state.matrix @ cool_swap.matrix.conj().T)
+        r_new, delta_e, state = apply_and_measure(state, cool_swap, h)
         work += delta_e
         rs.append(r_new)
         works.append(work)
@@ -431,18 +404,6 @@ class DominanceReport:
     @property
     def passed(self) -> bool:
         return not self.dominating
-
-    def to_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "seed": self.seed,
-            "slack": self.slack,
-            "dominating": [
-                {"index": p.index, "r": p.r, "delta_f": p.delta_f, "excess": p.excess}
-                for p in self.dominating
-            ],
-            "passed": self.passed,
-        }
 
 
 def haar_unitaries(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -492,7 +453,6 @@ def haar_pareto_sweep(
     analytic_curve: Sequence[tuple[float, float]],
     seed: int = DEFAULT_SEED,
     slack: float = 1e-9,
-    batch: int = 10_000,
 ) -> DominanceReport:
     """Search for Haar-random unitaries beating the analytic cooling frontier.
 
@@ -518,7 +478,7 @@ def haar_pareto_sweep(
     dominating: list[DominatingPoint] = []
     done = 0
     while done < samples:
-        count = min(batch, samples - done)
+        count = min(HAAR_BATCH, samples - done)
         units = haar_unitaries(dim, count, rng)
         final_pops = np.abs(units) ** 2 @ pops
         r_s = final_pops[:, : dim // 2].sum(axis=1)
@@ -561,16 +521,6 @@ class SubspaceSweepReport:
     def improvement(self) -> float:
         return self.best_r - self.baseline_r
 
-    def to_dict(self) -> dict:
-        return {
-            "subspace": list(self.subspace),
-            "baseline_r": self.baseline_r,
-            "best_r": self.best_r,
-            "best_weight": self.best_weight,
-            "grid": self.grid,
-            "improvement": self.improvement,
-        }
-
 
 def degenerate_subspace_sweep(
     spec: MachineSpec, subspace: tuple[int, int], grid: int
@@ -601,7 +551,7 @@ def degenerate_subspace_sweep(
     baseline = state.target_ground_population()
     for weight in np.linspace(0.0, 1.0, grid):
         u = partial_swap_unitary(dim, i, j, float(weight))
-        r_final, _ = apply_and_measure(state, u, h)
+        r_final, _, _ = apply_and_measure(state, u, h)
         if r_final > best_r:
             best_r, best_w = r_final, float(weight)
     return SubspaceSweepReport(

@@ -477,18 +477,18 @@ def algorithmic_cooling(
     """Precool C through B, then swap the target against the {00,11} subspace.
 
     ``nu`` tunes the precooling partial swap (1 = full algorithmic cooling,
-    0 = plain repeated coherent populations); ``r0`` is the target population
-    the procedure starts from (default: thermal at t_room).  Work per cycle:
-    2 e_c per unit of population cooled plus e per unit of precooling
-    restored.
+    0 = plain repeated coherent populations); ``r0`` in [r, 1] is the target
+    population the procedure starts from (default: thermal at t_room).  Work
+    per cycle: 2 e_c per unit of population cooled plus e per unit of
+    precooling restored.
     """
     spec.require_resonance()
     _require_repetition_count(n)
     r = _room_population(spec)
     if r0 is None:
         r0 = r
-    if r0 < r - 1e-12:
-        raise DomainError(f"starting population {r0} below the thermal value {r}")
+    if not r - 1e-12 <= r0 <= 1.0:
+        raise DomainError(f"starting population {r0} must lie in [{r}, 1]")
     _, r_c = _machine_room_populations(spec)
     c_pop = precooled_population(spec, nu)
     precool_cost = spec.e * (c_pop - r_c)

@@ -216,11 +216,3 @@ def hamiltonian_diagonal(gaps: Sequence[float]) -> np.ndarray:
     for gap in gaps:
         h = np.add.outer(h, np.array([0.0, gap])).ravel()
     return h
-
-
-def target_ground_population(pops: Sequence[float]) -> float:
-    """Ground population of the first (target) qubit: sum of the lower half."""
-    pops = np.asarray(pops, dtype=float)
-    if pops.size % 2 != 0:
-        raise DomainError("population vector length must be even")
-    return float(pops[: pops.size // 2].sum())

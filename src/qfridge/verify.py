@@ -294,6 +294,10 @@ def run_verification(
     """Run the full oracle suite; ``samples = 0`` skips the Pareto sweep."""
     if samples < 0:
         raise DomainError(f"Haar sample count must be >= 0, got {samples}")
+    if machines < 0 or instances < 0:
+        raise DomainError(
+            f"machine and instance counts must be >= 0, got {machines} and {instances}"
+        )
     if mutate is not None and mutate not in MUTATIONS:
         raise ValueError(f"unknown mutation {mutate!r}; choose from {MUTATIONS}")
     checks = [

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +23,13 @@ from qfridge.oracle import DEFAULT_SEED
 from qfridge.thermal import INFINITE, MachineSpec, boltzmann_population
 
 
-def _run(args, env=None):
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _run(args):
+    """Run ``python -m qfridge.cli`` in a child that imports this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     cmd = [sys.executable, "-m", "qfridge.cli", *args]
     return subprocess.run(cmd, capture_output=True, text=True, env=env)
 
@@ -139,6 +147,14 @@ class TestCurveCommand:
         assert rc == 2
         rc = main(["curve", "ladder-coh", *STANDARD, "--grid", "4", "--t-c", "0.5"])
         assert rc == 0
+
+    @pytest.mark.parametrize(
+        "extra", [["--grid", "3", "--r0", "1.5"], ["--grid", "1", "--r0", "nan"]]
+    )
+    def test_algo_start_outside_thermal_to_one_is_usage_error(self, extra, capsys):
+        rc = main(["curve", "algo", "--e-c", "1", *extra])
+        assert rc == 2
+        assert capsys.readouterr().out == ""
 
     def test_unknown_scenario_is_usage_error(self):
         result = _run(["curve", "nonsense", *STANDARD])
@@ -350,6 +366,11 @@ class TestVerifyCommand:
 
     def test_negative_samples_is_usage_error(self, capsys):
         rc = main(["verify", "--samples", "-5", "--machines", "2", "--instances", "2"])
+        assert rc == 2
+        assert capsys.readouterr().out == ""
+
+    def test_negative_machine_and_instance_counts_are_usage_error(self, capsys):
+        rc = main(["verify", "--machines", "-3", "--instances", "-2", "--samples", "0"])
         assert rc == 2
         assert capsys.readouterr().out == ""
 

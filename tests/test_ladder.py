@@ -69,7 +69,7 @@ class TestCoherentLadder:
             state = build_thermal_state(mspec, (t_prev, 1.0))
             h = hamiltonian_diagonal(mspec.gaps)
             swap = swap_unitary(4, 1, 2)
-            r_dense, work_dense = apply_and_measure(state, swap, h)
+            r_dense, work_dense, _ = apply_and_measure(state, swap, h)
             assert stage.r == pytest.approx(r_dense, abs=1e-14)
             assert stage.work == pytest.approx(work_dense, abs=1e-14)
             r_prev, t_prev = stage.r, stage.temperature

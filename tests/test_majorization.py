@@ -95,7 +95,7 @@ class TestSolveOneQubit:
         res = solve_one_qubit(rho, h, r_target)
         mu = (r_target - r) / (r_b - r)
         state = build_thermal_state(spec, (1.0, 1.0))
-        r_dense, cost_dense = apply_and_measure(state, partial_swap_unitary(4, 1, 2, mu), h)
+        r_dense, cost_dense, _ = apply_and_measure(state, partial_swap_unitary(4, 1, 2, mu), h)
         assert r_dense == pytest.approx(r_target, abs=1e-14)
         assert res.objective - float(rho @ h) == pytest.approx(cost_dense, abs=1e-14)
         assert res.objective - float(rho @ h) == pytest.approx(
@@ -193,7 +193,7 @@ class TestSolveTwoQubit:
         ).matrix
         from qfridge.oracle import UnitaryOp
 
-        r_dense, cost_dense = apply_and_measure(state, UnitaryOp(swap_ab), h)
+        r_dense, cost_dense, _ = apply_and_measure(state, UnitaryOp(swap_ab), h)
         assert r_dense == pytest.approx(r_b, abs=1e-14)
         assert res.objective - float(rho @ h) == pytest.approx(cost_dense, abs=1e-14)
 

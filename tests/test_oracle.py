@@ -69,7 +69,7 @@ class TestApplyAndMeasure:
         state = build_thermal_state(spec, (1.0,) * 3)
         h = hamiltonian_diagonal(spec.gaps)
         u = UnitaryOp(np.eye(8), tag="energy_conserving")
-        r, delta = apply_and_measure(state, u, h)
+        r, delta, _ = apply_and_measure(state, u, h)
         assert r == pytest.approx(state.target_ground_population(), abs=1e-15)
         assert delta == 0.0
 
@@ -78,7 +78,7 @@ class TestApplyAndMeasure:
         state = build_thermal_state(spec, (1.0, 1.0, 2.0))
         h = hamiltonian_diagonal(spec.gaps)
         swap = swap_unitary(8, 2, 5, tag="energy_conserving")
-        r, delta = apply_and_measure(state, swap, h)
+        r, delta, _ = apply_and_measure(state, swap, h)
         assert r == pytest.approx(
             protocols.two_qubit_incoherent_single(spec).r_final, abs=1e-14
         )
@@ -92,8 +92,19 @@ class TestApplyAndMeasure:
             partial_swap_unitary(8, 2, 4, 1.0).matrix
             @ partial_swap_unitary(8, 3, 5, 1.0).matrix
         )
-        r, _ = apply_and_measure(state, u, h)
+        r, _, _ = apply_and_measure(state, u, h)
         assert r == pytest.approx(boltzmann_population(1.4, 1.0), abs=1e-14)
+
+    def test_returns_the_evolved_state(self):
+        spec = MachineSpec.two_qubit(0.4, 1.0)
+        state = build_thermal_state(spec, (1.0,) * 3)
+        h = hamiltonian_diagonal(spec.gaps)
+        u = oracle.qubit_swap_unitary(3, 0, 2)
+        r, delta, evolved = apply_and_measure(state, u, h)
+        assert isinstance(evolved, DenseState)
+        assert np.array_equal(evolved.matrix, u.matrix @ state.matrix @ u.matrix.conj().T)
+        assert r == evolved.target_ground_population()
+        assert delta == float((evolved.diagonal() - state.diagonal()) @ h)
 
     def test_energy_conserving_tag_enforced(self):
         spec = MachineSpec.two_qubit(0.4, 1.0)
@@ -178,7 +189,7 @@ class TestHaarSweep:
         curve = coherent_single_cycle_curve(spec, grid=101)
         state = build_thermal_state(spec, (1.0,) * 3)
         h = hamiltonian_diagonal(spec.gaps)
-        r_id, f_id = apply_and_measure(state, UnitaryOp(np.eye(8)), h)
+        r_id, f_id, _ = apply_and_measure(state, UnitaryOp(np.eye(8)), h)
         assert not dominates_curve(r_id, f_id, curve)
 
     def test_optimal_unitaries_sit_on_the_frontier(self):

@@ -470,9 +470,56 @@ class TestAlgorithmicCooling:
         spec = MachineSpec.two_qubit(0.9, 1.0)
         for nu in (0.0, 0.35, 0.75):
             out = protocols.algorithmic_cooling(spec, 6, nu=nu)
-            rs, works = oracle.simulate_algorithmic(spec, 6, nu=nu, precool="reset")
+            rs, works = oracle.simulate_algorithmic(spec, 6, nu=nu)
             assert out.r_final == pytest.approx(rs[-1], abs=1e-13)
             assert out.work_cost == pytest.approx(works[-1], abs=1e-13)
+
+    @pytest.mark.parametrize("e_c", [0.4, 1.0, 1.7])
+    def test_full_precool_trajectory_against_dense_simulation(self, e_c):
+        spec = MachineSpec.two_qubit(e_c, 1.0)
+        out = protocols.algorithmic_cooling(spec, 6, nu=1.0)
+        rs, works = oracle.simulate_algorithmic(spec, 6)
+        assert len(out.trajectory) == len(rs) == len(works) == 7
+        for point, r_dense, w_dense in zip(out.trajectory, rs, works):
+            assert point.r == pytest.approx(r_dense, abs=1e-13)
+            assert point.delta_f == pytest.approx(w_dense, abs=1e-13)
+
+    def test_full_precool_charges_the_b_c_swap_through_its_energy_change(self):
+        spec = MachineSpec.two_qubit(0.4, 1.0)
+        h = hamiltonian_diagonal(spec.gaps)
+        state = oracle.build_thermal_state(spec, (1.0,) * 3)
+        state = oracle.rethermalize(state, 1, spec.e_b, 1.0)
+        _, precool_de, state = oracle.apply_and_measure(
+            state, oracle.qubit_swap_unitary(3, 1, 2), h
+        )
+        # B<->C swap at room populations costs (e_b - e_c)(r_b - r_c)
+        assert precool_de == pytest.approx(1.0 * (_r(1.4, 1.0) - _r(0.4, 1.0)), abs=1e-15)
+        state = oracle.rethermalize(state, 1, spec.e_b, 1.0)
+        _, cool_de, _ = oracle.apply_and_measure(state, oracle.swap_unitary(8, 3, 4), h)
+        _, works = oracle.simulate_algorithmic(spec, 1)
+        assert works[1] == precool_de + cool_de
+
+    def test_partial_precool_trajectory_from_custom_start(self):
+        spec = MachineSpec.two_qubit(0.6, 1.0)
+        for nu in (0.2, 0.6):
+            out = protocols.algorithmic_cooling(spec, 5, nu=nu, r0=0.8)
+            rs, works = oracle.simulate_algorithmic(spec, 5, nu=nu, r0=0.8)
+            for point, r_dense, w_dense in zip(out.trajectory, rs, works):
+                assert point.r == pytest.approx(r_dense, abs=1e-13)
+                assert point.delta_f == pytest.approx(w_dense, abs=1e-13)
+
+    @pytest.mark.parametrize("r0", [1.5, 1.0 + 1e-9, INFINITE, math.nan, 0.5])
+    def test_starting_population_outside_thermal_to_one_rejected(self, r0):
+        spec = MachineSpec.two_qubit(0.4, 1.0)
+        for n in (3, INFINITE):
+            with pytest.raises(DomainError):
+                protocols.algorithmic_cooling(spec, n, r0=r0)
+
+    def test_starting_population_of_one_is_allowed(self):
+        spec = MachineSpec.two_qubit(0.4, 1.0)
+        out = protocols.algorithmic_cooling(spec, 3, r0=1.0)
+        assert out.trajectory[0].r == 1.0
+        assert all(math.isfinite(p.r) and math.isfinite(p.delta_f) for p in out.trajectory)
 
     def test_custom_starting_population(self):
         spec = MachineSpec.two_qubit(0.4, 1.0)
@@ -577,7 +624,7 @@ class TestOptimalSequence:
         )
 
         # dense verification of the nu-cycle asymptote
-        rs, _ = oracle.simulate_algorithmic(spec, 400, nu=nu_closed, precool="reset")
+        rs, _ = oracle.simulate_algorithmic(spec, 400, nu=nu_closed)
         assert rs[-1] == pytest.approx(r_t, abs=1e-10)
 
     def test_unreachable_target_rejected(self):
@@ -674,7 +721,7 @@ class TestInternalResource:
         # final population from the dense degenerate-pair swap
         h = hamiltonian_diagonal(spec.gaps)
         swap = oracle.swap_unitary(8, 2, 5, tag="energy_conserving")
-        r_dense, _ = oracle.apply_and_measure(hot, swap, h)
+        r_dense, _, _ = oracle.apply_and_measure(hot, swap, h)
         assert out.r_final == pytest.approx(r_dense, abs=1e-14)
 
     def test_coherent_against_dense_local_unitary(self):
@@ -689,7 +736,7 @@ class TestInternalResource:
             (rotated.diagonal() - state.diagonal()) @ h
         )
         swap = oracle.swap_unitary(8, 2, 5)
-        r_dense, _ = oracle.apply_and_measure(rotated, swap, h)
+        r_dense, _, _ = oracle.apply_and_measure(rotated, swap, h)
         out = protocols.internal_resource(spec, "coherent", mu)
         assert out.work_cost == pytest.approx(cost_dense, abs=1e-13)
         assert out.r_final == pytest.approx(r_dense, abs=1e-13)

@@ -4,7 +4,14 @@ import math
 import pytest
 
 from qfridge import oracle, protocols
-from qfridge.verify import check_thermalization_gradients, check_vertex_oracle
+from qfridge.thermal import DomainError
+from qfridge.verify import check_thermalization_gradients, check_vertex_oracle, run_verification
+
+
+@pytest.mark.parametrize("machines, instances", [(-3, -2), (-1, 0), (0, -1)])
+def test_negative_machine_or_instance_count_rejected(machines, instances):
+    with pytest.raises(DomainError):
+        run_verification(seed=1, samples=0, machines=machines, instances=instances)
 
 
 class TestThermalizationGradientReport:
