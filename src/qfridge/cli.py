@@ -89,12 +89,6 @@ def _hot_bath_grid(t_room: float, grid: int) -> list[float]:
     return [t_room * (1.0 + float(u)) for u in ratios] + [INFINITE]
 
 
-def _repetition_grid(grid: int) -> list[float]:
-    if grid <= 1:
-        return [INFINITE]
-    return [float(k) for k in range(grid - 1)] + [INFINITE]
-
-
 def curve_points(
     scenario: str,
     spec: MachineSpec,
@@ -118,19 +112,20 @@ def curve_points(
             r_target = protocols.coherent_single_population(spec, float(mu))
             out = protocols.two_qubit_coherent_single(spec, r_target)
             points.append(CurvePoint(float(mu), out.work_cost, out.t_final, out.r_final))
-    elif scenario == "inc-repeat":
-        spec.require_hot_bath()
-        for n in _repetition_grid(grid):
-            out = protocols.repeated_incoherent(spec, protocols.RepetitionPlan(n=n))
-            points.append(CurvePoint(n, out.work_cost, out.t_final, out.r_final))
-    elif scenario == "coh-repeat":
-        for n in _repetition_grid(grid):
-            out = protocols.repeated_coherent(spec, n)
-            points.append(CurvePoint(n, out.work_cost, out.t_final, out.r_final))
-    elif scenario == "algo":
-        for n in _repetition_grid(grid):
-            out = protocols.algorithmic_cooling(spec, n, nu=nu, r0=r0)
-            points.append(CurvePoint(n, out.work_cost, out.t_final, out.r_final))
+    elif scenario in ("inc-repeat", "coh-repeat", "algo"):
+        run = {
+            "inc-repeat": lambda n: protocols.repeated_incoherent(spec, protocols.RepetitionPlan(n=n)),
+            "coh-repeat": lambda n: protocols.repeated_coherent(spec, n),
+            "algo": lambda n: protocols.algorithmic_cooling(spec, n, nu=nu, r0=r0),
+        }[scenario]
+        if scenario == "inc-repeat":
+            spec.require_hot_bath()
+        # Rows n = 0..grid-2 are the points of one n = grid-2 trajectory.
+        for p in run(float(grid - 2)).trajectory if grid > 1 else ():
+            t = protocols.point_temperature(spec, p)
+            points.append(CurvePoint(float(p.step), p.delta_f, t, p.r))
+        out = run(INFINITE)
+        points.append(CurvePoint(INFINITE, out.work_cost, out.t_final, out.r_final))
     elif scenario == "internal-inc":
         for t_hot in _hot_bath_grid(spec.t_room, grid):
             out = protocols.internal_resource(spec, "incoherent", t_hot)
@@ -384,16 +379,16 @@ def _machine_from(args: argparse.Namespace, config: dict) -> MachineSpec:
     return MachineSpec.two_qubit(e_c, t_r, t_h, e=e)
 
 
+def _integer(name: str, value: float | int | str) -> int:
+    # Config values are floats: reject those int() would truncate or overflow on.
+    if isinstance(value, float) and not value.is_integer():
+        raise DomainError(f"{name} must be an integer, got {value}")
+    return int(value)
+
+
 def _default_seed(args: argparse.Namespace, config: dict) -> int:
-    flag = getattr(args, "seed", None)
-    if flag is not None:
-        return int(flag)
-    if "seed" in config:
-        return int(config["seed"])
-    env = os.environ.get("FRIDGE_SEED")
-    if env is not None:
-        return int(env)
-    return oracle.DEFAULT_SEED
+    seed = _resolved(args, "seed", config, os.environ.get("FRIDGE_SEED"))
+    return oracle.DEFAULT_SEED if seed is None else _integer("seed", seed)
 
 
 def _format_value(value: float, full: bool) -> str:
@@ -466,11 +461,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             t_r = _resolved(args, "t_r", config, 1.0)
             t_h = _resolved(args, "t_h", config, None)
             lspec = LadderSpec(
-                int(n), t_c, t_r, t_hot=t_h, e_ground_offset=args.e_g, target_gap=e
+                _integer("N", n), t_c, t_r, t_hot=t_h, e_ground_offset=args.e_g, target_gap=e
             )
             coh = coherent_ladder(lspec)
             payload = {
-                "n": int(n),
+                "n": lspec.n_steps,
                 "coherent": {
                     "w_total": coh.w_total,
                     "df_target": coh.df_target,

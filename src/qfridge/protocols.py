@@ -96,6 +96,13 @@ def _final_temperature(spec: MachineSpec, r_final: float) -> float:
     return temperature_from_population(spec.e, r_final)
 
 
+def point_temperature(spec: MachineSpec, point: TrajectoryPoint) -> float:
+    """Temperature of a trajectory point; step 0 at the room population is t_room."""
+    if point.step == 0 and point.r == _room_population(spec):
+        return spec.t_room
+    return _final_temperature(spec, point.r)
+
+
 def one_qubit_incoherent(spec: MachineSpec) -> ProtocolOutcome:
     """Single-qubit machine under energy-conserving unitaries: no cooling.
 
@@ -353,7 +360,7 @@ def repeated_incoherent(spec: MachineSpec, plan: RepetitionPlan) -> ProtocolOutc
                 heat = preheat + spec.e_c * (r_k - r)
         trajectory = tuple(points)
         r_final = trajectory[-1].r
-        t_final = _final_temperature(spec, r_final)
+        t_final = point_temperature(spec, trajectory[-1])
         work = trajectory[-1].delta_f
     return ProtocolOutcome(
         r_final=r_final,
@@ -436,7 +443,7 @@ def repeated_coherent(spec: MachineSpec, n: float) -> ProtocolOutcome:
             points.append(TrajectoryPoint(k, r_k, cost_at(r_k)))
         trajectory = tuple(points)
         r_final = trajectory[-1].r
-        t_final = spec.t_room if steps == 0 else _final_temperature(spec, r_final)
+        t_final = point_temperature(spec, trajectory[-1])
         work = trajectory[-1].delta_f
     return ProtocolOutcome(
         r_final=r_final,
@@ -516,9 +523,7 @@ def algorithmic_cooling(
             r_prev = r_k
         trajectory = tuple(points)
         r_final = trajectory[-1].r
-        t_final = spec.t_room if steps == 0 and r0 == r else (
-            _final_temperature(spec, r_final)
-        )
+        t_final = point_temperature(spec, trajectory[-1])
         work = trajectory[-1].delta_f
     return ProtocolOutcome(
         r_final=r_final,

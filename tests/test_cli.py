@@ -491,6 +491,45 @@ class TestConfigFile:
         rc = main(["summary", "--config", str(config)])
         assert rc == 2
 
+    @pytest.mark.parametrize("value", ["inf", "2.5", "nan", "-inf"])
+    def test_non_integer_stage_count_is_usage_error(self, value, tmp_path, capsys):
+        config = tmp_path / "machine.cfg"
+        config.write_text(f"N = {value}\n")
+        rc = main(["ladder", "--config", str(config), "--e-c", "0.4", "--t-c", "0.5"])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: N must be an integer")
+
+    @pytest.mark.parametrize("value", ["inf", "1.5", "nan"])
+    def test_non_integer_seed_is_usage_error(self, value, tmp_path, capsys):
+        config = tmp_path / "machine.cfg"
+        config.write_text(f"seed = {value}\n")
+        rc = main(["verify", "--config", str(config), "--samples", "0"])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: seed must be an integer")
+
+    def test_infinite_stage_count_exits_without_traceback(self, tmp_path):
+        config = tmp_path / "machine.cfg"
+        config.write_text("N = inf\n")
+        result = _run(["ladder", "--config", str(config), "--e-c", "0.4", "--t-c", "0.5"])
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+
+    def test_integer_valued_counts_accepted(self, tmp_path, capsys):
+        config = tmp_path / "machine.cfg"
+        config.write_text("N = 32\nseed = 123.0\n")
+        rc = main(["ladder", "--config", str(config), "--e-c", "0.4", "--t-c", "0.5"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 32
+        args = ["--samples", "0", "--machines", "2", "--instances", "2"]
+        rc = main(["verify", "--config", str(config), *args])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 123
+
 
 class TestConsoleInterface:
     def test_module_entry_point_succeeds(self):

@@ -335,6 +335,7 @@ class TestRepeatedIncoherent:
         r_c, r_ch = _r(0.4, 1.0), _r(0.4, 3.0)
         assert out.r_final == pytest.approx(_r(1.0, 1.0), abs=1e-15)
         assert out.heat_drawn == pytest.approx(0.4 * (r_c - r_ch), abs=1e-15)
+        assert out.t_final == spec.t_room
 
     def test_infinite_repetitions_at_infinite_bath_reach_coherent_star(self):
         spec = MachineSpec.two_qubit(0.4, 1.0, INFINITE)
