@@ -14,6 +14,7 @@ variable ``FRIDGE_SEED`` overrides the default oracle seed.  Exit status:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -164,7 +165,8 @@ def crossing_report(spec: MachineSpec, tolerance: float) -> CrossingReport:
     wide; ``tolerance`` (the CLI's ``--tolerance``) is that outer bracket
     width and nothing else.  Each probe inverts the incoherent curve through
     its parametrisation by C's hot ground population x, W(x) =
-    (r_C - x)(E_C - T_R ln(x/(1-x))), to double precision (see
+    (r_C - x)(E_C - T_R ln(x/(1-x))), to two adjacent doubles in a handful of
+    W evaluations (see
     :func:`qfridge.protocols.incoherent_temperature_of_work`), and the
     coherent curve piecewise-linearly.  ``delta_f_crit`` is the first
     interior zero and ``delta_f_crit_prime`` the last (the two coincide when
@@ -233,9 +235,8 @@ def summary_quantities(spec: MachineSpec) -> dict:
     auto = protocols.autonomous_steady_state(hot)
     coh_inf = protocols.repeated_coherent(spec, INFINITE)
     algo_inf = protocols.algorithmic_cooling(spec, INFINITE)
-    # The optimal_sequence cost at t_algo_inf (algo_inf.work_cost overcharges),
-    # written out because optimal_sequence drops this full-precooling tail,
-    # e (r_B - r_C) included, once r_coh_inf rounds to 1.
+    # The optimal_sequence cost at t_algo_inf (algo_inf.work_cost overcharges):
+    # the repeated-coherent asymptote, then the full-precooling tail.
     df_algo_inf = coh_inf.work_cost + e * (r_b - r_c) + (2.0 * e_c + e) * (
         algo_inf.r_final - coh_inf.r_final
     )
@@ -282,9 +283,18 @@ def _parse_value(text: str) -> float:
     return float(text)
 
 
+def _parse_count(text: str) -> int | float:
+    # An integer literal keeps every digit (a float drops them past 2**53);
+    # any other text is left for _integer to accept or reject by name.
+    try:
+        return int(text)
+    except ValueError:
+        return _parse_value(text)
+
+
 def load_config(path: str) -> dict:
     """Plain key-value config: one `key = value` (or `key value`) per line."""
-    values: dict[str, float] = {}
+    values: dict[str, float | int] = {}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -300,11 +310,14 @@ def load_config(path: str) -> dict:
             key = key.strip().lower()
             if key not in _CONFIG_KEYS:
                 raise DomainError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _parse_value(value)
+            values[key] = _parse_count(value) if key in ("n", "seed") else _parse_value(value)
     return values
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built on first use and shared by every later main() call; parse_args
+    # leaves the parser unchanged and returns a fresh namespace.
     parser = argparse.ArgumentParser(
         prog="qfridge",
         description="Cooling limits and work costs of minimal quantum refrigerators.",
@@ -380,7 +393,8 @@ def _machine_from(args: argparse.Namespace, config: dict) -> MachineSpec:
 
 
 def _integer(name: str, value: float | int | str) -> int:
-    # Config values are floats: reject those int() would truncate or overflow on.
+    # Non-literal config counts are floats: reject those int() would truncate
+    # or overflow on.
     if isinstance(value, float) and not value.is_integer():
         raise DomainError(f"{name} must be an integer, got {value}")
     return int(value)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qfridge import protocols
+from qfridge import cli, protocols
 from qfridge.cli import (
     CSV_HEADER,
     coherent_temperature_of_work,
@@ -19,6 +20,7 @@ from qfridge.cli import (
     main,
     summary_quantities,
 )
+from qfridge.ladder import LadderSpec, incoherent_ladder
 from qfridge.oracle import DEFAULT_SEED
 from qfridge.thermal import INFINITE, MachineSpec, boltzmann_population
 
@@ -341,6 +343,15 @@ class TestSummaryCommand:
             two["delta_f_coh_inf"] + works[-1], abs=1e-13
         )
 
+    def test_optimal_sequence_floor_keeps_its_tail_once_populations_saturate(self):
+        # r_coh_inf and the floor population both round to 1.0 here
+        spec = MachineSpec.two_qubit(4.474630967944784, 0.20440071400440712)
+        two = summary_quantities(spec)["two_qubit"]
+        assert two["r_coh_inf"] == two["r_algo_inf"] == 1.0
+        floor = protocols.optimal_sequence(spec, spec.t_room * spec.e / (2.0 * spec.e_b))
+        assert floor.flag == "precool mixing nu=1.0"
+        assert floor.work_cost == pytest.approx(two["delta_f_algo_inf"], rel=1e-15, abs=0.0)
+
 
 class TestVerifyCommand:
     def test_small_run_passes(self, capsys):
@@ -529,6 +540,36 @@ class TestConfigFile:
         rc = main(["verify", "--config", str(config), *args])
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["seed"] == 123
+
+    def test_integer_seed_keeps_every_digit(self, tmp_path):
+        config = tmp_path / "machine.cfg"
+        config.write_text("seed = 9007199254740993\n")
+        args = argparse.Namespace(seed=None)
+        assert cli._default_seed(args, load_config(str(config))) == 9007199254740993
+
+
+class TestParserReuse:
+    LADDER = ["ladder", "--e-c", "0.4", "--t-r", "1", "--t-h", "10", "--t-c", "0.5", "--n", "8"]
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_flag_does_not_outlive_its_call(self, capsys):
+        assert main([*self.LADDER, "--e-g", "5"]) == 0
+        offset = json.loads(capsys.readouterr().out)
+        assert main(self.LADDER) == 0
+        plain = json.loads(capsys.readouterr().out)
+        lspec = LadderSpec(8, 0.5, 1.0, t_hot=10.0, target_gap=1.0)
+        assert plain["incoherent"]["w_total"] == incoherent_ladder(lspec).w_total
+        assert offset["incoherent"]["w_total"] != plain["incoherent"]["w_total"]
+
+    def test_usage_error_does_not_poison_the_next_call(self, capsys):
+        with pytest.raises(SystemExit) as usage:
+            main(["crossing", "--e-c", "0.4", "--tolerance", "tight"])
+        assert usage.value.code == 2
+        assert main(["crossing", *STANDARD]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["delta_f_crit"] == 0.005055054214935581
 
 
 class TestConsoleInterface:

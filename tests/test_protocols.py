@@ -137,6 +137,35 @@ def _nested_bisection_temperature_of_work(spec, delta_f):
     return out.t_final
 
 
+def _full_range_bisection_temperature_of_work(spec, delta_f):
+    """Reference inversion: bisect x over all of [1/2, r_C] to adjacent doubles."""
+    e_c, t_room = spec.e_c, spec.t_room
+    r_c = _r(e_c, t_room)
+    lo, hi = 0.5, r_c
+    while True:
+        x = 0.5 * (lo + hi)
+        if x == lo or x == hi:
+            break
+        if (r_c - x) * (e_c - t_room * math.log(x / (1.0 - x))) < delta_f:
+            hi = x
+        else:
+            lo = x
+    r_final = protocols._degenerate_swap_population(
+        _r(spec.e, t_room), _r(spec.e_b, t_room), x
+    )
+    return protocols._final_temperature(spec, r_final)
+
+
+def _log_calls(function, *args):
+    """Result of ``function(*args)`` and the number of math.log calls it made."""
+    calls = []
+    log = math.log
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(protocols.math, "log", lambda v: calls.append(v) or log(v))
+        result = function(*args)
+    return result, len(calls)
+
+
 def _incoherent_work_ceiling(spec):
     # W(1/2) = E_C (r_C - 1/2): the infinite-bath end of the frontier.
     return spec.e_c * (_r(spec.e_c, spec.t_room) - 0.5)
@@ -164,6 +193,31 @@ class TestIncoherentTemperatureOfWork:
         expected = _nested_bisection_temperature_of_work(spec, delta_f)
         got = protocols.incoherent_temperature_of_work(spec, delta_f)
         assert abs(got - expected) <= 1e-12 * expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        spec=_frontier_machines(),
+        frac=st.one_of(st.floats(1e-9, 1.0 - 1e-9), st.floats(1e-300, 1e-9)),
+    )
+    def test_bit_identical_to_full_range_bisection(self, spec, frac):
+        delta_f = frac * _incoherent_work_ceiling(spec)
+        expected, bisection_logs = _log_calls(
+            _full_range_bisection_temperature_of_work, spec, delta_f
+        )
+        got, logs = _log_calls(protocols.incoherent_temperature_of_work, spec, delta_f)
+        assert got == expected
+        assert logs <= bisection_logs + 12
+
+    @pytest.mark.parametrize("e_c", [0.4, 1.7])
+    @pytest.mark.parametrize("frac", [1e-6, 0.1, 0.9])
+    def test_few_frontier_evaluations(self, e_c, frac):
+        spec = MachineSpec.two_qubit(e_c, 1.0)
+        delta_f = frac * _incoherent_work_ceiling(spec)
+        _, logs = _log_calls(protocols.incoherent_temperature_of_work, spec, delta_f)
+        _, bisection_logs = _log_calls(
+            _full_range_bisection_temperature_of_work, spec, delta_f
+        )
+        assert logs <= 12 < bisection_logs
 
     def test_infeasible_boundary_is_the_infinite_bath_cost(self):
         spec = MachineSpec.two_qubit(0.4, 1.0)

@@ -1,6 +1,7 @@
-"""The figure set of the benchmark, replayed against its recorded outputs.
+"""Benchmark ops replayed against their recorded outputs.
 
-Every op of ``perfbench/workloads.py``'s ``figures`` workload runs through
+Every op of ``perfbench/workloads.py``'s ``figures`` workload, and the
+``crossing`` op of every machine in the ``scan`` pool, runs through
 ``qfridge.cli.main`` and is checked against ``perfbench/reference`` with the
 benchmark's own ``check_op`` (1e-8 relative per number).
 """
@@ -25,13 +26,24 @@ def _bench():
 
 
 BENCH = _bench()
-REFERENCE = BENCH.load_reference("figures")["outputs"]
+FIGURES = BENCH.load_reference("figures")["outputs"]
+SCAN = BENCH.load_reference("scan")
+SCAN_CROSSINGS = [BENCH.workloads.machine_ops(*m)[0] for m in SCAN["pool"]]
 
 
-@pytest.mark.parametrize("argv", BENCH.workloads.FIGURES, ids=BENCH.workloads.key)
-def test_figures_op_matches_reference(argv):
+def _check(argv, reference):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(list(argv))
     op = {"error": None, "code": code, "out": out.getvalue()}
-    assert BENCH.check_op(argv, op, REFERENCE.get(BENCH.workloads.key(argv))) is None
+    return BENCH.check_op(argv, op, reference.get(BENCH.workloads.key(argv)))
+
+
+@pytest.mark.parametrize("argv", BENCH.workloads.FIGURES, ids=BENCH.workloads.key)
+def test_figures_op_matches_reference(argv):
+    assert _check(argv, FIGURES) is None
+
+
+@pytest.mark.parametrize("argv", SCAN_CROSSINGS, ids=BENCH.workloads.key)
+def test_scan_crossing_matches_reference(argv):
+    assert _check(argv, SCAN["outputs"]) is None
