@@ -24,9 +24,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import oracle, protocols, verify
-from .ladder import LadderSpec, coherent_ladder, incoherent_ladder
+from .ladder import LadderSpec, coherent_ladder, incoherent_ladder, incoherent_twin
 from .majorization import InfeasibleTargetError
-from .protocols import (
+from .protocols import (  # both inversions are re-exported from here
     coherent_temperature_of_work,
     incoherent_temperature_of_work,
     single_cycle_coherent_cost,
@@ -163,14 +163,17 @@ def crossing_report(spec: MachineSpec, tolerance: float) -> CrossingReport:
     zeros are bracketed on a 161-point log grid of work budgets and refined
     by bisection in the budget until the bracket is at most ``tolerance``
     wide; ``tolerance`` (the CLI's ``--tolerance``) is that outer bracket
-    width and nothing else.  Each probe inverts the incoherent curve through
-    its parametrisation by C's hot ground population x, W(x) =
-    (r_C - x)(E_C - T_R ln(x/(1-x))), to two adjacent doubles in a handful of
-    W evaluations (see
-    :func:`qfridge.protocols.incoherent_temperature_of_work`), and the
-    coherent curve piecewise-linearly.  ``delta_f_crit`` is the first
-    interior zero and ``delta_f_crit_prime`` the last (the two coincide when
-    the crossing is unique, which is not assumed).
+    width and nothing else.  A tolerance below the spacing of the doubles
+    near a zero stops the bisection at two adjacent doubles instead.  Both
+    frontier inverses are built once per machine, so the resonance check
+    and the room populations are not redone per probe: the incoherent one
+    inverts C's hot ground population x through W(x) =
+    (r_C - x)(E_C - T_R ln(x/(1-x))) to two adjacent doubles in a handful of
+    W evaluations (see :func:`qfridge.protocols.incoherent_inverse`), the
+    coherent one walks its swap phases piecewise-linearly.
+    ``delta_f_crit`` is the first interior zero and ``delta_f_crit_prime``
+    the last (the two coincide when the crossing is unique, which is not
+    assumed).
     """
     if not tolerance > 0.0:
         raise DomainError(f"tolerance must be > 0, got {tolerance}")
@@ -178,11 +181,11 @@ def crossing_report(spec: MachineSpec, tolerance: float) -> CrossingReport:
     f_max = single_cycle_coherent_cost(spec)
     if f_max <= 0.0:
         return CrossingReport(None, None, None, 0)
+    t_inc = protocols.incoherent_inverse(spec)
+    t_coh = protocols.coherent_inverse(spec)
 
     def gap(f: float) -> float:
-        return incoherent_temperature_of_work(spec, f) - coherent_temperature_of_work(
-            spec, f
-        )
+        return t_inc(f) - t_coh(f)
 
     probes = np.concatenate(
         (f_max * np.logspace(-9.0, -0.0001, 160), [f_max])
@@ -200,6 +203,8 @@ def crossing_report(spec: MachineSpec, tolerance: float) -> CrossingReport:
         lo, hi = float(f_lo), float(f_hi)
         while hi - lo > tolerance:
             mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
             if gap(mid) * g_lo > 0.0:
                 lo = mid
             else:
@@ -207,10 +212,7 @@ def crossing_report(spec: MachineSpec, tolerance: float) -> CrossingReport:
         zeros.append(0.5 * (lo + hi))
     if not zeros:
         return CrossingReport(None, None, None, 1)
-    t_crit = 0.5 * (
-        incoherent_temperature_of_work(spec, zeros[0])
-        + coherent_temperature_of_work(spec, zeros[0])
-    )
+    t_crit = 0.5 * (t_inc(zeros[0]) + t_coh(zeros[0]))
     return CrossingReport(zeros[0], t_crit, zeros[-1], 1 + len(zeros))
 
 
@@ -487,7 +489,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 },
             }
             if t_h is not None:
-                inc = incoherent_ladder(lspec)
+                inc = incoherent_twin(lspec, coh)
                 payload["incoherent"] = {
                     "w_total": inc.w_total,
                     "df_target": inc.df_target,

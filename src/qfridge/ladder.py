@@ -183,6 +183,11 @@ def incoherent_ladder(spec: LadderSpec) -> LadderOutcome:
     e_ground_offset is set).  A hot bath at room temperature cannot drive
     the stages, so ``t_hot == t_room`` raises :class:`DomainError`.
     """
+    _driving_hot_bath(spec)  # before the coherent ladder is built
+    return incoherent_twin(spec, coherent_ladder(spec))
+
+
+def _driving_hot_bath(spec: LadderSpec) -> float:
     t_hot = spec.t_hot
     if t_hot is None:
         raise ConfigurationError("incoherent ladder needs t_hot")
@@ -191,7 +196,16 @@ def incoherent_ladder(spec: LadderSpec) -> LadderOutcome:
             "incoherent ladder needs t_hot > t_room: a hot bath at room "
             "temperature supplies no free energy to cool with"
         )
-    coherent = coherent_ladder(spec)
+    return t_hot
+
+
+def incoherent_twin(spec: LadderSpec, coherent: LadderOutcome) -> LadderOutcome:
+    """:func:`incoherent_ladder` priced on ``coherent = coherent_ladder(spec)``.
+
+    For callers that already hold the coherent outcome, so the ladder is
+    not built twice.
+    """
+    t_hot = _driving_hot_bath(spec)
     carnot = 1.0 - spec.t_room / t_hot
     if spec.e_ground_offset is not None:
         q_init = embedded_ladder_preheat(spec)

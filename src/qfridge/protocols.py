@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 from . import virtual
 from .majorization import InfeasibleTargetError
@@ -176,78 +176,94 @@ def two_qubit_incoherent_single(spec: MachineSpec) -> ProtocolOutcome:
     )
 
 
-def incoherent_temperature_of_work(spec: MachineSpec, delta_f: float) -> float:
-    """Invert the single-cycle incoherent frontier at a given work budget.
+def incoherent_inverse(spec: MachineSpec) -> Callable[[float], float]:
+    """Inverse of the single-cycle incoherent frontier: work budget to temperature.
 
     The frontier of :func:`two_qubit_incoherent_single` over t_hot >= t_room
     is parametrised by C's hot ground population x in [1/2, r_C]: its work
     cost W(x) = (r_C - x)(E_C - T_R ln(x/(1-x))) falls monotonically from
     E_C (r_C - 1/2) at x = 1/2 (t_hot = inf) to 0 at x = r_C (t_hot = t_room).
-    W is inverted in plain float arithmetic (no tolerance parameter): the
-    result is the x that plain bisection of [1/2, r_C] on the float predicate
-    W(x) < delta_f ends on once the bracket holds two adjacent doubles.  A few
-    safeguarded Newton steps and an ulp search narrow the bracket first, so an
-    inversion takes a handful of W evaluations instead of ~52, and never more
-    than 12 beyond plain bisection.  The target population follows from the
-    same degenerate-pair swap.  Budgets at or beyond W(1/2) raise
+    The resonance check and the machine's constants (r, r_B, r_C, W(1/2)) are
+    computed here once; the returned function inverts W at one budget in
+    plain float arithmetic (no tolerance parameter): the result is the x that
+    plain bisection of [1/2, r_C] on the float predicate W(x) < delta_f ends
+    on once the bracket holds two adjacent doubles.  A few safeguarded Newton
+    steps and an ulp search narrow the bracket first, so an inversion takes a
+    handful of W evaluations instead of ~52, and never more than 12 beyond
+    plain bisection.  The target population follows from the same
+    degenerate-pair swap.  Budgets at or beyond W(1/2) raise
     :class:`InfeasibleTargetError`; budgets <= 0 return t_room.
     """
-    if delta_f <= 0.0:
-        return spec.t_room
     spec.require_resonance()
     e_c, t_room = spec.e_c, spec.t_room
     r = _room_population(spec)
     r_b, r_c = _machine_room_populations(spec)
-    if delta_f >= e_c * (r_c - 0.5):
-        raise InfeasibleTargetError("work budget beyond the incoherent curve")
-    # W(lo) >= delta_f > W(hi); every evaluation moves the end on its side.
-    # 1 - x is exact and each rounding step is monotone, so the float
-    # predicate is monotone in x and the adjacent pair the bracket closes on
-    # does not depend on where it was evaluated.
-    lo, hi = 0.5, r_c
+    w_half = e_c * (r_c - 0.5)
 
-    def work_at(x: float) -> tuple[float, float]:
-        nonlocal lo, hi
-        log_factor = e_c - t_room * math.log(x / (1.0 - x))
-        work = (r_c - x) * log_factor
-        if work < delta_f:
-            hi = x
-        else:
-            lo = x
-        return work, log_factor
+    def temperature_of_work(delta_f: float) -> float:
+        if delta_f <= 0.0:
+            return t_room
+        if delta_f >= w_half:
+            raise InfeasibleTargetError("work budget beyond the incoherent curve")
+        # W(lo) >= delta_f > W(hi); every evaluation moves the end on its side.
+        # 1 - x is exact and each rounding step is monotone, so the float
+        # predicate is monotone in x and the adjacent pair the bracket closes
+        # on does not depend on where it was evaluated.
+        lo, hi = 0.5, r_c
 
-    # Newton on ln W against ln(r_C - x), started from the small-budget
-    # asymptote W ~ T_R (r_C - x)^2 / (r_C (1 - r_C)).  The log-log slope runs
-    # from 2 at W's double root r_C to about 1 far from it, so a few steps
-    # land within ulps of the crossing.  A guess outside the bracket is
-    # replaced by its midpoint; the saturated r_C == 1.0 family starts there.
-    guess = r_c - math.sqrt(delta_f * r_c * (1.0 - r_c) / t_room)
-    for _ in range(8):
-        x = guess if lo < guess < hi else 0.5 * (lo + hi)
-        work, log_factor = work_at(x)
-        if work <= 0.0:
-            break
-        u = r_c - x
-        slope = 1.0 + u * t_room / (x * (1.0 - x) * log_factor)
-        guess = r_c - u * (delta_f / work) ** (1.0 / slope)
-        if guess == lo or guess == hi:
-            break
-    # Newton closes in from one side: step from its last point towards the
-    # other end by doubling ulps until the predicate flips, which puts the
-    # next step outside the bracket.
-    step = math.ulp(x) if x == lo else -math.ulp(x)
-    for _ in range(3):
-        x += step
-        if not lo < x < hi:
-            break
-        work_at(x)
-        step *= 2.0
-    while True:
-        x = 0.5 * (lo + hi)
-        if x == lo or x == hi:
-            break
-        work_at(x)
-    return _final_temperature(spec, _degenerate_swap_population(r, r_b, x))
+        def work_at(x: float) -> tuple[float, float]:
+            nonlocal lo, hi
+            log_factor = e_c - t_room * math.log(x / (1.0 - x))
+            work = (r_c - x) * log_factor
+            if work < delta_f:
+                hi = x
+            else:
+                lo = x
+            return work, log_factor
+
+        # Newton on ln W against ln(r_C - x), started from the small-budget
+        # asymptote W ~ T_R (r_C - x)^2 / (r_C (1 - r_C)).  The log-log slope
+        # runs from 2 at W's double root r_C to about 1 far from it, so a few
+        # steps land within ulps of the crossing.  A guess outside the bracket
+        # is replaced by its midpoint; the saturated r_C == 1.0 family starts
+        # there.
+        guess = r_c - math.sqrt(delta_f * r_c * (1.0 - r_c) / t_room)
+        for _ in range(8):
+            x = guess if lo < guess < hi else 0.5 * (lo + hi)
+            work, log_factor = work_at(x)
+            if work <= 0.0:
+                break
+            u = r_c - x
+            slope = 1.0 + u * t_room / (x * (1.0 - x) * log_factor)
+            guess = r_c - u * (delta_f / work) ** (1.0 / slope)
+            if guess == lo or guess == hi:
+                break
+        # Newton closes in from one side: step from its last point towards
+        # the other end by doubling ulps until the predicate flips, which
+        # puts the next step outside the bracket.
+        step = math.ulp(x) if x == lo else -math.ulp(x)
+        for _ in range(3):
+            x += step
+            if not lo < x < hi:
+                break
+            work_at(x)
+            step *= 2.0
+        while True:
+            x = 0.5 * (lo + hi)
+            if x == lo or x == hi:
+                break
+            work_at(x)
+        return _final_temperature(spec, _degenerate_swap_population(r, r_b, x))
+
+    return temperature_of_work
+
+
+def incoherent_temperature_of_work(spec: MachineSpec, delta_f: float) -> float:
+    """Incoherent frontier temperature at one budget (:func:`incoherent_inverse`).
+
+    Budgets <= 0 return t_room before the machine is checked for resonance.
+    """
+    return spec.t_room if delta_f <= 0.0 else incoherent_inverse(spec)(delta_f)
 
 
 def _swap_phases(spec: MachineSpec, via_c: bool) -> list[tuple[float, float]]:
@@ -311,27 +327,39 @@ def coherent_single_population(spec: MachineSpec, mu: float) -> float:
     return r_now + (position - k) * (r_end - r_now)
 
 
-def coherent_temperature_of_work(spec: MachineSpec, delta_f: float) -> float:
-    """Invert the piecewise-linear single-cycle coherent frontier at a budget.
+def coherent_inverse(spec: MachineSpec) -> Callable[[float], float]:
+    """Inverse of the piecewise-linear single-cycle coherent frontier.
 
-    Walks the frontier's swap phases at their gradients.  Budgets <= 0 return
-    t_room; budgets beyond :func:`single_cycle_coherent_cost` return r_B's
-    temperature (0.0 once r_B saturates to 1 in double precision).
+    The room population and the swap phases are computed here once; the
+    returned function walks the phases at their gradients for one budget.
+    Budgets <= 0 return t_room; budgets beyond
+    :func:`single_cycle_coherent_cost` return r_B's temperature (0.0 once r_B
+    saturates to 1 in double precision).
     """
+    t_room = spec.t_room
     r = _room_population(spec)
     phases = _single_cycle_phases(spec)
-    if delta_f <= 0.0 or phases[-1][0] <= r:
-        return spec.t_room
-    work, r_now = 0.0, r
-    for r_end, gradient in phases[:-1]:
+
+    def temperature_of_work(delta_f: float) -> float:
+        if delta_f <= 0.0 or phases[-1][0] <= r:
+            return t_room
+        work, r_now = 0.0, r
+        for r_end, gradient in phases[:-1]:
+            cost = (r_end - r_now) * gradient
+            if delta_f - work <= cost:
+                return _final_temperature(spec, r_now + (delta_f - work) / gradient)
+            work, r_now = work + cost, r_end
+        r_end, gradient = phases[-1]
         cost = (r_end - r_now) * gradient
-        if delta_f - work <= cost:
-            return _final_temperature(spec, r_now + (delta_f - work) / gradient)
-        work, r_now = work + cost, r_end
-    r_end, gradient = phases[-1]
-    cost = (r_end - r_now) * gradient
-    share = 1.0 if delta_f - work >= cost else (delta_f - work) / cost
-    return _final_temperature(spec, r_now + share * (r_end - r_now))
+        share = 1.0 if delta_f - work >= cost else (delta_f - work) / cost
+        return _final_temperature(spec, r_now + share * (r_end - r_now))
+
+    return temperature_of_work
+
+
+def coherent_temperature_of_work(spec: MachineSpec, delta_f: float) -> float:
+    """Coherent frontier temperature at one budget (:func:`coherent_inverse`)."""
+    return coherent_inverse(spec)(delta_f)
 
 
 def two_qubit_coherent_single(spec: MachineSpec, r_target: float) -> ProtocolOutcome:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qfridge import cli, protocols
+from qfridge import cli, ladder, protocols
 from qfridge.cli import (
     CSV_HEADER,
     coherent_temperature_of_work,
@@ -20,7 +20,7 @@ from qfridge.cli import (
     main,
     summary_quantities,
 )
-from qfridge.ladder import LadderSpec, incoherent_ladder
+from qfridge.ladder import LadderSpec, coherent_ladder, incoherent_ladder
 from qfridge.oracle import DEFAULT_SEED
 from qfridge.thermal import INFINITE, MachineSpec, boltzmann_population
 
@@ -33,7 +33,7 @@ def _run(args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     cmd = [sys.executable, "-m", "qfridge.cli", *args]
-    return subprocess.run(cmd, capture_output=True, text=True, env=env)
+    return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=60)
 
 
 STANDARD = ["--e-c", "0.4", "--t-r", "1"]
@@ -169,6 +169,55 @@ class TestCurveCommand:
         assert rc == 2
 
 
+def _per_probe_crossing(spec, tolerance):
+    """The crossing search with both frontiers inverted from scratch per probe."""
+    spec.require_resonance()
+    f_max = protocols.single_cycle_coherent_cost(spec)
+    if f_max <= 0.0:
+        return cli.CrossingReport(None, None, None, 0)
+
+    def gap(f):
+        return incoherent_temperature_of_work(spec, f) - coherent_temperature_of_work(
+            spec, f
+        )
+
+    probes = np.concatenate((f_max * np.logspace(-9.0, -0.0001, 160), [f_max]))
+    values = [gap(float(f)) for f in probes]
+    zeros = []
+    for (f_lo, g_lo), (f_hi, g_hi) in zip(
+        zip(probes, values), zip(probes[1:], values[1:])
+    ):
+        if g_lo == 0.0:
+            zeros.append(float(f_lo))
+            continue
+        if g_lo * g_hi >= 0.0:
+            continue
+        lo, hi = float(f_lo), float(f_hi)
+        while hi - lo > tolerance:
+            mid = 0.5 * (lo + hi)
+            if gap(mid) * g_lo > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        zeros.append(0.5 * (lo + hi))
+    if not zeros:
+        return cli.CrossingReport(None, None, None, 1)
+    t_crit = 0.5 * (
+        incoherent_temperature_of_work(spec, zeros[0])
+        + coherent_temperature_of_work(spec, zeros[0])
+    )
+    return cli.CrossingReport(zeros[0], t_crit, zeros[-1], 1 + len(zeros))
+
+
+def _crossing_machines():
+    # Figure, kinked (E_C > E), saturated (r_C == 1.0) and cold machines, then
+    # uniform draws over the E_C and T_R ranges verify draws from.
+    rng = np.random.default_rng(20171030)
+    fixed = [(0.4, 1.0), (1.7, 1.0), (1.0 / 3.0, 1.0), (40.0, 1.0), (0.4, 0.25)]
+    drawn = zip(rng.uniform(0.05, 5.0, 15), rng.uniform(0.2, 5.0, 15))
+    return [MachineSpec.two_qubit(float(e_c), float(t)) for e_c, t in [*fixed, *drawn]]
+
+
 class TestCrossingCommand:
     def test_reference_machine_geometry(self):
         spec = MachineSpec.two_qubit(0.4, 1.0)
@@ -236,6 +285,45 @@ class TestCrossingCommand:
     def test_frontier_inversions_are_the_library_functions(self):
         assert coherent_temperature_of_work is protocols.coherent_temperature_of_work
         assert incoherent_temperature_of_work is protocols.incoherent_temperature_of_work
+
+    @pytest.mark.parametrize("tolerance", [1e-10, 1e-6])
+    def test_equals_the_per_probe_search(self, tolerance):
+        for spec in _crossing_machines():
+            assert crossing_report(spec, tolerance) == _per_probe_crossing(spec, tolerance)
+
+    @pytest.mark.parametrize("e_c", [0.4, 1.7])
+    def test_machine_constants_are_computed_once(self, e_c, monkeypatch):
+        # ~1100 calls when each probe re-derived r, r_B and r_C.
+        calls = []
+        real = protocols.boltzmann_population
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(protocols, "boltzmann_population", counted)
+        report = crossing_report(MachineSpec.two_qubit(e_c, 1.0), 1e-10)
+        assert report.sign_changes == 2
+        assert len(calls) <= 10
+
+    @pytest.mark.parametrize(
+        "args, scale",
+        [
+            ([*STANDARD, "--tolerance", "1e-19"], 1.0),
+            ([*STANDARD, "--tolerance", "1e-300"], 1.0),
+            # the reference machine in units of 1e9: the default 1e-10 is
+            # below one ulp of its budgets
+            (["--e", "1e9", "--e-c", "4e8", "--t-r", "1e9"], 1e9),
+        ],
+    )
+    def test_tolerance_below_one_ulp_terminates(self, args, scale):
+        result = _run(["crossing", *args])
+        assert result.returncode == 0
+        payload = json.loads(result.stdout)
+        assert payload["sign_changes"] == 2
+        assert all(math.isfinite(v) for v in payload.values())
+        pinned = crossing_report(MachineSpec.two_qubit(0.4, 1.0), 1e-10).delta_f_crit
+        assert payload["delta_f_crit"] == pytest.approx(scale * pinned, rel=1e-7)
 
     def test_crossing_exists_in_the_kinked_regime(self):
         # with e_c > e the coherent curve has a derivative kink at mu = 1/2
@@ -444,6 +532,34 @@ class TestLadderCommand:
         assert payload["coherent"]["gap"] > 0.0
         assert payload["incoherent"]["w_total"] > payload["coherent"]["w_total"]
         assert payload["incoherent"]["q_init"] > 0.0
+
+    def test_coherent_ladder_is_built_once(self, capsys, monkeypatch):
+        lspec = LadderSpec(256, 0.5, 1.0, t_hot=10.0)
+        coh, inc = coherent_ladder(lspec), incoherent_ladder(lspec)
+        payload = {
+            "n": 256,
+            "coherent": {"w_total": coh.w_total, "df_target": coh.df_target, "gap": coh.gap},
+            "incoherent": {
+                "w_total": inc.w_total,
+                "df_target": inc.df_target,
+                "gap": inc.gap,
+                "q_init": inc.q_init,
+            },
+        }
+        calls = []
+
+        def counted(spec):
+            calls.append(spec)
+            return coherent_ladder(spec)
+
+        monkeypatch.setattr(cli, "coherent_ladder", counted)
+        monkeypatch.setattr(ladder, "coherent_ladder", counted)
+        rc = main(
+            ["ladder", "--e-c", "0.4", "--t-r", "1", "--t-h", "10", "--t-c", "0.5", "--n", "256"]
+        )
+        assert rc == 0
+        assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+        assert calls == [lspec]
 
     def test_needs_stage_count(self, capsys):
         rc = main(["ladder", "--e-c", "0.4", "--t-c", "0.5"])

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from qfridge import ladder
 from qfridge.ladder import (
     LadderSpec,
     coherent_ladder,
@@ -113,15 +114,21 @@ class TestIncoherentLadder:
             # stage work is the maintenance heat itself
             assert stage.work == pytest.approx(maintenance, rel=1e-12, abs=1e-15)
 
-    def test_missing_hot_bath_rejected(self):
+    def test_missing_hot_bath_rejected(self, monkeypatch):
+        # rejected before the coherent ladder is built
+        monkeypatch.setattr(ladder, "coherent_ladder", None)
         with pytest.raises(ConfigurationError):
             incoherent_ladder(LadderSpec(4, 0.5, 1.0))
 
     @pytest.mark.parametrize("offset", [None, 3.0])
-    def test_room_temperature_hot_bath_rejected(self, offset):
+    def test_room_temperature_hot_bath_rejected(self, offset, monkeypatch):
         spec = LadderSpec(4, 0.5, 1.0, t_hot=1.0, e_ground_offset=offset)
+        coherent = coherent_ladder(spec)
+        monkeypatch.setattr(ladder, "coherent_ladder", None)
         with pytest.raises(DomainError):
             incoherent_ladder(spec)
+        with pytest.raises(DomainError):
+            ladder.incoherent_twin(spec, coherent)
 
     def test_stage_maintenance_heat_against_dense_two_qubit_stage(self):
         # run each resonant two-qubit stage machine to (near) its steady

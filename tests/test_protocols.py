@@ -238,6 +238,52 @@ class TestIncoherentTemperatureOfWork:
         assert protocols.incoherent_temperature_of_work(spec, -1.0) == 1.3
 
 
+class TestFrontierInverses:
+    """One inverse per machine answers every budget as the per-call functions do."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        spec=_frontier_machines(),
+        fracs=st.lists(
+            st.one_of(st.floats(1e-9, 1.0 - 1e-9), st.floats(1e-300, 1e-9)),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_reused_inverse_equals_the_public_function(self, spec, fracs):
+        # One callable answers the budgets in turn, so state left over from
+        # an earlier budget would show against the fresh per-call result.
+        t_inc = protocols.incoherent_inverse(spec)
+        t_coh = protocols.coherent_inverse(spec)
+        ceiling = _incoherent_work_ceiling(spec)
+        f_max = protocols.single_cycle_coherent_cost(spec)
+        for frac in fracs:
+            delta_f = frac * ceiling
+            assert t_inc(delta_f) == protocols.incoherent_temperature_of_work(
+                spec, delta_f
+            )
+            for delta_f in (frac * f_max, (1.0 + frac) * f_max):
+                assert t_coh(delta_f) == protocols.coherent_temperature_of_work(
+                    spec, delta_f
+                )
+        for delta_f in (0.0, -1.0):
+            assert t_inc(delta_f) == t_coh(delta_f) == spec.t_room
+        for delta_f in (ceiling, 2.0 * ceiling):
+            with pytest.raises(InfeasibleTargetError):
+                t_inc(delta_f)
+            with pytest.raises(InfeasibleTargetError):
+                protocols.incoherent_temperature_of_work(spec, delta_f)
+
+    def test_non_resonant_machine(self):
+        # A non-positive budget reads t_room before the resonance check.
+        spec = MachineSpec(QubitSpec(1.0), (QubitSpec(2.0), QubitSpec(0.4)), 1.3)
+        assert protocols.incoherent_temperature_of_work(spec, 0.0) == 1.3
+        with pytest.raises(DomainError):
+            protocols.incoherent_temperature_of_work(spec, 0.01)
+        with pytest.raises(DomainError):
+            protocols.incoherent_inverse(spec)
+
+
 class TestCoherentFrontier:
     @settings(max_examples=300, deadline=None)
     @given(
