@@ -8,16 +8,6 @@ density-matrix oracle that independently verifies every closed form.
 """
 
 from .ladder import LadderOutcome, LadderSpec, coherent_ladder, embedded_ladder_preheat, incoherent_ladder
-from .majorization import (
-    ConstrainedMinResult,
-    InfeasibleTargetError,
-    TTransform,
-    endpoint_minimizer,
-    majorizes,
-    solve_one_qubit,
-    solve_two_qubit,
-    vertex_oracle_min,
-)
 from .protocols import (
     DegeneracyClassification,
     ProtocolOutcome,
@@ -39,6 +29,7 @@ from .thermal import (
     ConfigurationError,
     DomainError,
     INFINITE,
+    InfeasibleTargetError,
     MachineSpec,
     NegativeTemperatureError,
     QubitSpec,
@@ -52,12 +43,32 @@ from .thermal import (
 from .virtual import (
     EmptyVirtualQubitError,
     VirtualQubit,
-    asymptotic_temperature,
     extract_virtual_qubit,
     n_swap_population,
     swap_update,
-    swap_work_cost,
 )
+
+# The solver's names load numpy, which only the oracle side needs: resolve
+# them on first access so `import qfridge` stays numpy-free.
+_MAJORIZATION_NAMES = frozenset(
+    {
+        "ConstrainedMinResult",
+        "TTransform",
+        "endpoint_minimizer",
+        "majorizes",
+        "solve_one_qubit",
+        "solve_two_qubit",
+        "vertex_oracle_min",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name in _MAJORIZATION_NAMES:
+        from . import majorization
+
+        return getattr(majorization, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __version__ = "0.1.0"
 
@@ -79,7 +90,6 @@ __all__ = [
     "TTransform",
     "VirtualQubit",
     "algorithmic_cooling",
-    "asymptotic_temperature",
     "autonomous_steady_state",
     "binary_entropy",
     "boltzmann_population",
@@ -103,7 +113,6 @@ __all__ = [
     "solve_one_qubit",
     "solve_two_qubit",
     "swap_update",
-    "swap_work_cost",
     "temperature_from_population",
     "thermal_populations",
     "two_qubit_coherent_single",

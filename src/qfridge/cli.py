@@ -16,22 +16,20 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from . import oracle, protocols, verify
+from . import protocols
 from .ladder import LadderSpec, coherent_ladder, incoherent_ladder, incoherent_twin
-from .majorization import InfeasibleTargetError
 from .protocols import (  # both inversions are re-exported from here
     coherent_temperature_of_work,
     incoherent_temperature_of_work,
     single_cycle_coherent_cost,
 )
-from .thermal import DomainError, INFINITE, MachineSpec, boltzmann_population
+from .thermal import DomainError, INFINITE, InfeasibleTargetError, MachineSpec, boltzmann_population
 
 CSV_HEADER = "control,delta_f,temperature,r"
 
@@ -81,13 +79,25 @@ class CrossingReport:
 # ---------------------------------------------------------------------------
 
 
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """numpy.linspace(start, stop, num), point for point, as Python floats."""
+    if num == 1:
+        return [start]
+    step = (stop - start) / (num - 1)
+    return [i * step + start for i in range(num - 1)] + [stop]
+
+
+def _logspace(start: float, stop: float, num: int) -> list[float]:
+    """numpy.logspace(start, stop, num), each power by math.pow (within 1 ulp of numpy's)."""
+    return [math.pow(10.0, x) for x in _linspace(start, stop, num)]
+
+
 def _hot_bath_grid(t_room: float, grid: int) -> list[float]:
     # Log grid in (t_hot - t_room)/t_room: the curve saturates slowly, plus
     # the exact infinite endpoint appended.
     if grid <= 1:
         return [INFINITE]
-    ratios = np.logspace(-3, 3, grid - 1)
-    return [t_room * (1.0 + float(u)) for u in ratios] + [INFINITE]
+    return [t_room * (1.0 + u) for u in _logspace(-3.0, 3.0, grid - 1)] + [INFINITE]
 
 
 def curve_points(
@@ -109,10 +119,10 @@ def curve_points(
             )
             points.append(CurvePoint(t_hot, out.work_cost, out.t_final, out.r_final))
     elif scenario == "coh-single":
-        for mu in np.linspace(0.0, 1.0, max(grid, 1)):
-            r_target = protocols.coherent_single_population(spec, float(mu))
+        for mu in _linspace(0.0, 1.0, grid):
+            r_target = protocols.coherent_single_population(spec, mu)
             out = protocols.two_qubit_coherent_single(spec, r_target)
-            points.append(CurvePoint(float(mu), out.work_cost, out.t_final, out.r_final))
+            points.append(CurvePoint(mu, out.work_cost, out.t_final, out.r_final))
     elif scenario in ("inc-repeat", "coh-repeat", "algo"):
         run = {
             "inc-repeat": lambda n: protocols.repeated_incoherent(spec, protocols.RepetitionPlan(n=n)),
@@ -132,9 +142,9 @@ def curve_points(
             out = protocols.internal_resource(spec, "incoherent", t_hot)
             points.append(CurvePoint(t_hot, out.work_cost, out.t_final, out.r_final))
     elif scenario == "internal-coh":
-        for mu in np.linspace(0.0, 1.0, max(grid, 1)):
-            out = protocols.internal_resource(spec, "coherent", float(mu))
-            points.append(CurvePoint(float(mu), out.work_cost, out.t_final, out.r_final))
+        for mu in _linspace(0.0, 1.0, grid):
+            out = protocols.internal_resource(spec, "coherent", mu)
+            points.append(CurvePoint(mu, out.work_cost, out.t_final, out.r_final))
     elif scenario in ("ladder-coh", "ladder-inc"):
         if t_cold is None:
             raise DomainError(f"scenario {scenario} needs t_cold")
@@ -187,20 +197,18 @@ def crossing_report(spec: MachineSpec, tolerance: float) -> CrossingReport:
     def gap(f: float) -> float:
         return t_inc(f) - t_coh(f)
 
-    probes = np.concatenate(
-        (f_max * np.logspace(-9.0, -0.0001, 160), [f_max])
-    )
-    values = [gap(float(f)) for f in probes]
+    probes = [f_max * u for u in _logspace(-9.0, -0.0001, 160)] + [f_max]
+    values = [gap(f) for f in probes]
     zeros: list[float] = []
     for (f_lo, g_lo), (f_hi, g_hi) in zip(
         zip(probes, values), zip(probes[1:], values[1:])
     ):
         if g_lo == 0.0:
-            zeros.append(float(f_lo))
+            zeros.append(f_lo)
             continue
         if g_lo * g_hi >= 0.0:
             continue
-        lo, hi = float(f_lo), float(f_hi)
+        lo, hi = f_lo, f_hi
         while hi - lo > tolerance:
             mid = 0.5 * (lo + hi)
             if mid == lo or mid == hi:
@@ -360,11 +368,16 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--samples", type=int, default=10_000, help="Haar samples (0 skips the sweep)")
     ver.add_argument("--machines", type=int, default=60)
     ver.add_argument("--instances", type=int, default=60)
+    # Checked against verify.MUTATIONS by run_verification, so building the
+    # parser does not load the numpy-backed oracle.
     ver.add_argument(
         "--mutate",
-        choices=verify.MUTATIONS,
         default=None,
-        help="corrupt one formula on purpose (falsifiability smoke test)",
+        metavar="NAME",
+        help=(
+            "corrupt one formula on purpose (falsifiability smoke test); "
+            "an unknown NAME lists the valid ones"
+        ),
     )
 
     lad = sub.add_parser("ladder", help="second-law saturation data for one N")
@@ -403,6 +416,8 @@ def _integer(name: str, value: float | int | str) -> int:
 
 
 def _default_seed(args: argparse.Namespace, config: dict) -> int:
+    from . import oracle
+
     seed = _resolved(args, "seed", config, os.environ.get("FRIDGE_SEED"))
     return oracle.DEFAULT_SEED if seed is None else _integer("seed", seed)
 
@@ -455,6 +470,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             sys.stdout.write("\n")
             return 0
         if args.command == "verify":
+            from . import verify
+
             seed = _default_seed(args, config)
             report = verify.run_verification(
                 seed,

@@ -22,16 +22,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .thermal import DomainError
+# InfeasibleTargetError lives in thermal so the closed forms raise it without
+# loading this module; it stays importable from here, where the solver raises it.
+from .thermal import DomainError, InfeasibleTargetError
 
 NORMALIZATION_ATOL = 1e-12
 
 # Slack used when comparing float populations whose exact ordering is analytic.
 _ORDER_SLACK = 1e-9
-
-
-class InfeasibleTargetError(ValueError):
-    """The requested ground-subspace population cannot be reached unitarily."""
 
 
 def _as_popvector(vec: Sequence[float], name: str = "population vector") -> np.ndarray:

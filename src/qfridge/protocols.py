@@ -17,11 +17,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple
 
 from . import virtual
-from .majorization import InfeasibleTargetError
 from .thermal import (
     ConfigurationError,
     DomainError,
     INFINITE,
+    InfeasibleTargetError,
     MachineSpec,
     RESONANCE_RTOL,
     boltzmann_population,

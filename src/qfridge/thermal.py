@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 INFINITE: float = math.inf
 
@@ -38,6 +39,14 @@ class NegativeTemperatureError(DomainError):
     A population below 1/2 corresponds to an inverted (negative-temperature)
     qubit.  No cooling protocol in this package produces one, so reaching this
     error in protocol code indicates a bug rather than a physical regime.
+    """
+
+
+class InfeasibleTargetError(ValueError):
+    """A requested target population or work budget is out of the machine's reach.
+
+    Raised by the majorization solver for a population no unitary reaches and
+    by the frontier inversions for a budget beyond their curve.
     """
 
 
@@ -197,8 +206,12 @@ def thermal_populations(
     """Diagonal of the tensor product of single-qubit Gibbs states.
 
     Product-basis ordering |a b c ...> with the first qubit's bit most
-    significant, i.e. index 4a + 2b + c for three qubits.
+    significant, i.e. index 4a + 2b + c for three qubits.  Like
+    :func:`hamiltonian_diagonal` it loads numpy on its first call, so the
+    closed forms never pay for it.
     """
+    import numpy as np
+
     if len(gaps) != len(temps):
         raise DomainError(
             f"got {len(gaps)} gaps but {len(temps)} temperatures"
@@ -212,6 +225,8 @@ def thermal_populations(
 
 def hamiltonian_diagonal(gaps: Sequence[float]) -> np.ndarray:
     """Diagonal of the non-interacting Hamiltonian in the same basis ordering."""
+    import numpy as np
+
     h = np.array([0.0])
     for gap in gaps:
         h = np.add.outer(h, np.array([0.0, gap])).ravel()

@@ -95,22 +95,3 @@ def n_swap_population(r0: float, vq: VirtualQubit, n: float) -> float:
     else:
         contraction = (1.0 - vq.norm) ** n
     return vq.r_v - (vq.r_v - r0) * contraction
-
-
-def swap_work_cost(
-    r_before: float, r_after: float, target_gap: float, vq_gap: float
-) -> float:
-    """Work of one swap: population moved times the energy gradient.
-
-    Zero when the gaps are degenerate (the swap is then energy conserving).
-    """
-    return (r_after - r_before) * (vq_gap - target_gap)
-
-
-def asymptotic_temperature(vq: VirtualQubit, target_gap: float) -> float:
-    """Target temperature after infinitely many swaps: t_v scaled by gap ratio.
-
-    It is the Gibbs ratio that equilibrates, so the limit is t_v * E / E_V
-    rather than t_v itself.
-    """
-    return vq.t_v * target_gap / vq.gap

@@ -181,7 +181,7 @@ def _per_probe_crossing(spec, tolerance):
             spec, f
         )
 
-    probes = np.concatenate((f_max * np.logspace(-9.0, -0.0001, 160), [f_max]))
+    probes = [f_max * u for u in cli._logspace(-9.0, -0.0001, 160)] + [f_max]
     values = [gap(float(f)) for f in probes]
     zeros = []
     for (f_lo, g_lo), (f_hi, g_hi) in zip(
@@ -468,6 +468,15 @@ class TestVerifyCommand:
         assert rc == 2
         assert capsys.readouterr().out == ""
 
+    def test_unknown_mutation_is_usage_error_naming_the_valid_ones(self):
+        from qfridge.verify import MUTATIONS
+
+        result = _run(["verify", "--mutate", "nope"])
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "'nope'" in result.stderr
+        assert all(repr(name) in result.stderr for name in MUTATIONS)
+
     def test_negative_machine_and_instance_counts_are_usage_error(self, capsys):
         rc = main(["verify", "--machines", "-3", "--instances", "-2", "--samples", "0"])
         assert rc == 2
@@ -698,3 +707,29 @@ class TestConsoleInterface:
         result = _run(["curve", "coh-single", "--e-c", "0.4", "--grid", "3"])
         assert result.returncode == 0
         assert result.stdout.splitlines()[0] == CSV_HEADER
+
+    def test_closed_form_commands_never_load_numpy(self):
+        # Only verify needs the dense oracle; everything else is scalar
+        # closed forms and must start without numpy's import cost.
+        script = """
+import contextlib, io, sys
+import qfridge, qfridge.cli
+machine = ["--e-c", "0.4", "--t-r", "1", "--t-h", "10"]
+ops = [
+    ["summary", *machine],
+    ["crossing", *machine],
+    ["ladder", *machine, "--t-c", "0.5", "--n", "8"],
+] + [["curve", s, *machine, "--t-c", "0.5", "--grid", "5"] for s in qfridge.cli.SCENARIOS]
+for argv in ops:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert qfridge.cli.main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
+print(sorted(m for m in ("qfridge.majorization", "qfridge.oracle", "qfridge.verify") if m in sys.modules))
+"""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == ["[]", "[]"]

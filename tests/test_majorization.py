@@ -453,3 +453,17 @@ class TestVertexOracleBlockReduction:
         new = vertex_oracle_min(rho, h, k, r_target)
         old = _lexsort_vertex_oracle_min(rho, h, k, r_target)
         assert abs(new - old) <= 1e-15
+
+
+def test_every_public_name_resolves_from_the_package():
+    # The solver's names are resolved on first access, because they load
+    # numpy; the package root still hands out the objects the modules define.
+    import qfridge
+    from qfridge import majorization, thermal
+
+    resolved = {name: getattr(qfridge, name) for name in qfridge.__all__}
+    assert resolved["solve_two_qubit"] is majorization.solve_two_qubit
+    assert resolved["InfeasibleTargetError"] is majorization.InfeasibleTargetError
+    assert majorization.InfeasibleTargetError is thermal.InfeasibleTargetError
+    with pytest.raises(AttributeError):
+        qfridge.no_such_name

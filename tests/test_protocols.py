@@ -966,6 +966,6 @@ def test_protocols_price_without_the_solver():
                 from_majorization += names
             else:
                 imported += [node.module or ""] + names
-    assert from_majorization == ["InfeasibleTargetError"]
+    assert from_majorization == []
     assert not [name for name in imported if name.split(".")[-1] == "majorization"]
     assert not [name for name in imported if name.split(".")[0] == "numpy"]
