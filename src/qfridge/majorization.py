@@ -283,7 +283,11 @@ def _permutation_indices(n: int) -> np.ndarray:
     # Lexicographic order (itertools' contract): each run of (n-k)! rows
     # shares its first k entries.  Stored as intp so fancy indexing does not
     # convert it on every call; read-only because the cache shares it.
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    perms = np.fromiter(
+        itertools.chain.from_iterable(itertools.permutations(range(n))),
+        dtype=np.intp,
+        count=n * math.factorial(n),
+    ).reshape(-1, n)
     perms.flags.writeable = False
     return perms
 

@@ -30,7 +30,13 @@ UNITARITY_ATOL = 1e-10
 TRACE_ATOL = 1e-12
 ENERGY_ATOL = 1e-10
 
-HAAR_BATCH = 10_000  # unitaries drawn per QR call in haar_pareto_sweep
+# Unitaries per haar_unitaries call in haar_pareto_sweep.  A batch draws all
+# its real parts before its imaginary parts, so this size fixes which
+# unitaries a seed draws.
+HAAR_BATCH = 10_000
+# Matrices factored per QR call in haar_unitaries: bounds the temporaries
+# only, since LAPACK factors each matrix on its own.
+_QR_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -407,16 +413,27 @@ class DominanceReport:
 
 
 def haar_unitaries(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Batch of Haar-distributed unitaries via QR with phase-fixed diagonal."""
+    """Batch of Haar-distributed unitaries via QR with phase-fixed diagonal.
+
+    All ``count`` Gaussian matrices are drawn first (real parts, then
+    imaginary parts), so the batch size alone fixes which unitaries ``rng``
+    yields.  They are then factored in place, ``_QR_CHUNK`` matrices at a
+    time; the chunk only bounds the temporaries and never changes a unitary.
+    """
+    if dim < 1 or count < 0:
+        raise DomainError(f"need dim >= 1 and count >= 0, got dim={dim}, count={count}")
     shape = (count, dim, dim)
     z = np.empty(shape, dtype=complex)
     z.real = rng.standard_normal(shape)
     z.imag = rng.standard_normal(shape)
     z /= math.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=1, axis2=2)
-    q *= (d / np.abs(d))[:, None, :]
-    return q
+    for lo in range(0, count, _QR_CHUNK):
+        chunk = z[lo : lo + _QR_CHUNK]
+        q, r = np.linalg.qr(chunk)
+        d = np.diagonal(r, axis1=1, axis2=2)
+        q *= (d / np.abs(d))[:, None, :]
+        chunk[...] = q
+    return z
 
 
 def _curve_arrays(curve: Sequence[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
@@ -479,8 +496,10 @@ def haar_pareto_sweep(
     done = 0
     while done < samples:
         count = min(HAAR_BATCH, samples - done)
-        units = haar_unitaries(dim, count, rng)
-        final_pops = np.abs(units) ** 2 @ pops
+        weights = np.abs(haar_unitaries(dim, count, rng))
+        weights **= 2
+        final_pops = weights @ pops
+        del weights  # before the next batch is drawn
         r_s = final_pops[:, : dim // 2].sum(axis=1)
         f_s = final_pops @ h - base_energy
         needed = np.interp(r_s, curve_r, curve_f)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from qfridge.majorization import (
     InfeasibleTargetError,
     TTransform,
+    _permutation_indices,
     apply_transforms,
     endpoint_minimizer,
     majorizes,
@@ -453,6 +454,13 @@ class TestVertexOracleBlockReduction:
         new = vertex_oracle_min(rho, h, k, r_target)
         old = _lexsort_vertex_oracle_min(rho, h, k, r_target)
         assert abs(new - old) <= 1e-15
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_permutation_table_is_itertools_order_and_read_only(n):
+    table = _permutation_indices(n)
+    assert table.dtype == np.intp and not table.flags.writeable
+    assert table.tolist() == [list(p) for p in itertools.permutations(range(n))]
 
 
 def test_every_public_name_resolves_from_the_package():

@@ -1,5 +1,6 @@
 import ast
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +141,41 @@ class TestRethermalize:
         assert out.diagonal()[[0, 2, 4, 6]].sum() == pytest.approx(0.9, abs=1e-14)
 
 
+def _whole_batch_haar(dim, count, rng):
+    # The out-of-place construction: one QR call over the whole batch.
+    z = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal(
+        (count, dim, dim)
+    )
+    q, r = np.linalg.qr(z / math.sqrt(2.0))
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None, :]
+
+
+def _whole_batch_sweep(spec, samples, curve, seed, slack=1e-9):
+    # The sweep's dominance test on whole-batch unitaries, as (index, r,
+    # delta_f, excess) tuples; the curve must be ordered by increasing r.
+    curve_f = np.array([f for f, _ in curve])
+    curve_r = np.array([r for _, r in curve])
+    pops = build_thermal_state(spec, (spec.t_room,) * spec.n_qubits).diagonal()
+    h = hamiltonian_diagonal(spec.gaps)
+    dim = pops.size
+    rng = np.random.default_rng(seed)
+    points = []
+    for start in range(0, samples, oracle.HAAR_BATCH):
+        count = min(oracle.HAAR_BATCH, samples - start)
+        final_pops = np.abs(_whole_batch_haar(dim, count, rng)) ** 2 @ pops
+        r_s = final_pops[:, : dim // 2].sum(axis=1)
+        f_s = final_pops @ h - float(pops @ h)
+        needed = np.interp(r_s, curve_r, curve_f)
+        bad = (r_s > curve_r[-1] + slack) | (
+            (r_s > curve_r[0] + slack) & (f_s < needed - slack)
+        )
+        for i in np.nonzero(bad)[0]:
+            excess = max(float(needed[i] - f_s[i]), float(r_s[i] - curve_r[-1]))
+            points.append((start + int(i), float(r_s[i]), float(f_s[i]), excess))
+    return points
+
+
 class TestHaarSweep:
     def test_unitaries_are_unitary(self):
         rng = np.random.default_rng(7)
@@ -147,22 +183,53 @@ class TestHaarSweep:
         for u in units:
             assert np.abs(u @ u.conj().T - np.eye(8)).max() < 1e-12
 
-    @pytest.mark.parametrize("dim, count", [(8, 1), (8, 300), (4, 50), (2, 9)])
+    @pytest.mark.parametrize(
+        "dim, count", [(8, 1), (8, 300), (4, 50), (2, 9), (8, 1100)]
+    )
     def test_same_stream_as_the_out_of_place_construction(self, dim, count):
-        def reference(rng):
-            z = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal(
-                (count, dim, dim)
-            )
-            q, r = np.linalg.qr(z / math.sqrt(2.0))
-            d = np.diagonal(r, axis1=1, axis2=2)
-            return q * (d / np.abs(d))[:, None, :]
-
         for seed in (0, 7, DEFAULT_SEED):
             rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
             for _ in range(2):
                 assert np.array_equal(
-                    haar_unitaries(dim, count, rng_new), reference(rng_old)
+                    haar_unitaries(dim, count, rng_new),
+                    _whole_batch_haar(dim, count, rng_old),
                 )
+
+    @pytest.mark.parametrize("dim, count", [(0, 3), (-1, 3), (8, -1)])
+    def test_bad_sizes_rejected(self, dim, count):
+        with pytest.raises(DomainError):
+            haar_unitaries(dim, count, np.random.default_rng(0))
+
+    def test_sweep_across_a_batch_boundary_matches_whole_batch_factoring(self):
+        # A deliberately wrong frontier (r lowered by 0.25, cost x3 + 0.5)
+        # is beaten thousands of times, in both batches.
+        spec = MachineSpec.two_qubit(0.4, 1.0)
+        curve = [
+            (3.0 * f + 0.5, r - 0.25)
+            for f, r in coherent_single_cycle_curve(spec, grid=101)
+        ]
+        samples = oracle.HAAR_BATCH + 1000
+        report = haar_pareto_sweep(spec, samples, curve, seed=DEFAULT_SEED)
+        expected = _whole_batch_sweep(spec, samples, curve, DEFAULT_SEED)
+        got = [(p.index, p.r, p.delta_f, p.excess) for p in report.dominating]
+        assert got == expected
+        assert len(got) > 1000
+        assert got[0][0] < oracle.HAAR_BATCH <= got[-1][0]
+
+    def test_sweep_holds_about_one_batch_of_unitaries(self):
+        # The traced peak stays under two batches of complex 8x8 matrices:
+        # one batch of Gaussians, the real draw that fills half of it, and
+        # one QR chunk's temporaries.
+        spec = MachineSpec.two_qubit(0.4, 1.0)
+        curve = coherent_single_cycle_curve(spec, grid=101)
+        batch_bytes = oracle.HAAR_BATCH * 64 * 16
+        tracemalloc.start()
+        try:
+            haar_pareto_sweep(spec, 2 * oracle.HAAR_BATCH + 1, curve)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * batch_bytes
 
     def test_zero_samples_gives_empty_report(self):
         spec = MachineSpec.two_qubit(0.4, 1.0)
