@@ -17,7 +17,6 @@ from .protocols import (
     degeneracy_classifier,
     internal_resource,
     one_qubit_coherent,
-    one_qubit_incoherent,
     optimal_sequence,
     repeated_coherent,
     repeated_incoherent,
@@ -54,7 +53,6 @@ _MAJORIZATION_NAMES = frozenset(
     {
         "ConstrainedMinResult",
         "TTransform",
-        "endpoint_minimizer",
         "majorizes",
         "solve_one_qubit",
         "solve_two_qubit",
@@ -96,7 +94,6 @@ __all__ = [
     "coherent_ladder",
     "degeneracy_classifier",
     "embedded_ladder_preheat",
-    "endpoint_minimizer",
     "extract_virtual_qubit",
     "hamiltonian_diagonal",
     "incoherent_ladder",
@@ -104,7 +101,6 @@ __all__ = [
     "majorizes",
     "n_swap_population",
     "one_qubit_coherent",
-    "one_qubit_incoherent",
     "optimal_sequence",
     "repeated_coherent",
     "repeated_incoherent",

@@ -129,8 +129,6 @@ def curve_points(
             "coh-repeat": lambda n: protocols.repeated_coherent(spec, n),
             "algo": lambda n: protocols.algorithmic_cooling(spec, n, nu=nu, r0=r0),
         }[scenario]
-        if scenario == "inc-repeat":
-            spec.require_hot_bath()
         # Rows n = 0..grid-2 are the points of one n = grid-2 trajectory.
         for p in run(float(grid - 2)).trajectory if grid > 1 else ():
             t = protocols.point_temperature(spec, p)

@@ -51,8 +51,8 @@ class LadderSpec:
     target_gap: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.n_steps < 1:
-            raise DomainError(f"ladder needs n_steps >= 1, got {self.n_steps}")
+        if not isinstance(self.n_steps, int) or self.n_steps < 1:
+            raise DomainError(f"ladder needs an integer n_steps >= 1, got {self.n_steps!r}")
         if not 0.0 < self.t_room < math.inf:
             raise DomainError(f"t_room must be finite and > 0, got {self.t_room}")
         if not 0.0 < self.t_cold <= self.t_room:
@@ -61,8 +61,8 @@ class LadderSpec:
             )
         if self.t_hot is not None and not self.t_hot >= self.t_room:
             raise DomainError(f"t_hot must be >= t_room, got {self.t_hot}")
-        if self.e_ground_offset is not None and not self.e_ground_offset >= 0.0:
-            raise DomainError("e_ground_offset must be >= 0")
+        if self.e_ground_offset is not None and not 0.0 <= self.e_ground_offset < math.inf:
+            raise DomainError(f"e_ground_offset must be finite and >= 0, got {self.e_ground_offset}")
         if not self.target_gap > 0.0:
             raise DomainError(f"target gap must be > 0, got {self.target_gap}")
 

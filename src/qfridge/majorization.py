@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -98,7 +98,6 @@ class ConstrainedMinResult:
     minimizer: np.ndarray
     objective: float
     transform_sequence: tuple[TTransform, ...]
-    swap_parameters: Mapping[str, float] = field(default_factory=dict)
 
 
 def _check_order(pairs: list[tuple[float, float]], context: str) -> None:
@@ -143,7 +142,6 @@ def solve_one_qubit(
         minimizer=minimizer,
         objective=float(minimizer @ h_arr),
         transform_sequence=transforms,
-        swap_parameters={"mu": mu, "t_1": 1.0 - mu, "t_2": 1.0 - mu},
     )
 
 
@@ -195,7 +193,6 @@ def solve_two_qubit(
         mu = 0.0 if span <= 0.0 else min(max((r_target - r) / span, 0.0), 1.0)
         t = 1.0 - mu
         transforms = (TTransform(2, 4, t), TTransform(3, 5, t))
-        params = {"mu": mu, "t_1": t, "t_2": t}
     else:
         _check_order(
             [(rho[0], rho[4]), (rho[4], rho[1]), (rho[1], rho[2]), (rho[1], rho[5]),
@@ -207,7 +204,6 @@ def solve_two_qubit(
             w = 0.0 if span <= 0.0 else min(max((r_target - r) / span, 0.0), 1.0)
             t = 1.0 - w
             transforms = (TTransform(1, 4, t), TTransform(3, 6, t))
-            params = {"mu": 0.5 * w, "t_1": t, "t_2": t}
         else:
             span = r_b - r_c
             w = 0.0 if span <= 0.0 else min(max((r_target - r_c) / span, 0.0), 1.0)
@@ -218,63 +214,12 @@ def solve_two_qubit(
                 TTransform(2, 4, t),
                 TTransform(3, 5, t),
             )
-            params = {"mu": 0.5 * (1.0 + w), "t_1": t, "t_2": t}
 
     minimizer = apply_transforms(rho, transforms)
     return ConstrainedMinResult(
         minimizer=minimizer,
         objective=float(minimizer @ h_arr),
         transform_sequence=transforms,
-        swap_parameters=params,
-    )
-
-
-def endpoint_minimizer(
-    rho_in: Sequence[float], k: int, h: Sequence[float]
-) -> ConstrainedMinResult:
-    """Maximal-cooling endpoint: passive arrangement within each half.
-
-    The ground half receives the k largest entries of ``rho_in`` arranged
-    inversely to the ground-half energies, the excited half the rest arranged
-    inversely to the excited-half energies.  Ties in entry ordering are broken
-    by ascending index (any tie-break gives the same objective).
-    """
-    rho = _as_popvector(rho_in, "rho_in")
-    h_arr = np.asarray(h, dtype=float)
-    n = rho.size
-    if h_arr.size != n:
-        raise DomainError("rho_in and h must have equal length")
-    if not 0 < k < n:
-        raise DomainError(f"ground-subspace size k={k} must satisfy 0 < k < {n}")
-
-    # Sources: entries by descending value, ascending index on ties.
-    order = np.lexsort((np.arange(n), -rho))
-    # Destinations: within each half, slots by ascending energy (stable).
-    ground_slots = np.lexsort((np.arange(k), h_arr[:k]))
-    excited_slots = k + np.lexsort((np.arange(n - k), h_arr[k:]))
-    source_of_slot = np.empty(n, dtype=int)
-    source_of_slot[ground_slots] = order[:k]
-    source_of_slot[excited_slots] = order[k:]
-
-    # Decompose the permutation into transpositions (T-transforms with t = 0).
-    occupant = list(range(n))
-    position = {idx: idx for idx in range(n)}
-    transforms: list[TTransform] = []
-    for slot in range(n):
-        want = int(source_of_slot[slot])
-        if occupant[slot] == want:
-            continue
-        other = position[want]
-        transforms.append(TTransform(slot, other, 0.0))
-        position[occupant[slot]], position[want] = other, slot
-        occupant[slot], occupant[other] = occupant[other], occupant[slot]
-
-    minimizer = rho[source_of_slot]
-    return ConstrainedMinResult(
-        minimizer=minimizer,
-        objective=float(minimizer @ h_arr),
-        transform_sequence=tuple(transforms),
-        swap_parameters={},
     )
 
 

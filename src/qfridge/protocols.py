@@ -13,12 +13,11 @@ branches, never large-number approximations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, NamedTuple
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from . import virtual
 from .thermal import (
-    ConfigurationError,
     DomainError,
     INFINITE,
     InfeasibleTargetError,
@@ -59,21 +58,12 @@ def _require_repetition_count(n: float) -> None:
 
 @dataclass(frozen=True)
 class RepetitionPlan:
-    """Repetition count plus the protocol's control parameter map.
-
-    ``n`` may be a non-negative integer or ``math.inf``.  The only control
-    key is ``t_hot`` (incoherent; overrides the machine's); any other key
-    raises :class:`DomainError` instead of being silently ignored.
-    """
+    """Repetition count: a non-negative integer or ``math.inf``."""
 
     n: float
-    control: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         _require_repetition_count(self.n)
-        unknown = sorted(set(self.control) - {"t_hot"})
-        if unknown:
-            raise DomainError(f"unknown control keys {unknown}; only 't_hot' is read")
 
 
 def _room_population(spec: MachineSpec) -> float:
@@ -101,35 +91,6 @@ def point_temperature(spec: MachineSpec, point: TrajectoryPoint) -> float:
     if point.step == 0 and point.r == _room_population(spec):
         return spec.t_room
     return _final_temperature(spec, point.r)
-
-
-def one_qubit_incoherent(spec: MachineSpec) -> ProtocolOutcome:
-    """Single-qubit machine under energy-conserving unitaries: no cooling.
-
-    With one machine qubit the joint spectrum offers no degeneracy that can
-    raise the target's ground population: zero gaps make the state
-    proportional to the identity on the degenerate subspaces, and equal gaps
-    leave the favorable level already more populated.
-    """
-    if len(spec.machine) != 1:
-        raise DomainError("one-qubit protocol needs exactly one machine qubit")
-    e, e_b = spec.e, spec.e_b
-    scale = max(1.0, e, e_b)
-    if e <= RESONANCE_RTOL * scale or e_b <= RESONANCE_RTOL * scale:
-        reason = "zero-gap degeneracy: state proportional to identity on it"
-    elif abs(e - e_b) <= RESONANCE_RTOL * scale:
-        reason = "equal gaps: unitaries on the degenerate subspace only heat"
-    else:
-        reason = "no degeneracy: only trivial energy-conserving unitaries exist"
-    r = _room_population(spec)
-    return ProtocolOutcome(
-        r_final=r,
-        t_final=spec.t_room,
-        work_cost=0.0,
-        heat_drawn=0.0,
-        trajectory=(TrajectoryPoint(0, r, 0.0),),
-        flag=f"no cooling possible: {reason}",
-    )
 
 
 def one_qubit_coherent(spec: MachineSpec, r_target: float) -> ProtocolOutcome:
@@ -176,6 +137,13 @@ def two_qubit_incoherent_single(spec: MachineSpec) -> ProtocolOutcome:
     )
 
 
+def _origin_temperature(t_room: float, delta_f: float) -> float:
+    # A frontier inverse at a budget that is not > 0: t_room, or NaN rejected.
+    if delta_f <= 0.0:
+        return t_room
+    raise DomainError(f"work budget must be a number, got {delta_f}")
+
+
 def incoherent_inverse(spec: MachineSpec) -> Callable[[float], float]:
     """Inverse of the single-cycle incoherent frontier: work budget to temperature.
 
@@ -192,7 +160,8 @@ def incoherent_inverse(spec: MachineSpec) -> Callable[[float], float]:
     handful of W evaluations instead of ~52, and never more than 12 beyond
     plain bisection.  The target population follows from the same
     degenerate-pair swap.  Budgets at or beyond W(1/2) raise
-    :class:`InfeasibleTargetError`; budgets <= 0 return t_room.
+    :class:`InfeasibleTargetError`; budgets <= 0 return t_room; NaN raises
+    :class:`DomainError`.
     """
     spec.require_resonance()
     e_c, t_room = spec.e_c, spec.t_room
@@ -201,8 +170,8 @@ def incoherent_inverse(spec: MachineSpec) -> Callable[[float], float]:
     w_half = e_c * (r_c - 0.5)
 
     def temperature_of_work(delta_f: float) -> float:
-        if delta_f <= 0.0:
-            return t_room
+        if not delta_f > 0.0:
+            return _origin_temperature(t_room, delta_f)
         if delta_f >= w_half:
             raise InfeasibleTargetError("work budget beyond the incoherent curve")
         # W(lo) >= delta_f > W(hi); every evaluation moves the end on its side.
@@ -334,14 +303,16 @@ def coherent_inverse(spec: MachineSpec) -> Callable[[float], float]:
     returned function walks the phases at their gradients for one budget.
     Budgets <= 0 return t_room; budgets beyond
     :func:`single_cycle_coherent_cost` return r_B's temperature (0.0 once r_B
-    saturates to 1 in double precision).
+    saturates to 1 in double precision); NaN raises :class:`DomainError`.
     """
     t_room = spec.t_room
     r = _room_population(spec)
     phases = _single_cycle_phases(spec)
 
     def temperature_of_work(delta_f: float) -> float:
-        if delta_f <= 0.0 or phases[-1][0] <= r:
+        if not delta_f > 0.0:
+            return _origin_temperature(t_room, delta_f)
+        if phases[-1][0] <= r:
             return t_room
         work, r_now = 0.0, r
         for r_end, gradient in phases[:-1]:
@@ -394,11 +365,7 @@ def repeated_incoherent(spec: MachineSpec, plan: RepetitionPlan) -> ProtocolOutc
     Carnot factor.
     """
     spec.require_resonance()
-    t_hot = plan.control.get("t_hot", spec.t_hot)
-    if t_hot is None:
-        raise ConfigurationError("repeated incoherent operation needs t_hot")
-    if not t_hot >= spec.t_room:
-        raise DomainError(f"t_hot must be >= t_room, got {t_hot}")
+    t_hot = spec.require_hot_bath()
     n = plan.n
     r = _room_population(spec)
     _, r_c = _machine_room_populations(spec)
@@ -536,6 +503,8 @@ def precool_mixing_for_population(spec: MachineSpec, r_target: float) -> float:
     At and beyond the full-precooling floor the mixing is exactly 1; the
     closed form would lose that to the cancellation in 1 - r_target.
     """
+    if not 0.0 <= r_target <= 1.0:
+        raise DomainError(f"population must lie in [0, 1], got {r_target}")
     if r_target >= boltzmann_population(spec.e, _algorithmic_limit_temperature(spec)):
         return 1.0
     r_b, r_c = _machine_room_populations(spec)

@@ -209,9 +209,7 @@ def check_vertex_oracle(
     )
 
 
-def check_thermalization_gradients(
-    seed: int, cases: int = 25, tol: float = 1e-6, mutate: str | None = None
-) -> CheckResult:
+def check_thermalization_gradients(seed: int, cases: int = 25, tol: float = 1e-6) -> CheckResult:
     """Finite-difference bias slopes: signs and agreement with the closed form."""
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -248,7 +246,7 @@ def check_thermalization_gradients(
     )
 
 
-def check_ladder_gap_rate(mutate: str | None = None) -> CheckResult:
+def check_ladder_gap_rate() -> CheckResult:
     """O(1/N) halving of the second-law gap plus the embedded-preheat bound."""
     worst_ratio_error = 0.0
     for n in (16, 32, 64):
@@ -303,8 +301,8 @@ def run_verification(
     checks = [
         check_formula_dense_equivalence(seed, machines=machines, mutate=mutate),
         check_vertex_oracle(seed + 1, instances=instances, mutate=mutate),
-        check_thermalization_gradients(seed + 2, mutate=mutate),
-        check_ladder_gap_rate(mutate=mutate),
+        check_thermalization_gradients(seed + 2),
+        check_ladder_gap_rate(),
     ]
     if samples > 0:
         checks.insert(1, check_pareto_sweep(seed, samples, mutate=mutate))

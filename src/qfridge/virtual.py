@@ -32,7 +32,7 @@ class VirtualQubit:
     gap: float
 
     def __post_init__(self) -> None:
-        if self.p_g < 0.0 or self.p_e < 0.0:
+        if not (self.p_g >= 0.0 and self.p_e >= 0.0):
             raise DomainError(f"populations must be >= 0, got ({self.p_g}, {self.p_e})")
         if self.norm == 0.0:
             raise EmptyVirtualQubitError("virtual qubit with zero norm")
@@ -47,11 +47,6 @@ class VirtualQubit:
     def r_v(self) -> float:
         """Normalized ground population p_g / (p_g + p_e)."""
         return self.p_g / self.norm
-
-    @property
-    def z_v(self) -> float:
-        """Normalized bias (p_g - p_e) / (p_g + p_e) = tanh(gap / (2 t_v))."""
-        return (self.p_g - self.p_e) / self.norm
 
     @property
     def t_v(self) -> float:
@@ -90,8 +85,5 @@ def n_swap_population(r0: float, vq: VirtualQubit, n: float) -> float:
     """
     if not n >= 0:
         raise DomainError(f"repetition count must be >= 0, got {n}")
-    if math.isinf(n):
-        contraction = 0.0 if vq.norm > 0.0 else 1.0
-    else:
-        contraction = (1.0 - vq.norm) ** n
+    contraction = 0.0 if math.isinf(n) else (1.0 - vq.norm) ** n
     return vq.r_v - (vq.r_v - r0) * contraction

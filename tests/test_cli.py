@@ -599,6 +599,16 @@ class TestLadderCommand:
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("e_g", ["inf", "nan"])
+    def test_non_finite_ground_offset_is_usage_error(self, e_g, capsys):
+        rc = main(
+            ["ladder", "--t-c", "0.5", "--t-h", "10", "--n", "4", "--e-c", "0.4", "--e-g", e_g]
+        )
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "e_ground_offset" in captured.err
+
 
 class TestConfigFile:
     def test_file_values_and_flag_override(self, tmp_path, capsys):

@@ -84,6 +84,16 @@ class TestCoherentLadder:
         with pytest.raises(DomainError):
             LadderSpec(4, 0.5, t_room)
 
+    @pytest.mark.parametrize("e_g", [INFINITE, math.nan])
+    def test_non_finite_ground_offset_rejected(self, e_g):
+        with pytest.raises(DomainError):
+            LadderSpec(4, 0.5, 1.0, t_hot=10.0, e_ground_offset=e_g)
+
+    @pytest.mark.parametrize("n_steps", [2.0, 2.5, "4"])
+    def test_non_integer_stage_count_rejected(self, n_steps):
+        with pytest.raises(DomainError):
+            LadderSpec(n_steps, 0.5, 1.0)
+
 
 class TestIncoherentLadder:
     def test_stage_temperatures_identical_to_coherent(self):

@@ -1,5 +1,4 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from qfridge.majorization import (
     TTransform,
     _permutation_indices,
     apply_transforms,
-    endpoint_minimizer,
     majorizes,
     solve_one_qubit,
     solve_two_qubit,
@@ -74,7 +72,6 @@ class TestSolveOneQubit:
         _, rho, h = _one_qubit_inputs()
         r = rho[:2].sum()
         res = solve_one_qubit(rho, h, r)
-        assert res.swap_parameters["mu"] == pytest.approx(0.0, abs=1e-12)
         assert np.allclose(res.minimizer, rho, atol=1e-15)
         assert res.objective == pytest.approx(float(rho @ h), abs=1e-14)
 
@@ -82,7 +79,6 @@ class TestSolveOneQubit:
         _, rho, h = _one_qubit_inputs()
         r_b = rho[[0, 2]].sum()
         res = solve_one_qubit(rho, h, r_b)
-        assert res.swap_parameters["mu"] == pytest.approx(1.0, abs=1e-12)
         # middle pair fully exchanged
         assert res.minimizer[1] == pytest.approx(rho[2], abs=1e-15)
         assert res.minimizer[2] == pytest.approx(rho[1], abs=1e-15)
@@ -154,7 +150,6 @@ class TestSolveTwoQubit:
         r = rho[:4].sum()
         r_c = rho[[0, 2, 4, 6]].sum()
         res = solve_two_qubit(rho, h, r_c)
-        assert res.swap_parameters["mu"] == pytest.approx(0.5, abs=1e-12)
         assert res.objective - float(rho @ h) == pytest.approx(
             (1.7 - 1.0) * (r_c - r), abs=1e-13
         )
@@ -239,65 +234,6 @@ class TestSolveTwoQubit:
         assert len(interior) <= 1
 
 
-class TestEndpointMinimizer:
-    def test_passive_input_is_fixed_point(self):
-        rho = np.array([0.4, 0.3, 0.2, 0.1])
-        h = np.array([0.0, 1.0, 2.0, 3.0])
-        res = endpoint_minimizer(rho, 2, h)
-        assert np.allclose(res.minimizer, rho, atol=1e-15)
-        assert res.transform_sequence == ()
-
-    def test_uniform_input_unchanged(self):
-        rho = np.full(8, 0.125)
-        h = hamiltonian_diagonal((1.0, 1.4, 0.4))
-        res = endpoint_minimizer(rho, 4, h)
-        assert np.allclose(res.minimizer, rho, atol=1e-15)
-        assert res.objective == pytest.approx(float(rho @ h), abs=1e-14)
-
-    def test_two_qubit_machine_against_exhaustive_search(self):
-        # exhaustive search over all 8! arrangements achieving the maximal
-        # ground sum, minimizing <x, H>
-        _, rho, h = _two_qubit_inputs(e_c=0.4)
-        res = endpoint_minimizer(rho, 4, h)
-        r_star = res.minimizer[:4].sum()
-        assert r_star == pytest.approx(np.sort(rho)[-4:].sum(), abs=1e-14)
-
-        best = math.inf
-        for perm in itertools.permutations(range(8)):
-            x = rho[list(perm)]
-            if abs(x[:4].sum() - r_star) > 1e-12:
-                continue
-            best = min(best, float(x @ h))
-        assert res.objective == pytest.approx(best, abs=1e-12)
-
-    def test_matches_solver_at_endpoint(self):
-        _, rho, h = _two_qubit_inputs(e_c=0.4)
-        r_b = rho[[0, 1, 4, 5]].sum()
-        via_solver = solve_two_qubit(rho, h, r_b)
-        via_endpoint = endpoint_minimizer(rho, 4, h)
-        assert via_endpoint.objective == pytest.approx(via_solver.objective, abs=1e-12)
-
-    def test_transform_sequence_reproduces_minimizer(self):
-        _, rho, h = _two_qubit_inputs(e_c=1.7)
-        res = endpoint_minimizer(rho, 4, h)
-        rebuilt = apply_transforms(rho, res.transform_sequence)
-        assert np.allclose(rebuilt, res.minimizer, atol=1e-15)
-
-    def test_tie_break_is_objective_neutral(self):
-        # rho with exact ties: any tie-break must give the same objective
-        rho = np.array([0.25, 0.25, 0.2, 0.1, 0.1, 0.05, 0.03, 0.02])
-        h = hamiltonian_diagonal((1.0, 1.4, 0.4))
-        res = endpoint_minimizer(rho, 4, h)
-        best = math.inf
-        r_star = np.sort(rho)[-4:].sum()
-        for perm in itertools.permutations(range(8)):
-            x = rho[list(perm)]
-            if abs(x[:4].sum() - r_star) > 1e-12:
-                continue
-            best = min(best, float(x @ h))
-        assert res.objective == pytest.approx(best, abs=1e-12)
-
-
 class TestVertexOracle:
     def test_dimension_two_closed_form(self):
         rho = np.array([0.7, 0.3])
@@ -334,23 +270,6 @@ class TestVertexOracle:
         rho = np.full(16, 1 / 16)
         with pytest.raises(DomainError):
             vertex_oracle_min(rho, np.arange(16.0), 8, 0.5)
-
-
-@given(
-    raw=st.lists(st.floats(0.01, 1.0), min_size=8, max_size=8),
-    h_raw=st.lists(st.floats(0.0, 3.0), min_size=8, max_size=8),
-)
-@settings(max_examples=40, deadline=None)
-def test_endpoint_minimizer_matches_oracle_on_arbitrary_vectors(raw, h_raw):
-    # subspace passivity is claimed for any input, not just thermal products
-    rho = np.array(raw) / np.sum(raw)
-    h = np.array(h_raw)
-    res = endpoint_minimizer(rho, 4, h)
-    r_star = float(np.sort(rho)[-4:].sum())
-    assert res.minimizer[:4].sum() == pytest.approx(r_star, abs=1e-12)
-    assert majorizes(rho, res.minimizer)
-    reference = vertex_oracle_min(rho, h, 4, r_star)
-    assert res.objective == pytest.approx(reference, abs=1e-10)
 
 
 @given(

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfridge.protocols import autonomous_steady_state, repeated_coherent
-from qfridge.thermal import INFINITE, MachineSpec, boltzmann_population
+from qfridge.thermal import INFINITE, DomainError, MachineSpec, boltzmann_population
 from qfridge.virtual import (
     EmptyVirtualQubitError,
     VirtualQubit,
@@ -50,10 +50,16 @@ class TestExtraction:
         with pytest.raises(EmptyVirtualQubitError):
             VirtualQubit(p_g=0.0, p_e=0.0, gap=1.0)
 
+    @pytest.mark.parametrize("p_g, p_e", [(math.nan, 0.2), (0.2, math.nan)])
+    def test_nan_population_rejected(self, p_g, p_e):
+        with pytest.raises(DomainError):
+            VirtualQubit(p_g=p_g, p_e=p_e, gap=1.0)
+
     def test_bias_matches_tanh_relation(self):
         state = _machine_state(1.4, 0.4, 1.0, 2.0)
         vq = extract_virtual_qubit(state, 1, 2, 1.0)
-        assert vq.z_v == pytest.approx(math.tanh(vq.gap / (2 * vq.t_v)), abs=1e-12)
+        bias = (vq.p_g - vq.p_e) / vq.norm
+        assert bias == pytest.approx(math.tanh(vq.gap / (2 * vq.t_v)), abs=1e-12)
 
     def test_pure_ground_virtual_qubit_has_zero_temperature(self):
         assert VirtualQubit(p_g=0.25, p_e=0.0, gap=1.0).t_v == 0.0
