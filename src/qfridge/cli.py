@@ -19,7 +19,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Iterable, Sequence
 
 from . import protocols
@@ -64,14 +64,6 @@ class CrossingReport:
     t_crit: float | None
     delta_f_crit_prime: float | None
     sign_changes: int
-
-    def to_dict(self) -> dict:
-        return {
-            "delta_f_crit": self.delta_f_crit,
-            "t_crit": self.t_crit,
-            "delta_f_crit_prime": self.delta_f_crit_prime,
-            "sign_changes": self.sign_changes,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -456,18 +448,12 @@ def main(argv: Sequence[str] | None = None) -> int:
                 with open(args.output, "w", encoding="utf-8") as handle:
                     _write_curve(points, handle, args.full_precision)
             return 0
+        code = 0
         if args.command == "crossing":
-            spec = _machine_from(args, config)
-            report = crossing_report(spec, args.tolerance)
-            json.dump(report.to_dict(), sys.stdout, indent=2)
-            sys.stdout.write("\n")
-            return 0
-        if args.command == "summary":
-            spec = _machine_from(args, config)
-            json.dump(summary_quantities(spec), sys.stdout, indent=2)
-            sys.stdout.write("\n")
-            return 0
-        if args.command == "verify":
+            payload = asdict(crossing_report(_machine_from(args, config), args.tolerance))
+        elif args.command == "summary":
+            payload = summary_quantities(_machine_from(args, config))
+        elif args.command == "verify":
             from . import verify
 
             seed = _default_seed(args, config)
@@ -478,10 +464,9 @@ def main(argv: Sequence[str] | None = None) -> int:
                 instances=args.instances,
                 mutate=args.mutate,
             )
-            json.dump(report.to_dict(), sys.stdout, indent=2)
-            sys.stdout.write("\n")
-            return 0 if report.passed else 1
-        if args.command == "ladder":
+            payload = report.to_dict()
+            code = 0 if report.passed else 1
+        else:  # ladder; argparse rejects any other command
             n = _resolved(args, "n", config, None)
             if n is None:
                 raise DomainError("ladder needs --n (or config key N)")
@@ -511,10 +496,9 @@ def main(argv: Sequence[str] | None = None) -> int:
                     "gap": inc.gap,
                     "q_init": inc.q_init,
                 }
-            json.dump(payload, sys.stdout, indent=2)
-            sys.stdout.write("\n")
-            return 0
-        raise DomainError(f"unknown command {args.command!r}")
+        json.dump(payload, sys.stdout, indent=2)
+        sys.stdout.write("\n")
+        return code
     except (DomainError, InfeasibleTargetError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

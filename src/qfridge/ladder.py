@@ -24,6 +24,7 @@ from .thermal import (
     DomainError,
     binary_entropy,
     boltzmann_population,
+    resource_free_energy,
 )
 
 
@@ -63,8 +64,8 @@ class LadderSpec:
             raise DomainError(f"t_hot must be >= t_room, got {self.t_hot}")
         if self.e_ground_offset is not None and not 0.0 <= self.e_ground_offset < math.inf:
             raise DomainError(f"e_ground_offset must be finite and >= 0, got {self.e_ground_offset}")
-        if not self.target_gap > 0.0:
-            raise DomainError(f"target gap must be > 0, got {self.target_gap}")
+        if not 0.0 < self.target_gap < math.inf:
+            raise DomainError(f"target gap must be finite and > 0, got {self.target_gap}")
 
 
 @dataclass(frozen=True)
@@ -206,12 +207,11 @@ def incoherent_twin(spec: LadderSpec, coherent: LadderOutcome) -> LadderOutcome:
     not built twice.
     """
     t_hot = _driving_hot_bath(spec)
-    carnot = 1.0 - spec.t_room / t_hot
     if spec.e_ground_offset is not None:
         q_init = embedded_ladder_preheat(spec)
     else:
         q_init = _real_qubit_preheat(spec, t_hot)
-    w_total = q_init * carnot + coherent.w_total
+    w_total = resource_free_energy(q_init, t_hot, spec.t_room) + coherent.w_total
     return LadderOutcome(
         w_total=w_total,
         df_target=coherent.df_target,

@@ -22,6 +22,7 @@ from .thermal import (
     MachineSpec,
     boltzmann_population,
     hamiltonian_diagonal,
+    thermal_populations,
 )
 
 DEFAULT_SEED = 879190747  # fixed 64-bit-safe default, recorded in every report
@@ -138,18 +139,9 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def build_thermal_state(spec: MachineSpec, per_qubit_temps: Sequence[float]) -> DenseState:
     """Diagonal tensor product of single-qubit Gibbs states, target first."""
-    gaps = spec.gaps
-    if len(per_qubit_temps) != len(gaps):
-        raise DomainError(
-            f"need {len(gaps)} temperatures, got {len(per_qubit_temps)}"
-        )
-    if 2 ** len(gaps) > 8:
+    if 2 ** spec.n_qubits > 8:
         raise DomainError("oracle states are capped at dimension 8")
-    mat = np.array([[1.0]], dtype=complex)
-    for gap, temp in zip(gaps, per_qubit_temps):
-        r = boltzmann_population(gap, temp)
-        mat = _kron(mat, np.diag([r, 1.0 - r]).astype(complex))
-    return DenseState(mat)
+    return DenseState(np.diag(thermal_populations(spec.gaps, per_qubit_temps)))
 
 
 def assert_energy_conserving(u: UnitaryOp, h: Sequence[float]) -> None:
@@ -445,23 +437,23 @@ def _curve_arrays(curve: Sequence[tuple[float, float]]) -> tuple[np.ndarray, np.
 
 
 def dominates_curve(
-    r_value: float,
-    delta_f: float,
+    r: np.ndarray,
+    delta_f: np.ndarray,
     curve: Sequence[tuple[float, float]],
     slack: float = 1e-9,
-) -> bool:
-    """Whether one (population, cost) point strictly beats the claimed frontier.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Which (population, cost) points strictly beat the claimed frontier.
 
-    True when the point reaches a population the curve says is unreachable, or
+    ``curve`` is a sequence of (delta_f, r) points; the claimed minimal cost
+    at intermediate populations is its linear interpolation.  A point
+    dominates when it reaches a population the curve says is unreachable, or
     reaches a curve population at strictly lower cost than claimed (both
-    beyond ``slack``).
+    beyond ``slack``).  Returns the mask and the claimed cost at each ``r``.
     """
     curve_f, curve_r = _curve_arrays(curve)
-    r_in, r_max = float(curve_r[0]), float(curve_r[-1])
-    if r_value > r_max + slack:
-        return True
-    needed = float(np.interp(r_value, curve_r, curve_f))
-    return r_value > r_in + slack and delta_f < needed - slack
+    needed = np.interp(r, curve_r, curve_f)
+    mask = (r > curve_r[-1] + slack) | ((r > curve_r[0] + slack) & (delta_f < needed - slack))
+    return mask, needed
 
 
 def haar_pareto_sweep(
@@ -478,18 +470,16 @@ def haar_pareto_sweep(
     linear interpolation (exact when the curve includes its kinks, since the
     analytic frontier is piecewise linear).  A sample dominates if it reaches
     a higher population at strictly lower cost than the curve, beyond
-    ``slack``.  The expected report is empty.
+    ``slack`` (see :func:`dominates_curve`).  The expected report is empty.
     """
     if samples < 0:
         raise DomainError("sample count must be >= 0")
-    curve_f, curve_r = _curve_arrays(analytic_curve)
+    r_max = float(_curve_arrays(analytic_curve)[1][-1])
 
-    state = build_thermal_state(spec, (spec.t_room,) * spec.n_qubits)
-    pops = state.diagonal()
+    pops = thermal_populations(spec.gaps, (spec.t_room,) * spec.n_qubits)
     h = hamiltonian_diagonal(spec.gaps)
-    dim = state.dim
+    dim = pops.size
     base_energy = float(pops @ h)
-    r_in, r_max = float(curve_r[0]), float(curve_r[-1])
 
     rng = np.random.default_rng(seed)
     dominating: list[DominatingPoint] = []
@@ -502,8 +492,7 @@ def haar_pareto_sweep(
         del weights  # before the next batch is drawn
         r_s = final_pops[:, : dim // 2].sum(axis=1)
         f_s = final_pops @ h - base_energy
-        needed = np.interp(r_s, curve_r, curve_f)
-        bad = (r_s > r_max + slack) | ((r_s > r_in + slack) & (f_s < needed - slack))
+        bad, needed = dominates_curve(r_s, f_s, analytic_curve, slack)
         for local_idx in np.nonzero(bad)[0]:
             excess = max(
                 float(needed[local_idx] - f_s[local_idx]),
@@ -590,9 +579,8 @@ def thermalization_gradient_check(
     spec.require_resonance()
 
     def bias(tb: float, tc: float) -> float:
-        state = build_thermal_state(spec, (spec.t_room, tb, tc))
-        diag = state.diagonal()
-        return float(diag[5] - diag[2])
+        pops = thermal_populations(spec.gaps, (spec.t_room, tb, tc))
+        return float(pops[5] - pops[2])
 
     step_b = 1e-5 * t_b
     step_c = 1e-5 * t_c

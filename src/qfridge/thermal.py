@@ -188,6 +188,8 @@ def resource_free_energy(heat: float, t_hot: float, t_room: float) -> float:
         raise DomainError(f"t_room must be > 0, got {t_room}")
     if not t_hot >= t_room:
         raise DomainError(f"t_hot must be >= t_room, got {t_hot} < {t_room}")
+    if not math.isfinite(heat):
+        raise DomainError(f"heat must be finite, got {heat}")
     return heat * (0.0 if t_hot == t_room else 1.0 - t_room / t_hot)
 
 

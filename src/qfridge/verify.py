@@ -8,7 +8,7 @@ fail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -33,15 +33,6 @@ class CheckResult:
     tolerance: float
     detail: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "detail": self.detail,
-        }
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -56,7 +47,7 @@ class VerificationReport:
         return {
             "seed": self.seed,
             "passed": self.passed,
-            "checks": [c.to_dict() for c in self.checks],
+            "checks": [asdict(c) for c in self.checks],
         }
 
 
@@ -142,20 +133,12 @@ def check_pareto_sweep(
     if mutate == "pareto":
         curve = [(f * 1.5 + 1e-6, r) for f, r in curve]
     report = oracle.haar_pareto_sweep(spec, samples, curve, seed=seed, slack=slack)
-    curve_arr = np.asarray(curve)
-    order = np.argsort(curve_arr[:, 1])
-    curve_r, curve_f = curve_arr[order, 1], curve_arr[order, 0]
-    probe_residual = 0.0
-    probe_dominates = False
-    for mu in (0.0, 0.2, 0.5, 0.8, 1.0):
-        r_probe, f_probe = oracle.simulate_coherent_single(spec, mu)
-        needed = float(np.interp(r_probe, curve_r, curve_f))
-        probe_residual = max(probe_residual, abs(f_probe - needed))
-        probe_dominates = probe_dominates or oracle.dominates_curve(
-            r_probe, f_probe, curve, slack
-        )
+    probes = [oracle.simulate_coherent_single(spec, mu) for mu in (0.0, 0.2, 0.5, 0.8, 1.0)]
+    r_probe, f_probe = np.array(probes).T
+    probe_dominates, needed = oracle.dominates_curve(r_probe, f_probe, curve, slack)
+    probe_residual = float(np.abs(f_probe - needed).max())
     haar_residual = max((p.excess for p in report.dominating), default=0.0)
-    passed = report.passed and not probe_dominates and probe_residual <= slack
+    passed = report.passed and not probe_dominates.any() and probe_residual <= slack
     return CheckResult(
         name="pareto_sweep",
         passed=passed,

@@ -38,6 +38,8 @@ class VirtualQubit:
             raise EmptyVirtualQubitError("virtual qubit with zero norm")
         if self.norm > 1.0 + 1e-12:
             raise DomainError(f"virtual-qubit norm {self.norm} exceeds 1")
+        if not math.isfinite(self.gap):
+            raise DomainError(f"virtual-qubit gap must be finite, got {self.gap}")
 
     @property
     def norm(self) -> float:
@@ -73,8 +75,14 @@ def extract_virtual_qubit(
     return VirtualQubit(p_g=p_g, p_e=p_e, gap=gap)
 
 
+def _require_population(r: float) -> None:
+    if not 0.0 <= r <= 1.0:
+        raise DomainError(f"starting population must lie in [0, 1], got {r}")
+
+
 def swap_update(r: float, vq: VirtualQubit) -> float:
     """Target ground population after one full swap with the virtual qubit."""
+    _require_population(r)
     return vq.norm * vq.r_v + (1.0 - vq.norm) * r
 
 
@@ -85,5 +93,6 @@ def n_swap_population(r0: float, vq: VirtualQubit, n: float) -> float:
     """
     if not n >= 0:
         raise DomainError(f"repetition count must be >= 0, got {n}")
+    _require_population(r0)
     contraction = 0.0 if math.isinf(n) else (1.0 - vq.norm) ** n
     return vq.r_v - (vq.r_v - r0) * contraction

@@ -609,6 +609,16 @@ class TestLadderCommand:
         assert captured.out == ""
         assert "e_ground_offset" in captured.err
 
+    @pytest.mark.parametrize(
+        "command", [["ladder", "--n", "4"], ["curve", "ladder-coh", "--grid", "3"]]
+    )
+    def test_infinite_target_gap_is_usage_error_naming_it(self, command, capsys):
+        rc = main([*command, "--t-c", "0.5", "--t-h", "10", "--e-c", "0.4", "--e", "inf"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "target gap" in captured.err
+
 
 class TestConfigFile:
     def test_file_values_and_flag_override(self, tmp_path, capsys):

@@ -89,6 +89,11 @@ class TestCoherentLadder:
         with pytest.raises(DomainError):
             LadderSpec(4, 0.5, 1.0, t_hot=10.0, e_ground_offset=e_g)
 
+    @pytest.mark.parametrize("target_gap", [INFINITE, math.nan, 0.0])
+    def test_non_finite_or_zero_target_gap_rejected(self, target_gap):
+        with pytest.raises(DomainError, match="target gap"):
+            LadderSpec(4, 0.5, 1.0, t_hot=10.0, target_gap=target_gap)
+
     @pytest.mark.parametrize("n_steps", [2.0, 2.5, "4"])
     def test_non_integer_stage_count_rejected(self, n_steps):
         with pytest.raises(DomainError):

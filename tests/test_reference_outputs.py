@@ -1,8 +1,9 @@
 """Benchmark ops replayed against their recorded outputs.
 
-Every op of ``perfbench/workloads.py``'s ``figures`` workload, and the
-``crossing`` op of every machine in the ``scan`` pool, runs through
-``qfridge.cli.main`` and is checked against ``perfbench/reference`` with the
+Every op of ``perfbench/workloads.py``'s ``figures`` workload, the
+``crossing``, ``summary`` and ``ladder`` ops of every machine in the ``scan``
+pool, and the ``verify`` op of the first ``verify`` pool seed run through
+``qfridge.cli.main`` and are checked against ``perfbench/reference`` with the
 benchmark's own ``check_op`` (1e-8 relative per number).
 """
 
@@ -28,7 +29,8 @@ def _bench():
 BENCH = _bench()
 FIGURES = BENCH.load_reference("figures")["outputs"]
 SCAN = BENCH.load_reference("scan")
-SCAN_CROSSINGS = [BENCH.workloads.machine_ops(*m)[0] for m in SCAN["pool"]]
+SCAN_OPS = [BENCH.workloads.machine_ops(*m) for m in SCAN["pool"]]
+VERIFY = BENCH.load_reference("verify")
 
 
 def _check(argv, reference):
@@ -44,6 +46,21 @@ def test_figures_op_matches_reference(argv):
     assert _check(argv, FIGURES) is None
 
 
-@pytest.mark.parametrize("argv", SCAN_CROSSINGS, ids=BENCH.workloads.key)
+@pytest.mark.parametrize("argv", [ops[0] for ops in SCAN_OPS], ids=BENCH.workloads.key)
 def test_scan_crossing_matches_reference(argv):
     assert _check(argv, SCAN["outputs"]) is None
+
+
+@pytest.mark.parametrize("argv", [ops[1] for ops in SCAN_OPS], ids=BENCH.workloads.key)
+def test_scan_summary_matches_reference(argv):
+    assert _check(argv, SCAN["outputs"]) is None
+
+
+@pytest.mark.parametrize("argv", [ops[2] for ops in SCAN_OPS], ids=BENCH.workloads.key)
+def test_scan_ladder_matches_reference(argv):
+    assert _check(argv, SCAN["outputs"]) is None
+
+
+def test_verify_pool_seed_matches_reference():
+    argv = BENCH.workloads.verify_op(VERIFY["pool"][0])
+    assert _check(argv, VERIFY["outputs"]) is None

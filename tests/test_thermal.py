@@ -131,6 +131,11 @@ class TestResourceFreeEnergy:
         with pytest.raises(DomainError):
             resource_free_energy(0.2, 0.5, 1.0)
 
+    @pytest.mark.parametrize("heat", [math.nan, INFINITE, -INFINITE])
+    def test_rejects_non_finite_heat(self, heat):
+        with pytest.raises(DomainError, match="heat"):
+            resource_free_energy(heat, 2.0, 1.0)
+
     @given(
         heat=st.floats(1e-6, 10.0),
         t_room=st.floats(0.1, 10.0),

@@ -55,6 +55,11 @@ class TestExtraction:
         with pytest.raises(DomainError):
             VirtualQubit(p_g=p_g, p_e=p_e, gap=1.0)
 
+    @pytest.mark.parametrize("gap", [math.nan, INFINITE])
+    def test_non_finite_gap_rejected(self, gap):
+        with pytest.raises(DomainError, match="gap"):
+            VirtualQubit(p_g=0.3, p_e=0.2, gap=gap)
+
     def test_bias_matches_tanh_relation(self):
         state = _machine_state(1.4, 0.4, 1.0, 2.0)
         vq = extract_virtual_qubit(state, 1, 2, 1.0)
@@ -94,6 +99,12 @@ class TestSwapUpdate:
         assert moved == pytest.approx((1 - vq.norm) * (vq.r_v - r), abs=1e-13)
 
 
+    @pytest.mark.parametrize("r", [math.nan, -0.1, 1.5])
+    def test_population_outside_zero_to_one_rejected(self, r):
+        with pytest.raises(DomainError, match="population"):
+            swap_update(r, VirtualQubit(p_g=0.3, p_e=0.2, gap=1.0))
+
+
 class TestNSwap:
     def test_zero_steps(self):
         vq = VirtualQubit(p_g=0.3, p_e=0.1, gap=1.0)
@@ -115,6 +126,11 @@ class TestNSwap:
     def test_infinite_limit(self):
         vq = VirtualQubit(p_g=0.31, p_e=0.07, gap=1.0)
         assert n_swap_population(0.55, vq, math.inf) == vq.r_v
+
+    @pytest.mark.parametrize("r0", [math.nan, -0.1, 1.5])
+    def test_population_outside_zero_to_one_rejected(self, r0):
+        with pytest.raises(DomainError, match="population"):
+            n_swap_population(r0, VirtualQubit(p_g=0.3, p_e=0.2, gap=1.0), 2)
 
     @given(
         p_g=st.floats(0.05, 0.6),
