@@ -11,7 +11,6 @@ from .ladder import LadderOutcome, LadderSpec, coherent_ladder, embedded_ladder_
 from .protocols import (
     DegeneracyClassification,
     ProtocolOutcome,
-    RepetitionPlan,
     algorithmic_cooling,
     autonomous_steady_state,
     degeneracy_classifier,
@@ -84,7 +83,6 @@ __all__ = [
     "NegativeTemperatureError",
     "ProtocolOutcome",
     "QubitSpec",
-    "RepetitionPlan",
     "TTransform",
     "VirtualQubit",
     "algorithmic_cooling",

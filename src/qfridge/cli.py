@@ -8,7 +8,8 @@ status 1 on any failing check), ``ladder`` (second-law saturation data).
 Machine parameters are taken from flags or from a plain key-value config file
 (keys: E, E_C, T_R, T_H, N, seed); flags override the file.  The environment
 variable ``FRIDGE_SEED`` overrides the default oracle seed.  Exit status:
-0 success, 1 verification failure, 2 usage error.
+0 success, 1 verification failure, 2 usage error, 141 when the reader
+closes stdout early.
 """
 
 from __future__ import annotations
@@ -106,9 +107,7 @@ def curve_points(
     points: list[CurvePoint] = []
     if scenario == "inc-single":
         for t_hot in _hot_bath_grid(spec.t_room, grid):
-            out = protocols.two_qubit_incoherent_single(
-                MachineSpec(spec.target, spec.machine, spec.t_room, t_hot)
-            )
+            out = protocols.two_qubit_incoherent_single(replace(spec, t_hot=t_hot))
             points.append(CurvePoint(t_hot, out.work_cost, out.t_final, out.r_final))
     elif scenario == "coh-single":
         for mu in _linspace(0.0, 1.0, grid):
@@ -117,7 +116,7 @@ def curve_points(
             points.append(CurvePoint(mu, out.work_cost, out.t_final, out.r_final))
     elif scenario in ("inc-repeat", "coh-repeat", "algo"):
         run = {
-            "inc-repeat": lambda n: protocols.repeated_incoherent(spec, protocols.RepetitionPlan(n=n)),
+            "inc-repeat": lambda n: protocols.repeated_incoherent(spec, n),
             "coh-repeat": lambda n: protocols.repeated_coherent(spec, n),
             "algo": lambda n: protocols.algorithmic_cooling(spec, n, nu=nu, r0=r0),
         }[scenario]
@@ -273,7 +272,7 @@ def summary_quantities(spec: MachineSpec) -> dict:
 # Argument handling.
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = {"e": "e", "e_c": "e_c", "t_r": "t_r", "t_h": "t_h", "n": "n", "seed": "seed"}
+_CONFIG_KEYS = frozenset({"e", "e_c", "t_r", "t_h", "n", "seed"})
 
 
 def _parse_value(text: str) -> float:
@@ -382,9 +381,7 @@ def _resolved(args: argparse.Namespace, key: str, config: dict, default):
     flag = getattr(args, key, None)
     if flag is not None:
         return flag
-    if key in config:
-        return config[key]
-    return default
+    return config.get(key, default)
 
 
 def _machine_from(args: argparse.Namespace, config: dict) -> MachineSpec:
@@ -444,6 +441,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             )
             if args.output == "-":
                 _write_curve(points, sys.stdout, args.full_precision)
+                sys.stdout.flush()
             else:
                 with open(args.output, "w", encoding="utf-8") as handle:
                     _write_curve(points, handle, args.full_precision)
@@ -498,7 +496,13 @@ def main(argv: Sequence[str] | None = None) -> int:
                 }
         json.dump(payload, sys.stdout, indent=2)
         sys.stdout.write("\n")
+        sys.stdout.flush()
         return code
+    except BrokenPipeError:
+        # The reader closed stdout (`| head`): end quietly with 128 + SIGPIPE,
+        # with stdout on devnull so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (DomainError, InfeasibleTargetError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -56,16 +56,6 @@ def _require_repetition_count(n: float) -> None:
         raise DomainError(f"repetition count must be an integer or inf, got {n}")
 
 
-@dataclass(frozen=True)
-class RepetitionPlan:
-    """Repetition count: a non-negative integer or ``math.inf``."""
-
-    n: float
-
-    def __post_init__(self) -> None:
-        _require_repetition_count(self.n)
-
-
 def _room_population(spec: MachineSpec) -> float:
     return boltzmann_population(spec.e, spec.t_room)
 
@@ -93,6 +83,14 @@ def point_temperature(spec: MachineSpec, point: TrajectoryPoint) -> float:
     return _final_temperature(spec, point.r)
 
 
+def _single_cycle(
+    spec: MachineSpec, r: float, r_final: float, work: float, heat: float | None = None
+) -> ProtocolOutcome:
+    # One cycle from the room population r to r_final at the given cost.
+    trajectory = (TrajectoryPoint(0, r, 0.0), TrajectoryPoint(1, r_final, work))
+    return ProtocolOutcome(r_final, _final_temperature(spec, r_final), work, heat, trajectory)
+
+
 def one_qubit_coherent(spec: MachineSpec, r_target: float) -> ProtocolOutcome:
     """Work-optimal single-cycle cooling against one machine qubit."""
     if len(spec.machine) != 1:
@@ -103,13 +101,7 @@ def one_qubit_coherent(spec: MachineSpec, r_target: float) -> ProtocolOutcome:
         )
     r = _room_population(spec)
     r_b = boltzmann_population(spec.e_b, spec.t_room)
-    work = _phase_work(r, [(r_b, spec.e_b - spec.e)], r_target)
-    return ProtocolOutcome(
-        r_final=r_target,
-        t_final=_final_temperature(spec, r_target),
-        work_cost=work,
-        trajectory=(TrajectoryPoint(0, r, 0.0), TrajectoryPoint(1, r_target, work)),
-    )
+    return _single_cycle(spec, r, r_target, _phase_work(r, [(r_b, spec.e_b - spec.e)], r_target))
 
 
 def _degenerate_swap_population(r: float, r_b: float, c_pop: float) -> float:
@@ -127,14 +119,7 @@ def two_qubit_incoherent_single(spec: MachineSpec) -> ProtocolOutcome:
     r_ch = boltzmann_population(spec.e_c, t_hot)
     r_final = _degenerate_swap_population(r, r_b, r_ch)
     heat = spec.e_c * (r_c - r_ch)
-    work = resource_free_energy(heat, t_hot, spec.t_room)
-    return ProtocolOutcome(
-        r_final=r_final,
-        t_final=_final_temperature(spec, r_final),
-        work_cost=work,
-        heat_drawn=heat,
-        trajectory=(TrajectoryPoint(0, r, 0.0), TrajectoryPoint(1, r_final, work)),
-    )
+    return _single_cycle(spec, r, r_final, resource_free_energy(heat, t_hot, spec.t_room), heat)
 
 
 def _origin_temperature(t_room: float, delta_f: float) -> float:
@@ -337,13 +322,7 @@ def two_qubit_coherent_single(spec: MachineSpec, r_target: float) -> ProtocolOut
     """Work-optimal single-cycle coherent cooling of the resonant machine."""
     spec.require_resonance()
     r = _room_population(spec)
-    work = _phase_work(r, _single_cycle_phases(spec), r_target)
-    return ProtocolOutcome(
-        r_final=r_target,
-        t_final=_final_temperature(spec, r_target),
-        work_cost=work,
-        trajectory=(TrajectoryPoint(0, r, 0.0), TrajectoryPoint(1, r_target, work)),
-    )
+    return _single_cycle(spec, r, r_target, _phase_work(r, _single_cycle_phases(spec), r_target))
 
 
 def _virtual_qubit(spec: MachineSpec, c_pop: float, coherent: bool) -> virtual.VirtualQubit:
@@ -357,70 +336,89 @@ def _virtual_qubit(spec: MachineSpec, c_pop: float, coherent: bool) -> virtual.V
     return virtual.extract_virtual_qubit(state, 1, 2, spec.e_b - spec.e_c)
 
 
-def repeated_incoherent(spec: MachineSpec, plan: RepetitionPlan) -> ProtocolOutcome:
+def _reset_and_swap(
+    spec: MachineSpec,
+    n: float,
+    start: tuple[float, float],
+    virtual_qubit: Callable[[], virtual.VirtualQubit],
+    limit: Callable[[], tuple[float, float]],
+    cost: Callable[[float, float], float],
+    heat: Callable[[float], float] | None = None,
+) -> ProtocolOutcome:
+    # n reset-and-swap cycles from start = (r0, f0): cycle k lands on
+    # r_k = n_swap_population(r0, vq, k) at cost(r_k, r_(k-1)).  n = inf
+    # takes the exact limit (r_final, t_final) instead, priced with
+    # r_(k-1) = r_final; the virtual qubit is built for finite n only.  heat,
+    # when given, maps the last cycle's r_(k-1) to the heat drawn.
+    r0, f0 = start
+    if math.isinf(n):
+        r_final, t_final = limit()
+        r_prev = r_final
+        trajectory = (
+            TrajectoryPoint(0, r0, f0),
+            TrajectoryPoint(INFINITE, r_final, cost(r_final, r_final)),
+        )
+    else:
+        vq = virtual_qubit()
+        rs = [virtual.n_swap_population(r0, vq, k) for k in range(int(n) + 1)]
+        trajectory = (TrajectoryPoint(0, r0, f0),) + tuple(
+            TrajectoryPoint(k, rs[k], cost(rs[k], rs[k - 1])) for k in range(1, len(rs))
+        )
+        r_prev = rs[-2] if n else r0
+        t_final = point_temperature(spec, trajectory[-1])
+    last = trajectory[-1]
+    heat_drawn = None if heat is None else heat(r_prev)
+    return ProtocolOutcome(last.r, t_final, last.delta_f, heat_drawn, trajectory)
+
+
+def repeated_incoherent(spec: MachineSpec, n: float) -> ProtocolOutcome:
     """n reset-and-swap incoherent cycles (asymptote: the autonomous fridge).
 
     The heat ledger holds the initial preheat of qubit C plus the re-heats
-    before every swap after the first; the work cost is that heat times the
-    Carnot factor.
+    before every swap after the first, which follow the population r_(k-1)
+    moved by the earlier swaps; the work cost is that heat times the Carnot
+    factor.
     """
+    _require_repetition_count(n)
     spec.require_resonance()
     t_hot = spec.require_hot_bath()
-    n = plan.n
     r = _room_population(spec)
     _, r_c = _machine_room_populations(spec)
     r_ch = boltzmann_population(spec.e_c, t_hot)
-    vq = _virtual_qubit(spec, r_ch, False)
     preheat = spec.e_c * (r_c - r_ch)
 
-    if math.isinf(n):
-        t_final = _incoherent_limit_temperature(spec, t_hot)
-        r_final = boltzmann_population(spec.e, t_final)
-        heat = preheat + spec.e_c * (r_final - r)
-        work = resource_free_energy(heat, t_hot, spec.t_room)
-        trajectory = (
-            TrajectoryPoint(0, r, resource_free_energy(preheat, t_hot, spec.t_room)),
-            TrajectoryPoint(INFINITE, r_final, work),
-        )
-    else:
-        steps = int(n)
-        points = []
-        # The heat ledger at point k is the preheat plus the re-heats of C,
-        # which follow the population r_(k-1) moved by the earlier swaps.
-        heat = preheat
-        for k in range(steps + 1):
-            r_k = virtual.n_swap_population(r, vq, k)
-            f_k = resource_free_energy(heat, t_hot, spec.t_room)
-            points.append(TrajectoryPoint(k, r_k, f_k))
-            if k < steps:
-                heat = preheat + spec.e_c * (r_k - r)
-        trajectory = tuple(points)
-        r_final = trajectory[-1].r
-        t_final = point_temperature(spec, trajectory[-1])
-        work = trajectory[-1].delta_f
-    return ProtocolOutcome(
-        r_final=r_final,
-        t_final=t_final,
-        work_cost=work,
-        heat_drawn=heat,
-        trajectory=trajectory,
+    def heat(r_prev: float) -> float:
+        return preheat + spec.e_c * (r_prev - r)
+
+    return _reset_and_swap(
+        spec,
+        n,
+        (r, resource_free_energy(preheat, t_hot, spec.t_room)),
+        lambda: _virtual_qubit(spec, r_ch, False),
+        lambda: _incoherent_limit(spec, t_hot),
+        lambda r_k, r_prev: resource_free_energy(heat(r_prev), t_hot, spec.t_room),
+        heat,
     )
 
 
-def _incoherent_limit_temperature(spec: MachineSpec, t_hot: float) -> float:
-    # The bias vanishes only when t_room (and so t_hot) is infinite.
+def _incoherent_limit(spec: MachineSpec, t_hot: float) -> tuple[float, float]:
+    # (r, t) of the autonomous fridge; the bias vanishes only when t_room
+    # (and so t_hot) is infinite.
     bias = spec.e_b / spec.t_room - spec.e_c / t_hot
-    return spec.e / bias if bias > 0.0 else INFINITE
+    t = spec.e / bias if bias > 0.0 else INFINITE
+    return boltzmann_population(spec.e, t), t
 
 
-def _coherent_limit_temperature(spec: MachineSpec) -> float:
-    # Asymptote of repeated {00,11} swaps against a thermal machine.
-    return spec.t_room * spec.e / (spec.e_b + spec.e_c)
+def _coherent_limit(spec: MachineSpec) -> tuple[float, float]:
+    # (r, t) asymptote of repeated {00,11} swaps against a thermal machine.
+    t = spec.t_room * spec.e / (spec.e_b + spec.e_c)
+    return boltzmann_population(spec.e, t), t
 
 
-def _algorithmic_limit_temperature(spec: MachineSpec) -> float:
-    # Asymptote of {00,11} swaps with C fully precooled to B's population.
-    return spec.t_room * spec.e / (2.0 * spec.e_b)
+def _algorithmic_limit(spec: MachineSpec) -> tuple[float, float]:
+    # (r, t) asymptote of {00,11} swaps with C fully precooled to B's population.
+    t = spec.t_room * spec.e / (2.0 * spec.e_b)
+    return boltzmann_population(spec.e, t), t
 
 
 def autonomous_steady_state(spec: MachineSpec) -> ProtocolOutcome:
@@ -435,8 +433,7 @@ def autonomous_steady_state(spec: MachineSpec) -> ProtocolOutcome:
     r = _room_population(spec)
     _, r_c = _machine_room_populations(spec)
     r_ch = boltzmann_population(spec.e_c, t_hot)
-    t_auto = _incoherent_limit_temperature(spec, t_hot)
-    r_auto = boltzmann_population(spec.e, t_auto)
+    r_auto, t_auto = _incoherent_limit(spec, t_hot)
     heat = spec.e_c * (r_c - r_ch + r_auto - r)
     work = resource_free_energy(heat, t_hot, spec.t_room)
     return ProtocolOutcome(
@@ -458,34 +455,15 @@ def repeated_coherent(spec: MachineSpec, n: float) -> ProtocolOutcome:
     """
     spec.require_resonance()
     _require_repetition_count(n)
-    r = _room_population(spec)
     r_b, r_c = _machine_room_populations(spec)
     first_cost = single_cycle_coherent_cost(spec)
-
-    def cost_at(r_k: float) -> float:
-        return first_cost + 2.0 * spec.e_c * (r_k - r_b)
-
-    if math.isinf(n):
-        t_final = _coherent_limit_temperature(spec)
-        r_final = boltzmann_population(spec.e, t_final)
-        work = cost_at(r_final)
-        trajectory = (TrajectoryPoint(0, r, 0.0), TrajectoryPoint(INFINITE, r_final, work))
-    else:
-        steps = int(n)
-        vq = _virtual_qubit(spec, r_c, True)
-        points = [TrajectoryPoint(0, r, 0.0)]
-        for k in range(1, steps + 1):
-            r_k = virtual.n_swap_population(r, vq, k)
-            points.append(TrajectoryPoint(k, r_k, cost_at(r_k)))
-        trajectory = tuple(points)
-        r_final = trajectory[-1].r
-        t_final = point_temperature(spec, trajectory[-1])
-        work = trajectory[-1].delta_f
-    return ProtocolOutcome(
-        r_final=r_final,
-        t_final=t_final,
-        work_cost=work,
-        trajectory=trajectory,
+    return _reset_and_swap(
+        spec,
+        n,
+        (_room_population(spec), 0.0),
+        lambda: _virtual_qubit(spec, r_c, True),
+        lambda: _coherent_limit(spec),
+        lambda r_k, _: first_cost + 2.0 * spec.e_c * (r_k - r_b),
     )
 
 
@@ -505,7 +483,7 @@ def precool_mixing_for_population(spec: MachineSpec, r_target: float) -> float:
     """
     if not 0.0 <= r_target <= 1.0:
         raise DomainError(f"population must lie in [0, 1], got {r_target}")
-    if r_target >= boltzmann_population(spec.e, _algorithmic_limit_temperature(spec)):
+    if r_target >= _algorithmic_limit(spec)[0]:
         return 1.0
     r_b, r_c = _machine_room_populations(spec)
     denom = r_target * (1.0 - r_b) + r_b * (1.0 - r_target)
@@ -538,36 +516,22 @@ def algorithmic_cooling(
     c_pop = precooled_population(spec, nu)
     precool_cost = spec.e * (c_pop - r_c)
 
-    def cost_at(r_k: float, r_prev: float) -> float:
-        return precool_cost + 2.0 * spec.e_c * (r_k - r0) + spec.e * (r_prev - r0)
+    def virtual_qubit() -> virtual.VirtualQubit:
+        return _virtual_qubit(spec, c_pop, True)
 
-    if math.isinf(n):
+    def limit() -> tuple[float, float]:
         if nu == 1.0:
-            t_final = _algorithmic_limit_temperature(spec)
-            r_final = boltzmann_population(spec.e, t_final)
-        else:
-            r_final = _virtual_qubit(spec, c_pop, True).r_v
-            t_final = _final_temperature(spec, r_final)
-        work = cost_at(r_final, r_final)
-        trajectory = (TrajectoryPoint(0, r0, 0.0), TrajectoryPoint(INFINITE, r_final, work))
-    else:
-        steps = int(n)
-        vq = _virtual_qubit(spec, c_pop, True)
-        points = [TrajectoryPoint(0, r0, 0.0)]
-        r_prev = virtual.n_swap_population(r0, vq, 0)
-        for k in range(1, steps + 1):
-            r_k = virtual.n_swap_population(r0, vq, k)
-            points.append(TrajectoryPoint(k, r_k, cost_at(r_k, r_prev)))
-            r_prev = r_k
-        trajectory = tuple(points)
-        r_final = trajectory[-1].r
-        t_final = point_temperature(spec, trajectory[-1])
-        work = trajectory[-1].delta_f
-    return ProtocolOutcome(
-        r_final=r_final,
-        t_final=t_final,
-        work_cost=work,
-        trajectory=trajectory,
+            return _algorithmic_limit(spec)
+        r_v = virtual_qubit().r_v
+        return r_v, _final_temperature(spec, r_v)
+
+    return _reset_and_swap(
+        spec,
+        n,
+        (r0, 0.0),
+        virtual_qubit,
+        limit,
+        lambda r_k, r_prev: precool_cost + 2.0 * spec.e_c * (r_k - r0) + spec.e * (r_prev - r0),
     )
 
 
@@ -584,9 +548,8 @@ def optimal_sequence(spec: MachineSpec, t_target: float) -> ProtocolOutcome:
         raise DomainError(f"target temperature must be > 0, got {t_target}")
     r = _room_population(spec)
     _, r_c = _machine_room_populations(spec)
-    t_floor = _algorithmic_limit_temperature(spec)
+    r_floor, t_floor = _algorithmic_limit(spec)
     r_t = boltzmann_population(spec.e, t_target)
-    r_floor = boltzmann_population(spec.e, t_floor)
     if r_t > r_floor * (1.0 + 1e-12) or t_target < t_floor * (1.0 - 1e-12):
         raise InfeasibleTargetError(
             f"target temperature {t_target} below the reachable floor {t_floor}"
@@ -595,11 +558,9 @@ def optimal_sequence(spec: MachineSpec, t_target: float) -> ProtocolOutcome:
     if r_t <= r:
         return ProtocolOutcome(r, spec.t_room, 0.0)
 
-    t_coh_inf = _coherent_limit_temperature(spec)
+    r_coh_inf, t_coh_inf = _coherent_limit(spec)
     # (population endpoint, gradient): the single cycle, then {00,11} swaps.
-    phases = _single_cycle_phases(spec) + [
-        (boltzmann_population(spec.e, t_coh_inf), 2.0 * spec.e_c)
-    ]
+    phases = _single_cycle_phases(spec) + [(r_coh_inf, 2.0 * spec.e_c)]
 
     work, r_now = 0.0, r
     trajectory = [TrajectoryPoint(0, r, 0.0)]
@@ -627,12 +588,6 @@ def optimal_sequence(spec: MachineSpec, t_target: float) -> ProtocolOutcome:
     )
 
 
-_INTERNAL_DOMINANCE = (
-    "incoherent internal resource dominates the coherent one at any "
-    "temperature both can reach"
-)
-
-
 def internal_resource(
     spec: MachineSpec, scenario: str, control: float
 ) -> ProtocolOutcome:
@@ -643,7 +598,8 @@ def internal_resource(
     system state, entropy term included.  ``scenario='coherent'``: a local
     unitary with mixing ``control`` (= mu in [0, 1]) is applied to C and the
     energy change of the state is charged.  Both end with the degenerate-pair
-    swap.
+    swap.  The incoherent variant dominates the coherent one at any
+    temperature both can reach.
     """
     spec.require_resonance()
     r = _room_population(spec)
@@ -666,14 +622,7 @@ def internal_resource(
         work = (r_c - c_pop) * spec.e_c
     else:
         raise DomainError(f"unknown scenario {scenario!r}")
-    r_final = _degenerate_swap_population(r, r_b, c_pop)
-    return ProtocolOutcome(
-        r_final=r_final,
-        t_final=_final_temperature(spec, r_final),
-        work_cost=work,
-        trajectory=(TrajectoryPoint(0, r, 0.0), TrajectoryPoint(1, r_final, work)),
-        flag=_INTERNAL_DOMINANCE,
-    )
+    return _single_cycle(spec, r, _degenerate_swap_population(r, r_b, c_pop), work)
 
 
 @dataclass(frozen=True)
@@ -696,8 +645,8 @@ def degeneracy_classifier(e: float, e_b: float, e_c: float) -> DegeneracyClassif
     populations equal at any hot-bath temperature.
     """
     for name, value in (("e", e), ("e_b", e_b), ("e_c", e_c)):
-        if not value >= 0.0:
-            raise DomainError(f"{name} must be >= 0, got {value}")
+        if not 0.0 <= value < INFINITE:
+            raise DomainError(f"{name} must be finite and >= 0, got {value}")
     tol = RESONANCE_RTOL * max(1.0, e, e_b, e_c)
     found: list[str] = []
     labels = {"a": e, "b": e_b, "c": e_c}

@@ -50,6 +50,12 @@ class InfeasibleTargetError(ValueError):
     """
 
 
+def _require_gap(name: str, gap: float) -> None:
+    # An infinite gap has no population: exp(-gap/temp) is NaN at temp = inf.
+    if not 0.0 <= gap < INFINITE:
+        raise DomainError(f"{name} must be finite and >= 0, got {gap}")
+
+
 @dataclass(frozen=True)
 class QubitSpec:
     """A two-level system with ground state at zero energy."""
@@ -57,8 +63,7 @@ class QubitSpec:
     gap: float
 
     def __post_init__(self) -> None:
-        if not self.gap >= 0.0:
-            raise DomainError(f"qubit gap must be >= 0, got {self.gap}")
+        _require_gap("qubit gap", self.gap)
 
 
 @dataclass(frozen=True)
@@ -91,6 +96,8 @@ class MachineSpec:
         cls, e_b: float, t_room: float, t_hot: float | None = None, e: float = 1.0
     ) -> "MachineSpec":
         """Target of gap ``e`` plus a single machine qubit of gap ``e_b``."""
+        _require_gap("target gap", e)
+        _require_gap("machine gap e_b", e_b)
         return cls(QubitSpec(e), (QubitSpec(e_b),), t_room, t_hot)
 
     @classmethod
@@ -102,6 +109,8 @@ class MachineSpec:
         Deriving the B gap removes any tolerance question about the resonance
         condition at the source.
         """
+        _require_gap("target gap", e)
+        _require_gap("machine gap e_c", e_c)
         return cls(QubitSpec(e), (QubitSpec(e + e_c), QubitSpec(e_c)), t_room, t_hot)
 
     @property
@@ -150,8 +159,7 @@ def boltzmann_population(gap: float, temp: float) -> float:
     ``temp = math.inf`` returns exactly 0.5.  Monotone increasing in ``gap``
     and decreasing in ``temp``.
     """
-    if not gap >= 0.0:
-        raise DomainError(f"gap must be >= 0, got {gap}")
+    _require_gap("gap", gap)
     if not temp > 0.0:
         raise DomainError(f"temperature must be > 0 or infinite, got {temp}")
     return 1.0 / (1.0 + math.exp(-gap / temp))
@@ -164,8 +172,8 @@ def temperature_from_population(gap: float, r: float) -> float:
     below 1/2 would correspond to a negative temperature and raise
     :class:`NegativeTemperatureError` instead of being silently returned.
     """
-    if not gap > 0.0:
-        raise DomainError(f"gap must be > 0, got {gap}")
+    if not 0.0 < gap < INFINITE:
+        raise DomainError(f"gap must be finite and > 0, got {gap}")
     if not 0.0 < r < 1.0:
         raise DomainError(f"population must satisfy 0 < r < 1, got {r}")
     if r == 0.5:

@@ -83,8 +83,7 @@ def check_formula_dense_equivalence(
         r_formula = protocols.coherent_single_population(spec, mu)
         worst = max(worst, abs(r_formula - r_dense))
 
-        plan = protocols.RepetitionPlan(n=n)
-        traj = protocols.repeated_incoherent(spec, plan).trajectory
+        traj = protocols.repeated_incoherent(spec, n).trajectory
         rs, _ = oracle.simulate_repeated_incoherent(spec, n)
         worst = max(worst, max(abs(p.r - rd) for p, rd in zip(traj, rs)))
 

@@ -100,9 +100,7 @@ def test_criterion_5_asymptotic_identities(criterion):
             for t_room in (0.3, 1.0, 3.0):
                 for t_hot in (t_room, 2.0 * t_room, 10.0 * t_room, INFINITE):
                     spec = MachineSpec.two_qubit(e_c, t_room, t_hot)
-                    rep = protocols.repeated_incoherent(
-                        spec, protocols.RepetitionPlan(n=INFINITE)
-                    )
+                    rep = protocols.repeated_incoherent(spec, INFINITE)
                     auto = protocols.autonomous_steady_state(spec)
                     assert abs(rep.r_final - auto.r_final) <= 1e-14
                     assert abs(rep.heat_drawn - auto.heat_drawn) <= 1e-14

@@ -334,6 +334,13 @@ class TestCrossingCommand:
 
 
 class TestSummaryCommand:
+    def test_infinite_target_gap_is_usage_error_naming_it(self, capsys):
+        rc = main(["summary", "--e-c", "0.4", "--e", "inf"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "target gap" in captured.err
+
     def test_reference_values(self, capsys):
         rc = main(["summary", "--e-c", "1", "--t-r", "1"])
         payload = json.loads(capsys.readouterr().out)
@@ -727,6 +734,21 @@ class TestConsoleInterface:
         result = _run(["curve", "coh-single", "--e-c", "0.4", "--grid", "3"])
         assert result.returncode == 0
         assert result.stdout.splitlines()[0] == CSV_HEADER
+
+    def test_reader_closing_the_pipe_ends_quietly(self):
+        # ~740 kB of CSV: far more than the pipe holds, so the writer is
+        # still writing when the reader goes away after one line.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        cmd = [sys.executable, "-m", "qfridge.cli", "curve", "coh-single", *STANDARD]
+        child = subprocess.Popen(
+            [*cmd, "--grid", "20000"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        )
+        assert child.stdout.readline().decode().strip() == CSV_HEADER
+        child.stdout.close()
+        stderr = child.stderr.read()
+        assert child.wait(timeout=60) == 141
+        assert stderr == b""
 
     def test_closed_form_commands_never_load_numpy(self):
         # Only verify needs the dense oracle; everything else is scalar

@@ -23,7 +23,7 @@ def _per_n_curve(scenario, spec, grid, nu=1.0, r0=None):
     points = []
     for n in ns:
         if scenario == "inc-repeat":
-            out = protocols.repeated_incoherent(spec, protocols.RepetitionPlan(n=n))
+            out = protocols.repeated_incoherent(spec, n)
         elif scenario == "coh-repeat":
             out = protocols.repeated_coherent(spec, n)
         else:

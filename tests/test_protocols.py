@@ -1,5 +1,6 @@
 import ast
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfridge import oracle, protocols
+from qfridge import oracle, protocols, virtual
 from qfridge.majorization import InfeasibleTargetError, solve_two_qubit, vertex_oracle_min
-from qfridge.protocols import RepetitionPlan
+from qfridge.protocols import TrajectoryPoint
 from qfridge.thermal import (
     ConfigurationError,
     DomainError,
@@ -19,6 +20,7 @@ from qfridge.thermal import (
     QubitSpec,
     boltzmann_population,
     hamiltonian_diagonal,
+    resource_free_energy,
     temperature_from_population,
     thermal_populations,
 )
@@ -401,21 +403,15 @@ class TestTwoQubitCoherentSingle:
 
 
 class TestRepeatedIncoherent:
-    def test_plan_rejects_non_integer_count(self):
-        with pytest.raises(DomainError):
-            RepetitionPlan(1.5)
-        assert RepetitionPlan(2.0).n == 2.0
-        assert RepetitionPlan(INFINITE).n == INFINITE
-
     def test_infinite_room_temperature_is_finite(self):
         spec = MachineSpec.two_qubit(0.4, INFINITE, INFINITE)
         for n in (0, 3, INFINITE):
-            out = protocols.repeated_incoherent(spec, RepetitionPlan(n=n))
+            out = protocols.repeated_incoherent(spec, n)
             assert (out.work_cost, out.r_final, out.t_final) == (0.0, 0.5, INFINITE)
 
     def test_zero_steps_pays_only_preheat(self):
         spec = MachineSpec.two_qubit(0.4, 1.0, 3.0)
-        out = protocols.repeated_incoherent(spec, RepetitionPlan(n=0))
+        out = protocols.repeated_incoherent(spec, 0)
         r_c, r_ch = _r(0.4, 1.0), _r(0.4, 3.0)
         assert out.r_final == pytest.approx(_r(1.0, 1.0), abs=1e-15)
         assert out.heat_drawn == pytest.approx(0.4 * (r_c - r_ch), abs=1e-15)
@@ -423,13 +419,13 @@ class TestRepeatedIncoherent:
 
     def test_infinite_repetitions_at_infinite_bath_reach_coherent_star(self):
         spec = MachineSpec.two_qubit(0.4, 1.0, INFINITE)
-        out = protocols.repeated_incoherent(spec, RepetitionPlan(n=INFINITE))
+        out = protocols.repeated_incoherent(spec, INFINITE)
         assert out.t_final == pytest.approx(1.0 / 1.4, rel=1e-14)
         assert out.r_final == pytest.approx(_r(1.4, 1.0), rel=1e-14)
 
     def test_three_steps_against_dense_simulation(self):
         spec = MachineSpec.two_qubit(0.4, 1.0, 3.0)
-        out = protocols.repeated_incoherent(spec, RepetitionPlan(n=3))
+        out = protocols.repeated_incoherent(spec, 3)
         rs, heats = oracle.simulate_repeated_incoherent(spec, 3)
         assert out.r_final == pytest.approx(rs[-1], abs=1e-14)
         assert out.heat_drawn == pytest.approx(heats[-1], abs=1e-14)
@@ -439,11 +435,11 @@ class TestRepeatedIncoherent:
     def test_missing_hot_bath_rejected(self):
         spec = MachineSpec.two_qubit(0.4, 1.0)
         with pytest.raises(ConfigurationError):
-            protocols.repeated_incoherent(spec, RepetitionPlan(n=2))
+            protocols.repeated_incoherent(spec, 2)
 
     def test_trajectory_monotone(self):
         spec = MachineSpec.two_qubit(0.7, 1.0, 4.0)
-        out = protocols.repeated_incoherent(spec, RepetitionPlan(n=8))
+        out = protocols.repeated_incoherent(spec, 8)
         rs = [p.r for p in out.trajectory]
         assert all(b >= a - 1e-15 for a, b in zip(rs, rs[1:]))
 
@@ -452,7 +448,7 @@ class TestAutonomousSteadyState:
     def test_matches_infinite_repetition_exactly(self):
         spec = MachineSpec.two_qubit(0.9, 1.3, 4.2)
         auto = protocols.autonomous_steady_state(spec)
-        rep = protocols.repeated_incoherent(spec, RepetitionPlan(n=INFINITE))
+        rep = protocols.repeated_incoherent(spec, INFINITE)
         assert auto.r_final == rep.r_final
         assert auto.heat_drawn == rep.heat_drawn
 
@@ -473,6 +469,141 @@ class TestAutonomousSteadyState:
         rs, heats = oracle.simulate_repeated_incoherent(spec, 120)
         assert rs[-1] == pytest.approx(auto.r_final, abs=1e-12)
         assert heats[-1] == pytest.approx(auto.heat_drawn, abs=1e-12)
+
+
+class TestRepeatedEvaluators:
+    """The three repeated evaluators against copies of their earlier loops."""
+
+    @staticmethod
+    def _virtual_qubit(spec, c_pop, coherent):
+        r_b = _r(spec.e_b, spec.t_room)
+        s_b, s_c = 1.0 - r_b, 1.0 - c_pop
+        state = (r_b * c_pop, r_b * s_c, s_b * c_pop, s_b * s_c)
+        if coherent:
+            return virtual.extract_virtual_qubit(state, 0, 3, spec.e_b + spec.e_c)
+        return virtual.extract_virtual_qubit(state, 1, 2, spec.e_b - spec.e_c)
+
+    def _incoherent(self, spec, n):
+        # (trajectory, t_final, heat_drawn); work_cost is the last point's cost.
+        t_hot = spec.t_hot
+        r, r_c, r_ch = _r(spec.e, spec.t_room), _r(spec.e_c, spec.t_room), _r(spec.e_c, t_hot)
+        vq = self._virtual_qubit(spec, r_ch, False)
+        preheat = spec.e_c * (r_c - r_ch)
+        if math.isinf(n):
+            bias = spec.e_b / spec.t_room - spec.e_c / t_hot
+            t_final = spec.e / bias if bias > 0.0 else INFINITE
+            r_final = _r(spec.e, t_final)
+            heat = preheat + spec.e_c * (r_final - r)
+            work = resource_free_energy(heat, t_hot, spec.t_room)
+            f0 = resource_free_energy(preheat, t_hot, spec.t_room)
+            return (TrajectoryPoint(0, r, f0), TrajectoryPoint(INFINITE, r_final, work)), t_final, heat
+        points, heat = [], preheat
+        for k in range(int(n) + 1):
+            r_k = virtual.n_swap_population(r, vq, k)
+            points.append(TrajectoryPoint(k, r_k, resource_free_energy(heat, t_hot, spec.t_room)))
+            if k < n:
+                heat = preheat + spec.e_c * (r_k - r)
+        return tuple(points), protocols.point_temperature(spec, points[-1]), heat
+
+    def _coherent(self, spec, n):
+        r, r_b, r_c = (_r(gap, spec.t_room) for gap in spec.gaps)
+        first_cost = protocols.single_cycle_coherent_cost(spec)
+        if math.isinf(n):
+            t_final = spec.t_room * spec.e / (spec.e_b + spec.e_c)
+            r_final = _r(spec.e, t_final)
+            work = first_cost + 2.0 * spec.e_c * (r_final - r_b)
+            return (TrajectoryPoint(0, r, 0.0), TrajectoryPoint(INFINITE, r_final, work)), t_final, None
+        vq = self._virtual_qubit(spec, r_c, True)
+        points = [TrajectoryPoint(0, r, 0.0)]
+        for k in range(1, int(n) + 1):
+            r_k = virtual.n_swap_population(r, vq, k)
+            points.append(TrajectoryPoint(k, r_k, first_cost + 2.0 * spec.e_c * (r_k - r_b)))
+        return tuple(points), protocols.point_temperature(spec, points[-1]), None
+
+    def _algorithmic(self, spec, n, nu, r0):
+        r_c = _r(spec.e_c, spec.t_room)
+        c_pop = protocols.precooled_population(spec, nu)
+        precool_cost = spec.e * (c_pop - r_c)
+
+        def cost_at(r_k, r_prev):
+            return precool_cost + 2.0 * spec.e_c * (r_k - r0) + spec.e * (r_prev - r0)
+
+        if math.isinf(n):
+            if nu == 1.0:
+                t_final = spec.t_room * spec.e / (2.0 * spec.e_b)
+                r_final = _r(spec.e, t_final)
+            else:
+                r_final = self._virtual_qubit(spec, c_pop, True).r_v
+                t_final = protocols._final_temperature(spec, r_final)
+            work = cost_at(r_final, r_final)
+            return (TrajectoryPoint(0, r0, 0.0), TrajectoryPoint(INFINITE, r_final, work)), t_final, None
+        vq = self._virtual_qubit(spec, c_pop, True)
+        points = [TrajectoryPoint(0, r0, 0.0)]
+        r_prev = virtual.n_swap_population(r0, vq, 0)
+        for k in range(1, int(n) + 1):
+            r_k = virtual.n_swap_population(r0, vq, k)
+            points.append(TrajectoryPoint(k, r_k, cost_at(r_k, r_prev)))
+            r_prev = r_k
+        return tuple(points), protocols.point_temperature(spec, points[-1]), None
+
+    @staticmethod
+    def _machine(seed):
+        rng = random.Random(seed)
+        t_room = 10.0 ** rng.uniform(-1.5, 1.0)
+        t_hot = rng.choice([t_room, t_room * (1.0 + 10.0 ** rng.uniform(-3.0, 3.0)), INFINITE])
+        e = rng.choice([1.0, rng.uniform(0.2, 3.0)])
+        return MachineSpec.two_qubit(10.0 ** rng.uniform(-1.3, 0.7), t_room, t_hot, e=e), rng
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_walker_reproduces_the_three_loops_exactly(self, seed):
+        spec, rng = self._machine(seed)
+        r = _r(spec.e, spec.t_room)
+        custom_r0 = r + rng.random() * (1.0 - r)
+        cases = [(protocols.repeated_incoherent, (), self._incoherent, ())]
+        cases.append((protocols.repeated_coherent, (), self._coherent, ()))
+        for nu, r0 in ((1.0, None), (0.3, None), (0.0, None), (1.0, custom_r0)):
+            legacy_args = (nu, r if r0 is None else r0)
+            cases.append((protocols.algorithmic_cooling, (nu, r0), self._algorithmic, legacy_args))
+        for evaluate, args, legacy, legacy_args in cases:
+            for n in (0, 1, 2, 7, INFINITE):
+                try:
+                    trajectory, t_final, heat = legacy(spec, n, *legacy_args)
+                except virtual.EmptyVirtualQubitError:
+                    # Only the incoherent loop built its virtual qubit for
+                    # n = inf too; the limit needs none.
+                    if math.isinf(n):
+                        continue
+                    with pytest.raises(virtual.EmptyVirtualQubitError):
+                        evaluate(spec, n, *args)
+                    continue
+                out = evaluate(spec, n, *args)
+                assert out.trajectory == trajectory, (seed, evaluate.__name__, n, args)
+                assert repr(out.trajectory) == repr(trajectory)
+                assert out.r_final == trajectory[-1].r
+                assert out.t_final == t_final
+                assert out.work_cost == trajectory[-1].delta_f
+                assert out.heat_drawn == heat
+
+    def test_empty_incoherent_virtual_qubit_has_a_no_cooling_limit(self):
+        # B and C both saturate: the {01,10} pair is empty, so finite runs
+        # raise, while the n = inf limit leaves the target at t_room for free.
+        spec = MachineSpec.two_qubit(50.0, 1.0, 1.0)
+        with pytest.raises(virtual.EmptyVirtualQubitError):
+            protocols.repeated_incoherent(spec, 3)
+        out = protocols.repeated_incoherent(spec, INFINITE)
+        assert (out.r_final, out.t_final, out.work_cost) == (_r(1.0, 1.0), 1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "name", ["repeated_incoherent", "repeated_coherent", "algorithmic_cooling"]
+    )
+    def test_count_is_integer_or_inf(self, name):
+        evaluate = getattr(protocols, name)
+        spec = MachineSpec.two_qubit(0.4, 1.0, 3.0)
+        for n in (1.5, -1, math.nan):
+            with pytest.raises(DomainError, match="repetition count"):
+                evaluate(spec, n)
+        assert evaluate(spec, 2.0).trajectory[-1].step == 2
+        assert evaluate(spec, INFINITE).trajectory[-1].step == INFINITE
 
 
 class TestRepeatedCoherent:
@@ -847,6 +978,13 @@ class TestInternalResource:
 
 
 class TestDegeneracyClassifier:
+    def test_infinite_gap_rejected(self):
+        # An infinite gap made the tolerance infinite, so E_C = 1 read as 0.
+        with pytest.raises(DomainError, match="e_b must be finite"):
+            protocols.degeneracy_classifier(1.0, INFINITE, 1.0)
+        with pytest.raises(DomainError, match="e must be finite"):
+            protocols.degeneracy_classifier(INFINITE, INFINITE, 1.0)
+
     def test_resonance_enables_cooling(self):
         result = protocols.degeneracy_classifier(1.0, 1.4, 0.4)
         assert result.cooling_enabled
@@ -879,8 +1017,8 @@ class TestOutcomeInvariants:
         spec = MachineSpec.two_qubit(0.7, 1.0, 4.0)
         yield protocols.two_qubit_incoherent_single(spec)
         yield protocols.two_qubit_coherent_single(spec, 0.78)
-        yield protocols.repeated_incoherent(spec, RepetitionPlan(n=5))
-        yield protocols.repeated_incoherent(spec, RepetitionPlan(n=INFINITE))
+        yield protocols.repeated_incoherent(spec, 5)
+        yield protocols.repeated_incoherent(spec, INFINITE)
         yield protocols.autonomous_steady_state(spec)
         yield protocols.repeated_coherent(spec, 4)
         yield protocols.repeated_coherent(spec, INFINITE)

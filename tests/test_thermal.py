@@ -43,6 +43,11 @@ class TestBoltzmannPopulation:
         with pytest.raises(DomainError):
             boltzmann_population(-1.0, 1.0)
 
+    def test_rejects_infinite_gap(self):
+        # exp(-inf/inf) would make the population NaN.
+        with pytest.raises(DomainError, match="gap must be finite"):
+            boltzmann_population(INFINITE, INFINITE)
+
     # Strict monotonicity is tested on the band where the population has not
     # saturated to 1.0 in double precision (gap/temp below ~36).
 
@@ -95,6 +100,10 @@ class TestTemperatureFromPopulation:
             temperature_from_population(0.0, 0.7)
         with pytest.raises(DomainError):
             temperature_from_population(1.0, 1.0)
+
+    def test_rejects_infinite_gap(self):
+        with pytest.raises(DomainError, match="gap must be finite"):
+            temperature_from_population(INFINITE, 0.7)
 
     @given(temp=st.floats(1e-3, 1e3), ratio=st.floats(2e-3, 30.0))
     @settings(max_examples=300)
@@ -161,6 +170,20 @@ class TestSpecs:
     def test_negative_gap_rejected(self):
         with pytest.raises(DomainError):
             QubitSpec(-0.1)
+
+    @pytest.mark.parametrize(
+        "build,name",
+        [
+            (lambda: QubitSpec(INFINITE), "qubit gap"),
+            (lambda: MachineSpec.two_qubit(0.4, 1.0, e=INFINITE), "target gap"),
+            (lambda: MachineSpec.two_qubit(INFINITE, 1.0), "machine gap e_c"),
+            (lambda: MachineSpec.one_qubit(1.4, 1.0, e=INFINITE), "target gap"),
+            (lambda: MachineSpec.one_qubit(INFINITE, 1.0), "machine gap e_b"),
+        ],
+    )
+    def test_infinite_gap_rejected_by_name(self, build, name):
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            build()
 
     def test_infinite_room_temperature_allowed(self):
         spec = MachineSpec.two_qubit(0.4, INFINITE, INFINITE)
