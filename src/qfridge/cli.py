@@ -6,8 +6,8 @@ incoherent and coherent single-cycle curves exchange dominance), ``summary``
 status 1 on any failing check), ``ladder`` (second-law saturation data).
 
 Machine parameters are taken from flags or from a plain key-value config file
-(keys: E, E_C, T_R, T_H, N, seed); flags override the file.  The environment
-variable ``FRIDGE_SEED`` overrides the default oracle seed.  Exit status:
+(keys: E, E_C, T_R, T_H, N, seed); flags override the file.  ``verify`` reads
+only seed, and ``FRIDGE_SEED`` overrides the default oracle seed.  Exit status:
 0 success, 1 verification failure, 2 usage error, 141 when the reader
 closes stdout early.
 """
@@ -352,7 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_machine_args(summary)
 
     ver = sub.add_parser("verify", help="run the oracle verification suite")
-    add_machine_args(ver)
+    ver.add_argument("--config", help="key-value config file (only its seed key is read)")
     ver.add_argument("--seed", type=int, default=None)
     ver.add_argument("--samples", type=int, default=10_000, help="Haar samples (0 skips the sweep)")
     ver.add_argument("--machines", type=int, default=60)
@@ -384,11 +384,14 @@ def _resolved(args: argparse.Namespace, key: str, config: dict, default):
     return config.get(key, default)
 
 
+def _machine_values(args: argparse.Namespace, config: dict) -> tuple:
+    # (e, e_c, t_r, t_h): the flag, else the config key, else E = T_R = 1.
+    defaults = {"e": 1.0, "e_c": None, "t_r": 1.0, "t_h": None}
+    return tuple(_resolved(args, key, config, value) for key, value in defaults.items())
+
+
 def _machine_from(args: argparse.Namespace, config: dict) -> MachineSpec:
-    e = _resolved(args, "e", config, 1.0)
-    e_c = _resolved(args, "e_c", config, None)
-    t_r = _resolved(args, "t_r", config, 1.0)
-    t_h = _resolved(args, "t_h", config, None)
+    e, e_c, t_r, t_h = _machine_values(args, config)
     if e_c is None:
         raise DomainError("machine qubit gap E_C is required (--e-c or config)")
     return MachineSpec.two_qubit(e_c, t_r, t_h, e=e)
@@ -471,9 +474,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             t_c = getattr(args, "t_c", None)
             if t_c is None:
                 raise DomainError("ladder needs --t-c")
-            e = _resolved(args, "e", config, 1.0)
-            t_r = _resolved(args, "t_r", config, 1.0)
-            t_h = _resolved(args, "t_h", config, None)
+            e, _, t_r, t_h = _machine_values(args, config)
             lspec = LadderSpec(
                 _integer("N", n), t_c, t_r, t_hot=t_h, e_ground_offset=args.e_g, target_gap=e
             )

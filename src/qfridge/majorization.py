@@ -43,12 +43,13 @@ def _as_popvector(vec: Sequence[float], name: str = "population vector") -> np.n
     return arr
 
 
-def majorizes(y: Sequence[float], x: Sequence[float], tol: float = 1e-12) -> bool:
+def majorizes(y: Sequence[float], x: Sequence[float]) -> bool:
     """True iff x is majorized by y (x can be reached from y unitarily).
 
     Checks that the partial sums of descending-sorted x never exceed those of
-    descending-sorted y, with equality at the full sum.
+    descending-sorted y, with equality at the full sum, each within 1e-12.
     """
+    tol = 1e-12
     y_arr = _as_popvector(y, "y")
     x_arr = _as_popvector(x, "x")
     if y_arr.size != x_arr.size:

@@ -102,9 +102,7 @@ def swap_unitary(dim: int, i: int, j: int, tag: str = "general") -> UnitaryOp:
     return UnitaryOp(mat, tag)
 
 
-def partial_swap_unitary(
-    dim: int, i: int, j: int, weight: float, tag: str = "general"
-) -> UnitaryOp:
+def partial_swap_unitary(dim: int, i: int, j: int, weight: float) -> UnitaryOp:
     """Two-level rotation moving population fraction ``weight`` between i and j."""
     if not 0.0 <= weight <= 1.0:
         raise DomainError(f"swap weight must lie in [0, 1], got {weight}")
@@ -113,7 +111,7 @@ def partial_swap_unitary(
     mat[i, i] = mat[j, j] = c
     mat[i, j] = s
     mat[j, i] = -s
-    return UnitaryOp(mat, tag)
+    return UnitaryOp(mat)
 
 
 def qubit_swap_unitary(n_qubits: int, qa: int, qb: int) -> UnitaryOp:

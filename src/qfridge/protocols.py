@@ -348,8 +348,9 @@ def _reset_and_swap(
     # n reset-and-swap cycles from start = (r0, f0): cycle k lands on
     # r_k = n_swap_population(r0, vq, k) at cost(r_k, r_(k-1)).  n = inf
     # takes the exact limit (r_final, t_final) instead, priced with
-    # r_(k-1) = r_final; the virtual qubit is built for finite n only.  heat,
-    # when given, maps the last cycle's r_(k-1) to the heat drawn.
+    # r_(k-1) = r_final; the virtual qubit is built for finite n only, and an
+    # empty one (norm 0) moves nothing.  heat, when given, maps the last
+    # cycle's r_(k-1) to the heat drawn.
     r0, f0 = start
     if math.isinf(n):
         r_final, t_final = limit()
@@ -359,8 +360,11 @@ def _reset_and_swap(
             TrajectoryPoint(INFINITE, r_final, cost(r_final, r_final)),
         )
     else:
-        vq = virtual_qubit()
-        rs = [virtual.n_swap_population(r0, vq, k) for k in range(int(n) + 1)]
+        try:
+            vq = virtual_qubit()
+            rs = [virtual.n_swap_population(r0, vq, k) for k in range(int(n) + 1)]
+        except virtual.EmptyVirtualQubitError:
+            rs = [r0] * (int(n) + 1)
         trajectory = (TrajectoryPoint(0, r0, f0),) + tuple(
             TrajectoryPoint(k, rs[k], cost(rs[k], rs[k - 1])) for k in range(1, len(rs))
         )

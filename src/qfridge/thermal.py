@@ -92,13 +92,11 @@ class MachineSpec:
             )
 
     @classmethod
-    def one_qubit(
-        cls, e_b: float, t_room: float, t_hot: float | None = None, e: float = 1.0
-    ) -> "MachineSpec":
-        """Target of gap ``e`` plus a single machine qubit of gap ``e_b``."""
+    def one_qubit(cls, e_b: float, t_room: float, *, e: float = 1.0) -> "MachineSpec":
+        """Target of gap ``e`` plus a single machine qubit of gap ``e_b``, no hot bath."""
         _require_gap("target gap", e)
         _require_gap("machine gap e_b", e_b)
-        return cls(QubitSpec(e), (QubitSpec(e_b),), t_room, t_hot)
+        return cls(QubitSpec(e), (QubitSpec(e_b),), t_room)
 
     @classmethod
     def two_qubit(

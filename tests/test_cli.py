@@ -55,6 +55,16 @@ class TestCurveCommand:
         assert len(lines) == 2
         assert lines[1].startswith("inf,")
 
+    @pytest.mark.parametrize("grid", [2, 3, 6])
+    def test_empty_incoherent_virtual_qubit_rows_stay_at_the_room_state(self, grid, capsys):
+        argv = ["curve", "inc-repeat", "--e-c", "5", "--t-r", "0.05", "--t-h", "0.05"]
+        rc = main([*argv, "--grid", str(grid), "--full-precision"])
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert rc == 0
+        assert [row[0] for row in rows] == [repr(float(n)) for n in range(grid - 1)] + ["inf"]
+        for _, delta_f, _, r in rows[:-1]:
+            assert (float(delta_f), float(r)) == (0.0, boltzmann_population(1.0, 0.05))
+
     def test_control_values_are_increasing(self):
         spec = MachineSpec.two_qubit(0.4, 1.0, 3.0)
         scenarios = (
@@ -522,6 +532,25 @@ class TestVerifyCommand:
             "pareto": "pareto_sweep",
         }[mutation]
         assert failed == {expected}
+
+    def test_machine_flags_are_unrecognized(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", "--e-c", "2"])
+        out, err = capsys.readouterr()
+        assert exit_info.value.code == 2
+        assert out == ""
+        assert "unrecognized arguments: --e-c 2" in err
+
+    def test_config_machine_keys_are_not_read(self, tmp_path, capsys):
+        # The config file is shared by every subcommand; verify reads its seed.
+        config = tmp_path / "machine.cfg"
+        config.write_text("E_C = 2\nseed = 5\n")
+        args = ["--samples", "0", "--machines", "2", "--instances", "2"]
+        assert main(["verify", "--config", str(config), *args]) == 0
+        from_config = capsys.readouterr().out
+        assert main(["verify", "--seed", "5", *args]) == 0
+        assert from_config == capsys.readouterr().out
+        assert json.loads(from_config)["seed"] == 5
 
     def test_environment_seed_override(self, capsys, monkeypatch):
         monkeypatch.setenv("FRIDGE_SEED", "4242")

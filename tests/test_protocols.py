@@ -443,6 +443,18 @@ class TestRepeatedIncoherent:
         rs = [p.r for p in out.trajectory]
         assert all(b >= a - 1e-15 for a, b in zip(rs, rs[1:]))
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    def test_empty_virtual_qubit_leaves_the_room_state_at_no_cost(self, n):
+        # B's room and C's hot ground populations both round to 1.0, so the
+        # {01,10} pair is empty and the swaps move nothing.
+        spec = MachineSpec.two_qubit(5.0, 0.05, 0.05)
+        assert _r(spec.e_b, 0.05) == _r(spec.e_c, 0.05) == 1.0
+        out = protocols.repeated_incoherent(spec, n)
+        assert len(out.trajectory) == n + 1
+        for point in out.trajectory:
+            assert (point.r, point.delta_f) == (_r(1.0, 0.05), 0.0)
+        assert (out.work_cost, out.heat_drawn) == (0.0, 0.0)
+
 
 class TestAutonomousSteadyState:
     def test_matches_infinite_repetition_exactly(self):
@@ -586,10 +598,10 @@ class TestRepeatedEvaluators:
 
     def test_empty_incoherent_virtual_qubit_has_a_no_cooling_limit(self):
         # B and C both saturate: the {01,10} pair is empty, so finite runs
-        # raise, while the n = inf limit leaves the target at t_room for free.
+        # and the n = inf limit all leave the target at t_room for free.
         spec = MachineSpec.two_qubit(50.0, 1.0, 1.0)
-        with pytest.raises(virtual.EmptyVirtualQubitError):
-            protocols.repeated_incoherent(spec, 3)
+        finite = protocols.repeated_incoherent(spec, 3)
+        assert (finite.r_final, finite.work_cost) == (_r(1.0, 1.0), 0.0)
         out = protocols.repeated_incoherent(spec, INFINITE)
         assert (out.r_final, out.t_final, out.work_cost) == (_r(1.0, 1.0), 1.0, 0.0)
 

@@ -18,6 +18,23 @@ KEEP = {
     "optimal_sequence": "README figure recipe and the summary tie test",
 }
 
+# Defaulted parameters that no source call sets, and why each stays.
+KEEP_PARAMETERS = {
+    "main.argv": "None reads sys.argv; the tests drive main in-process",
+    "check_formula_dense_equivalence.tol": "acceptance criterion 1 states its bound",
+    "check_vertex_oracle.tol": "acceptance criterion 3 states its bound",
+    "coherent_single_cycle_curve.grid": "the oracle tests sweep coarser frontiers",
+    "check_thermalization_gradients.cases": "the verify tests run a few machines",
+    "simulate_repeated_incoherent.r0": "dense reference for chained ladder stages",
+    "simulate_algorithmic.r0": "dense reference for algorithmic cooling from r0",
+}
+
+# Public methods and properties that no source module reads, and why each stays.
+KEEP_MEMBERS = {
+    "VirtualQubit.t_v": "test_virtual's independent route to the asymptote laws",
+    "SubspaceSweepReport.improvement": "acceptance criterion 7",
+}
+
 
 def _public_definitions() -> dict[str, str]:
     return {
@@ -60,3 +77,67 @@ def test_kept_names_exist_and_still_lack_a_caller():
     referenced = _referenced_names()
     assert set(KEEP) <= set(_public_definitions())
     assert not set(KEEP) & referenced
+
+
+def _unset_parameters() -> set[str]:
+    # "function.parameter" for every defaulted parameter that no call in the
+    # package passes, by keyword or by position; calls match by name.
+    calls = [
+        node for tree in SOURCES.values() for node in ast.walk(tree) if isinstance(node, ast.Call)
+    ]
+    unset = set()
+    for tree in SOURCES.values():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            params = fn.args.posonlyargs + fn.args.args
+            bound = 1 if params and params[0].arg in ("self", "cls") else 0
+            first_default = len(params) - len(fn.args.defaults)
+            defaulted = [(i - bound, p.arg) for i, p in enumerate(params) if i >= first_default]
+            defaulted += [
+                (None, p.arg)
+                for p, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                if d is not None
+            ]
+            for position, name in defaulted:
+                if not any(
+                    getattr(call.func, "id", getattr(call.func, "attr", None)) == fn.name
+                    and (
+                        any(k.arg == name for k in call.keywords)
+                        or (position is not None and len(call.args) > position)
+                    )
+                    for call in calls
+                ):
+                    unset.add(f"{fn.name}.{name}")
+    return unset
+
+
+def _unread_members() -> set[str]:
+    read = {
+        node.attr for tree in SOURCES.values() for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+    }
+    return {
+        f"{cls.name}.{member.name}"
+        for tree in SOURCES.values()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for member in cls.body
+        if isinstance(member, ast.FunctionDef)
+        and not member.name.startswith("_")
+        and member.name not in read
+    }
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller_in_the_package():
+    assert _unset_parameters() - set(KEEP_PARAMETERS) == set()
+
+
+def test_every_public_member_is_read_in_the_package():
+    assert _unread_members() - set(KEEP_MEMBERS) == set()
+
+
+def test_kept_parameters_and_members_still_lack_a_caller():
+    # A kept entry that gains a caller, or is deleted, leaves its dict.
+    assert set(KEEP_PARAMETERS) <= _unset_parameters()
+    assert set(KEEP_MEMBERS) <= _unread_members()

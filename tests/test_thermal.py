@@ -185,6 +185,12 @@ class TestSpecs:
         with pytest.raises(DomainError, match=f"{name} must be finite"):
             build()
 
+    def test_one_qubit_target_gap_is_keyword_only(self):
+        # A third positional argument was once t_hot; it must not become e.
+        with pytest.raises(TypeError):
+            MachineSpec.one_qubit(1.4, 1.0, 2.0)
+        assert MachineSpec.one_qubit(1.4, 1.0, e=0.5).e == 0.5
+
     def test_infinite_room_temperature_allowed(self):
         spec = MachineSpec.two_qubit(0.4, INFINITE, INFINITE)
         assert boltzmann_population(spec.e, spec.t_room) == 0.5
