@@ -7,7 +7,9 @@ status 1 on any failing check), ``ladder`` (second-law saturation data).
 
 Machine parameters are taken from flags or from a plain key-value config file
 (keys: E, E_C, T_R, T_H, N, seed); flags override the file.  ``verify`` reads
-only seed, and ``FRIDGE_SEED`` overrides the default oracle seed.  Exit status:
+only seed, and ``FRIDGE_SEED`` overrides the default oracle seed.  ``curve``
+rejects a scenario flag its scenario does not read (see ``SCENARIOS``), and
+``ladder`` rejects ``--e-g`` without a hot bath.  Exit status:
 0 success, 1 verification failure, 2 usage error, 141 when the reader
 closes stdout early.
 """
@@ -34,17 +36,23 @@ from .thermal import DomainError, INFINITE, InfeasibleTargetError, MachineSpec, 
 
 CSV_HEADER = "control,delta_f,temperature,r"
 
-SCENARIOS = (
-    "inc-single",
-    "coh-single",
-    "inc-repeat",
-    "coh-repeat",
-    "algo",
-    "internal-inc",
-    "internal-coh",
-    "ladder-coh",
-    "ladder-inc",
-)
+# Which of the flags --t-h, --nu, --r0 and --t-c each curve scenario reads;
+# main rejects the others before any work.  inc-single and internal-inc sweep
+# their own t_hot, so they read no --t-h.
+SCENARIOS = {
+    "inc-single": (),
+    "coh-single": (),
+    "inc-repeat": ("t_h",),
+    "coh-repeat": (),
+    "algo": ("nu", "r0"),
+    "internal-inc": (),
+    "internal-coh": (),
+    "ladder-coh": ("t_c",),
+    "ladder-inc": ("t_h", "t_c"),
+}
+# Accepted though unread, because the recorded benchmark ops pass it (as
+# both ladder scenarios pass the --e-c that every curve requires).
+_UNREAD_BUT_ACCEPTED = {("ladder-coh", "t_h")}
 
 
 @dataclass(frozen=True)
@@ -97,11 +105,15 @@ def curve_points(
     scenario: str,
     spec: MachineSpec,
     grid: int,
-    nu: float = 1.0,
+    nu: float | None = None,
     r0: float | None = None,
     t_cold: float | None = None,
 ) -> list[CurvePoint]:
-    """Sample one protocol's cooling curve on its natural control grid."""
+    """Sample one protocol's cooling curve on its natural control grid.
+
+    ``nu`` (default 1, full precooling) and ``r0`` are read by ``algo`` only,
+    ``t_cold`` by the ladder scenarios only.
+    """
     if grid < 1:
         raise DomainError(f"grid must be >= 1, got {grid}")
     points: list[CurvePoint] = []
@@ -118,7 +130,9 @@ def curve_points(
         run = {
             "inc-repeat": lambda n: protocols.repeated_incoherent(spec, n),
             "coh-repeat": lambda n: protocols.repeated_coherent(spec, n),
-            "algo": lambda n: protocols.algorithmic_cooling(spec, n, nu=nu, r0=r0),
+            "algo": lambda n: protocols.algorithmic_cooling(
+                spec, n, nu=1.0 if nu is None else nu, r0=r0
+            ),
         }[scenario]
         # Rows n = 0..grid-2 are the points of one n = grid-2 trajectory.
         for p in run(float(grid - 2)).trajectory if grid > 1 else ():
@@ -145,7 +159,7 @@ def curve_points(
             stage = out.per_step[-1]
             points.append(CurvePoint(float(n), out.w_total, stage.temperature, stage.r))
     else:
-        raise DomainError(f"unknown scenario {scenario!r}; choose from {SCENARIOS}")
+        raise DomainError(f"unknown scenario {scenario!r}; choose from {tuple(SCENARIOS)}")
     return points
 
 
@@ -334,7 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
     curve.add_argument("scenario", choices=SCENARIOS)
     add_machine_args(curve)
     curve.add_argument("--grid", type=int, default=100, help="number of control samples")
-    curve.add_argument("--nu", type=float, default=1.0, help="precooling mix for the algo scenario")
+    curve.add_argument("--nu", type=float, default=None, help="precooling mix for the algo scenario (default 1)")
     curve.add_argument("--r0", type=float, default=None, help="starting population for the algo scenario")
     curve.add_argument("--t-c", type=_parse_value, default=None, help="cold target temperature (ladder scenarios)")
     curve.add_argument("--output", "-o", default="-", help="output path ('-' for stdout)")
@@ -431,6 +445,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.command == "curve":
+            reads = SCENARIOS[args.scenario]
+            for flag in ("t_h", "nu", "r0", "t_c"):
+                accepted = flag in reads or (args.scenario, flag) in _UNREAD_BUT_ACCEPTED
+                if getattr(args, flag) is not None and not accepted:
+                    name = flag.replace("_", "-")
+                    raise DomainError(f"curve {args.scenario} does not read --{name}")
         config = load_config(args.config) if getattr(args, "config", None) else {}
         if args.command == "curve":
             spec = _machine_from(args, config)
@@ -475,6 +496,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             if t_c is None:
                 raise DomainError("ladder needs --t-c")
             e, _, t_r, t_h = _machine_values(args, config)
+            if args.e_g is not None and t_h is None:
+                # Only the incoherent twin, priced when T_H is given, reads it.
+                raise DomainError("ladder does not read --e-g without --t-h")
             lspec = LadderSpec(
                 _integer("N", n), t_c, t_r, t_hot=t_h, e_ground_offset=args.e_g, target_gap=e
             )

@@ -186,9 +186,11 @@ def temperature_from_population(gap: float, r: float) -> float:
 def resource_free_energy(heat: float, t_hot: float, t_room: float) -> float:
     """Free energy drawn from a hot bath: heat times the Carnot factor.
 
-    ``t_hot = math.inf`` returns ``heat`` exactly; ``t_hot = t_room`` returns
-    zero (an equilibrium resource carries no free energy), also when both
-    are infinite.
+    The factor is (t_hot - t_room) / t_hot, whose subtraction is exact near
+    the reversible limit t_hot -> t_room, where 1 - t_room / t_hot loses
+    digits.  ``t_hot = math.inf`` returns ``heat`` exactly; ``t_hot =
+    t_room`` returns zero (an equilibrium resource carries no free energy),
+    also when both are infinite.
     """
     if not t_room > 0.0:
         raise DomainError(f"t_room must be > 0, got {t_room}")
@@ -196,7 +198,11 @@ def resource_free_energy(heat: float, t_hot: float, t_room: float) -> float:
         raise DomainError(f"t_hot must be >= t_room, got {t_hot} < {t_room}")
     if not math.isfinite(heat):
         raise DomainError(f"heat must be finite, got {heat}")
-    return heat * (0.0 if t_hot == t_room else 1.0 - t_room / t_hot)
+    if t_hot == t_room:
+        return heat * 0.0
+    if math.isinf(t_hot):
+        return heat
+    return heat * ((t_hot - t_room) / t_hot)
 
 
 def binary_entropy(r: float) -> float:

@@ -49,7 +49,7 @@ class TestCurveCommand:
         assert len(lines) == 11
 
     def test_single_point_grid_is_the_endpoint(self, capsys):
-        rc = main(["curve", "inc-single", *STANDARD, "--t-h", "inf", "--grid", "1"])
+        rc = main(["curve", "inc-single", *STANDARD, "--grid", "1"])
         lines = capsys.readouterr().out.strip().splitlines()
         assert rc == 0
         assert len(lines) == 2
@@ -147,8 +147,9 @@ class TestCurveCommand:
         + ["internal-inc", "internal-coh"],
     )
     def test_infinite_room_temperature_is_finite(self, scenario, capsys):
-        args = ["--e-c", "0.4", "--t-r", "inf", "--t-h", "inf", "--grid", "5"]
-        rc = main(["curve", scenario, *args])
+        args = ["--e-c", "0.4", "--t-r", "inf", "--grid", "5"]
+        hot = ["--t-h", "inf"] if "t_h" in cli.SCENARIOS[scenario] else []
+        rc = main(["curve", scenario, *args, *hot])
         out = capsys.readouterr().out
         assert rc == 0
         assert "nan" not in out.lower()
@@ -610,6 +611,14 @@ class TestLadderCommand:
         rc = main(["ladder", "--e-c", "0.4", "--t-c", "0.5"])
         assert rc == 2
 
+    def test_ground_offset_without_hot_bath_is_usage_error_naming_it(self, capsys):
+        # Only the incoherent twin reads --e-g, and it needs T_H.
+        rc = main(["ladder", "--t-c", "0.5", "--n", "4", "--e-g", "10"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "--e-g" in captured.err
+
     def test_embedded_ladder_at_infinite_hot_bath_is_usage_error(self):
         result = _run(
             ["ladder", "--t-c", "0.5", "--t-h", "inf", "--e-c", "0.4", "--n", "4", "--e-g", "10"]
@@ -786,11 +795,16 @@ class TestConsoleInterface:
 import contextlib, io, sys
 import qfridge, qfridge.cli
 machine = ["--e-c", "0.4", "--t-r", "1", "--t-h", "10"]
+values = {"t_h": "10", "nu": "0.5", "r0": "0.9", "t_c": "0.5"}
 ops = [
     ["summary", *machine],
     ["crossing", *machine],
     ["ladder", *machine, "--t-c", "0.5", "--n", "8"],
-] + [["curve", s, *machine, "--t-c", "0.5", "--grid", "5"] for s in qfridge.cli.SCENARIOS]
+] + [
+    ["curve", s, "--e-c", "0.4", "--t-r", "1", "--grid", "5"]
+    + [arg for flag in reads for arg in ("--" + flag.replace("_", "-"), values[flag])]
+    for s, reads in qfridge.cli.SCENARIOS.items()
+]
 for argv in ops:
     with contextlib.redirect_stdout(io.StringIO()):
         assert qfridge.cli.main(argv) == 0, argv

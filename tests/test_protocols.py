@@ -499,7 +499,6 @@ class TestRepeatedEvaluators:
         # (trajectory, t_final, heat_drawn); work_cost is the last point's cost.
         t_hot = spec.t_hot
         r, r_c, r_ch = _r(spec.e, spec.t_room), _r(spec.e_c, spec.t_room), _r(spec.e_c, t_hot)
-        vq = self._virtual_qubit(spec, r_ch, False)
         preheat = spec.e_c * (r_c - r_ch)
         if math.isinf(n):
             bias = spec.e_b / spec.t_room - spec.e_c / t_hot
@@ -509,6 +508,7 @@ class TestRepeatedEvaluators:
             work = resource_free_energy(heat, t_hot, spec.t_room)
             f0 = resource_free_energy(preheat, t_hot, spec.t_room)
             return (TrajectoryPoint(0, r, f0), TrajectoryPoint(INFINITE, r_final, work)), t_final, heat
+        vq = self._virtual_qubit(spec, r_ch, False)
         points, heat = [], preheat
         for k in range(int(n) + 1):
             r_k = virtual.n_swap_population(r, vq, k)
@@ -516,6 +516,16 @@ class TestRepeatedEvaluators:
             if k < n:
                 heat = preheat + spec.e_c * (r_k - r)
         return tuple(points), protocols.point_temperature(spec, points[-1]), heat
+
+    @staticmethod
+    def _unmoved_incoherent(spec, n):
+        # An empty {01,10} pair: every row stays at the room population, at
+        # the incoherent cost rule's price for a heat ledger that never grows.
+        r = _r(spec.e, spec.t_room)
+        preheat = spec.e_c * (_r(spec.e_c, spec.t_room) - _r(spec.e_c, spec.t_hot))
+        price = resource_free_energy(preheat, spec.t_hot, spec.t_room)
+        points = tuple(TrajectoryPoint(k, r, price) for k in range(int(n) + 1))
+        return points, protocols.point_temperature(spec, points[-1]), preheat
 
     def _coherent(self, spec, n):
         r, r_b, r_c = (_r(gap, spec.t_room) for gap in spec.gaps)
@@ -561,12 +571,15 @@ class TestRepeatedEvaluators:
     @staticmethod
     def _machine(seed):
         rng = random.Random(seed)
+        if seed == "empty-pair":
+            # B's room and C's hot ground populations both round to 1.0.
+            return MachineSpec.two_qubit(50.0, 1.0, 1.2), rng
         t_room = 10.0 ** rng.uniform(-1.5, 1.0)
         t_hot = rng.choice([t_room, t_room * (1.0 + 10.0 ** rng.uniform(-3.0, 3.0)), INFINITE])
         e = rng.choice([1.0, rng.uniform(0.2, 3.0)])
         return MachineSpec.two_qubit(10.0 ** rng.uniform(-1.3, 0.7), t_room, t_hot, e=e), rng
 
-    @pytest.mark.parametrize("seed", range(50))
+    @pytest.mark.parametrize("seed", [*range(50), "empty-pair"])
     def test_walker_reproduces_the_three_loops_exactly(self, seed):
         spec, rng = self._machine(seed)
         r = _r(spec.e, spec.t_room)
@@ -581,13 +594,10 @@ class TestRepeatedEvaluators:
                 try:
                     trajectory, t_final, heat = legacy(spec, n, *legacy_args)
                 except virtual.EmptyVirtualQubitError:
-                    # Only the incoherent loop built its virtual qubit for
-                    # n = inf too; the limit needs none.
-                    if math.isinf(n):
-                        continue
-                    with pytest.raises(virtual.EmptyVirtualQubitError):
-                        evaluate(spec, n, *args)
-                    continue
+                    # Only the incoherent loop raises, at finite n; the walker
+                    # leaves the room state where the loop stopped.
+                    assert legacy == self._incoherent and not math.isinf(n)
+                    trajectory, t_final, heat = self._unmoved_incoherent(spec, n)
                 out = evaluate(spec, n, *args)
                 assert out.trajectory == trajectory, (seed, evaluate.__name__, n, args)
                 assert repr(out.trajectory) == repr(trajectory)

@@ -1,7 +1,10 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import qfridge
+from qfridge import cli
 
 SOURCES = {
     path.stem: ast.parse(path.read_text())
@@ -33,6 +36,23 @@ KEEP_PARAMETERS = {
 KEEP_MEMBERS = {
     "VirtualQubit.t_v": "test_virtual's independent route to the asymptote laws",
     "SubspaceSweepReport.improvement": "acceptance criterion 7",
+}
+
+# (curve scenario, flag) pairs accepted though the scenario never reads the
+# flag, and why each stays.
+KEEP_FLAGS = {
+    ("ladder-coh", "t_h"): "the recorded benchmark ladder-coh op passes it",
+    ("ladder-coh", "e_c"): "every curve requires it; the recorded benchmark op passes it",
+    ("ladder-inc", "e_c"): "every curve requires it; the recorded benchmark op passes it",
+}
+
+# Two valid values per scenario-specific curve flag (E = T_R = 1, E_C = 0.4).
+CURVE_FLAG_VALUES = {
+    "t_h": ("3", "10"),
+    "nu": ("0.3", "0.6"),
+    "r0": ("0.8", "0.9"),
+    "t_c": ("0.3", "0.5"),
+    "e_c": ("0.4", "0.7"),
 }
 
 
@@ -141,3 +161,51 @@ def test_kept_parameters_and_members_still_lack_a_caller():
     # A kept entry that gains a caller, or is deleted, leaves its dict.
     assert set(KEEP_PARAMETERS) <= _unset_parameters()
     assert set(KEEP_MEMBERS) <= _unread_members()
+
+
+def _curve(capsys, scenario: str, **flags: str) -> tuple[int, str, str]:
+    # Every flag the scenario reads is set, so only the one under test varies.
+    values = {flag: CURVE_FLAG_VALUES[flag][0] for flag in cli.SCENARIOS[scenario]}
+    values.update(flags)
+    argv = ["curve", scenario, "--e-c", "0.4", "--t-r", "1", "--grid", "4", "--full-precision"]
+    for flag, value in values.items():
+        argv += ["--" + flag.replace("_", "-"), value]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _outputs_at_both_values(capsys, scenario: str, flag: str) -> list[str]:
+    outputs = []
+    for value in CURVE_FLAG_VALUES[flag]:
+        code, out, err = _curve(capsys, scenario, **{flag: value})
+        assert code == 0, err
+        outputs.append(out)
+    return outputs
+
+
+@pytest.mark.parametrize(
+    "scenario,flag",
+    [
+        (scenario, flag)
+        for scenario in cli.SCENARIOS
+        for flag in ("t_h", "nu", "r0", "t_c")
+        if (scenario, flag) not in KEEP_FLAGS
+    ],
+)
+def test_every_curve_flag_is_read_by_its_scenario_or_rejected(capsys, scenario, flag):
+    if flag in cli.SCENARIOS[scenario]:
+        first, second = _outputs_at_both_values(capsys, scenario, flag)
+        assert first != second
+    else:
+        code, out, err = _curve(capsys, scenario, **{flag: CURVE_FLAG_VALUES[flag][0]})
+        assert (code, out) == (2, "")
+        assert f"curve {scenario} does not read --{flag.replace('_', '-')}" in err
+
+
+@pytest.mark.parametrize("scenario,flag", list(KEEP_FLAGS))
+def test_kept_curve_flags_are_accepted_and_unread(capsys, scenario, flag):
+    # A kept flag that gains a reader leaves KEEP_FLAGS.
+    assert flag not in cli.SCENARIOS[scenario]
+    first, second = _outputs_at_both_values(capsys, scenario, flag)
+    assert first == second

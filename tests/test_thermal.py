@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -144,6 +145,20 @@ class TestResourceFreeEnergy:
     def test_rejects_non_finite_heat(self, heat):
         with pytest.raises(DomainError, match="heat"):
             resource_free_energy(heat, 2.0, 1.0)
+
+    @pytest.mark.parametrize("excess", [1e-2, 1e-8, 1e-12])
+    @pytest.mark.parametrize("t_room", [0.05, 1.0, 7.3])
+    def test_within_four_ulp_near_the_reversible_limit(self, excess, t_room):
+        # T_H / T_R - 1 = excess; the reference is the exact value for the
+        # float inputs, worked out in 50-digit decimal arithmetic.
+        t_hot = t_room * (1.0 + excess)
+        heat = 0.37
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            d_hot = decimal.Decimal(t_hot)
+            exact = decimal.Decimal(heat) * (d_hot - decimal.Decimal(t_room)) / d_hot
+            error = abs(decimal.Decimal(resource_free_energy(heat, t_hot, t_room)) - exact)
+            assert error <= 4 * decimal.Decimal(math.ulp(float(exact)))
 
     @given(
         heat=st.floats(1e-6, 10.0),
