@@ -23,7 +23,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, replace
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import protocols
 from .ladder import LadderSpec, coherent_ladder, incoherent_ladder, incoherent_twin
@@ -51,8 +51,9 @@ SCENARIOS = {
     "ladder-inc": ("t_h", "t_c"),
 }
 # Accepted though unread, because the recorded benchmark ops pass it (as
-# both ladder scenarios pass the --e-c that every curve requires).
+# both ladder scenarios pass --e-c, which they accept and do not read).
 _UNREAD_BUT_ACCEPTED = {("ladder-coh", "t_h")}
+_LADDER_SCENARIOS = ("ladder-coh", "ladder-inc")
 
 
 @dataclass(frozen=True)
@@ -112,7 +113,8 @@ def curve_points(
     """Sample one protocol's cooling curve on its natural control grid.
 
     ``nu`` (default 1, full precooling) and ``r0`` are read by ``algo`` only,
-    ``t_cold`` by the ladder scenarios only.
+    ``t_cold`` by the ladder scenarios only, which build their own machine
+    qubits and read only the target gap and the temperatures of ``spec``.
     """
     if grid < 1:
         raise DomainError(f"grid must be >= 1, got {grid}")
@@ -148,7 +150,7 @@ def curve_points(
         for mu in _linspace(0.0, 1.0, grid):
             out = protocols.internal_resource(spec, "coherent", mu)
             points.append(CurvePoint(mu, out.work_cost, out.t_final, out.r_final))
-    elif scenario in ("ladder-coh", "ladder-inc"):
+    elif scenario in _LADDER_SCENARIOS:
         if t_cold is None:
             raise DomainError(f"scenario {scenario} needs t_cold")
         for n in range(1, grid + 1):
@@ -168,6 +170,46 @@ def curve_points(
 # ---------------------------------------------------------------------------
 
 
+def _probe_gaps(
+    probes: list[float], t_inc: Callable[[float], float], t_coh: Callable[[float], float]
+) -> list[float]:
+    # T_inc - T_coh at each ascending probe budget, or only its sign (+-1.0)
+    # where monotonicity settles it.  T_inc is nonincreasing in the budget,
+    # so with T_inc known at probes i < k < j, T_coh(f_k) < T_inc(f_j) proves
+    # the gap > 0 at k, and T_coh(f_k) > T_inc(f_i) proves it < 0.  T_inc is
+    # inverted at the last probe, then the first, then at the midpoint of
+    # each index range whose interior holds a probe still open; no probe is
+    # inverted twice.  T_coh is cheap and evaluated everywhere: it is never
+    # assumed monotone (it breaks by an ulp at its phase kink).
+    coh = [t_coh(f) for f in probes]
+    inc: dict[int, float] = {}
+    values = [0.0] * len(probes)
+
+    def invert(k: int) -> None:
+        inc[k] = t_inc(probes[k])
+        values[k] = inc[k] - coh[k]
+
+    last = len(probes) - 1
+    invert(last)
+    invert(0)
+    ranges = [(0, last)]
+    while ranges:
+        i, j = ranges.pop()
+        still_open = False
+        for k in range(i + 1, j):
+            if coh[k] < inc[j]:
+                values[k] = 1.0
+            elif coh[k] > inc[i]:
+                values[k] = -1.0
+            else:
+                still_open = True
+        if still_open:
+            m = (i + j) // 2
+            invert(m)
+            ranges += [(i, m), (m, j)]
+    return values
+
+
 def crossing_report(spec: MachineSpec, tolerance: float) -> CrossingReport:
     """Locate every sign change of T_inc(dF) - T_coh(dF) on the common domain.
 
@@ -177,16 +219,22 @@ def crossing_report(spec: MachineSpec, tolerance: float) -> CrossingReport:
     by bisection in the budget until the bracket is at most ``tolerance``
     wide; ``tolerance`` (the CLI's ``--tolerance``) is that outer bracket
     width and nothing else.  A tolerance below the spacing of the doubles
-    near a zero stops the bisection at two adjacent doubles instead.  Both
-    frontier inverses are built once per machine, so the resonance check
-    and the room populations are not redone per probe: the incoherent one
-    inverts C's hot ground population x through W(x) =
-    (r_C - x)(E_C - T_R ln(x/(1-x))) to two adjacent doubles in a handful of
-    W evaluations (see :func:`qfridge.protocols.incoherent_inverse`), the
-    coherent one walks its swap phases piecewise-linearly.
+    near a zero stops the bisection at two adjacent doubles instead.  Only
+    the signs of the gap are compared, never their products, which underflow
+    on a machine in tiny units.  Both frontier inverses are built once per
+    machine, so the resonance check and the room populations are not redone
+    per probe: the incoherent one inverts C's hot ground population x
+    through W(x) = (r_C - x)(E_C - T_R ln(x/(1-x))) to two adjacent doubles
+    in a handful of W evaluations (see
+    :func:`qfridge.protocols.incoherent_inverse`), the coherent one walks its
+    swap phases piecewise-linearly.  The coherent one is evaluated at every
+    probe; the incoherent one, nonincreasing in the budget, is inverted only
+    at the probes whose sign that leaves open, the largest budget first, so
+    the result is the same as inverting it at every probe.
     ``delta_f_crit`` is the first interior zero and ``delta_f_crit_prime``
     the last (the two coincide when the crossing is unique, which is not
-    assumed).
+    assumed).  A coherent full cost at or beyond the incoherent curve's end
+    W(1/2) raises :class:`InfeasibleTargetError` naming the machine.
     """
     if not tolerance > 0.0:
         raise DomainError(f"tolerance must be > 0, got {tolerance}")
@@ -201,7 +249,16 @@ def crossing_report(spec: MachineSpec, tolerance: float) -> CrossingReport:
         return t_inc(f) - t_coh(f)
 
     probes = [f_max * u for u in _logspace(-9.0, -0.0001, 160)] + [f_max]
-    values = [gap(f) for f in probes]
+    try:
+        values = _probe_gaps(probes, t_inc, t_coh)
+    except InfeasibleTargetError:
+        # Only f_max, the largest budget and the first inverted, can be
+        # beyond the incoherent curve's end W(1/2), its cost at t_hot = inf.
+        w_half = protocols.two_qubit_incoherent_single(replace(spec, t_hot=INFINITE)).work_cost
+        raise InfeasibleTargetError(
+            f"coherent budget f_max={f_max!r} is beyond the incoherent curve's end "
+            f"W(1/2)={w_half!r} on the machine E_C={spec.e_c!r}, T_R={spec.t_room!r}"
+        ) from None
     zeros: list[float] = []
     for (f_lo, g_lo), (f_hi, g_hi) in zip(
         zip(probes, values), zip(probes[1:], values[1:])
@@ -209,14 +266,15 @@ def crossing_report(spec: MachineSpec, tolerance: float) -> CrossingReport:
         if g_lo == 0.0:
             zeros.append(f_lo)
             continue
-        if g_lo * g_hi >= 0.0:
+        # Signs, not products: a product of two tiny gaps underflows to 0.
+        if not (g_hi < 0.0 if g_lo > 0.0 else g_hi > 0.0):
             continue
         lo, hi = f_lo, f_hi
         while hi - lo > tolerance:
             mid = 0.5 * (lo + hi)
             if mid == lo or mid == hi:
                 break
-            if gap(mid) * g_lo > 0.0:
+            if gap(mid) > 0.0 if g_lo > 0.0 else gap(mid) < 0.0:
                 lo = mid
             else:
                 hi = mid
@@ -454,7 +512,12 @@ def main(argv: Sequence[str] | None = None) -> int:
                     raise DomainError(f"curve {args.scenario} does not read --{name}")
         config = load_config(args.config) if getattr(args, "config", None) else {}
         if args.command == "curve":
-            spec = _machine_from(args, config)
+            if args.scenario in _LADDER_SCENARIOS:
+                # As the ladder subcommand: E, T_R and T_H only, no E_C.
+                e, _, t_r, t_h = _machine_values(args, config)
+                spec = MachineSpec.target_only(e, t_r, t_h)
+            else:
+                spec = _machine_from(args, config)
             points = curve_points(
                 args.scenario,
                 spec,

@@ -144,9 +144,13 @@ def incoherent_inverse(spec: MachineSpec) -> Callable[[float], float]:
     steps and an ulp search narrow the bracket first, so an inversion takes a
     handful of W evaluations instead of ~52, and never more than 12 beyond
     plain bisection.  The target population follows from the same
-    degenerate-pair swap.  Budgets at or beyond W(1/2) raise
-    :class:`InfeasibleTargetError`; budgets <= 0 return t_room; NaN raises
-    :class:`DomainError`.
+    degenerate-pair swap.  The result is nonincreasing in the budget over
+    the doubles, to the last ulp: the predicate is monotone in x and in the
+    budget, the result is an end of the one adjacent pair on which it flips,
+    and the swap population and the temperature are monotone in x; the
+    crossing search settles probe signs on this.  Budgets at or beyond W(1/2)
+    raise :class:`InfeasibleTargetError`; budgets <= 0 return t_room; NaN
+    raises :class:`DomainError`.
     """
     spec.require_resonance()
     e_c, t_room = spec.e_c, spec.t_room

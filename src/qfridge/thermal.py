@@ -99,6 +99,12 @@ class MachineSpec:
         return cls(QubitSpec(e), (QubitSpec(e_b),), t_room)
 
     @classmethod
+    def target_only(cls, e: float, t_room: float, t_hot: float | None) -> "MachineSpec":
+        """Target of gap ``e`` and the baths, for the ladders that bring their own qubits."""
+        _require_gap("target gap", e)
+        return cls(QubitSpec(e), (), t_room, t_hot)
+
+    @classmethod
     def two_qubit(
         cls, e_c: float, t_room: float, t_hot: float | None = None, e: float = 1.0
     ) -> "MachineSpec":

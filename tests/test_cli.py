@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfridge import cli, ladder, protocols
 from qfridge.cli import (
@@ -22,7 +24,7 @@ from qfridge.cli import (
 )
 from qfridge.ladder import LadderSpec, coherent_ladder, incoherent_ladder
 from qfridge.oracle import DEFAULT_SEED
-from qfridge.thermal import INFINITE, MachineSpec, boltzmann_population
+from qfridge.thermal import INFINITE, InfeasibleTargetError, MachineSpec, boltzmann_population
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -54,6 +56,20 @@ class TestCurveCommand:
         assert rc == 0
         assert len(lines) == 2
         assert lines[1].startswith("inf,")
+
+    @pytest.mark.parametrize(
+        "argv", [["ladder-coh", "--t-c", "0.5"], ["ladder-inc", "--t-c", "0.5", "--t-h", "10"]]
+    )
+    def test_ladder_curves_need_no_machine_qubit_gap(self, argv, capsys):
+        # The ladder builds its own machine qubits; --e-c is accepted, unread.
+        outputs = []
+        for extra in ([], ["--e-c", "0.4"]):
+            rc = main(["curve", *argv, "--grid", "2", "--full-precision", *extra])
+            captured = capsys.readouterr()
+            assert (rc, captured.err) == (0, "")
+            outputs.append(captured.out)
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].splitlines()) == 3
 
     @pytest.mark.parametrize("grid", [2, 3, 6])
     def test_empty_incoherent_virtual_qubit_rows_stay_at_the_room_state(self, grid, capsys):
@@ -229,6 +245,28 @@ def _crossing_machines():
     return [MachineSpec.two_qubit(float(e_c), float(t)) for e_c, t in [*fixed, *drawn]]
 
 
+@st.composite
+def _drawn_crossing_machines(draw):
+    # Tiny E_C (noisy gaps, tens of sign changes), E_C < E, and kinked
+    # machines (E_C > E), at E = 1 and E != 1.
+    e = draw(st.one_of(st.just(1.0), st.floats(0.2, 5.0)))
+    e_c = draw(
+        st.one_of(
+            st.floats(-13.0, -8.0).map(lambda x: 10.0**x),
+            st.floats(0.01, 1.0).map(lambda share: share * e),
+            st.floats(1.01, 20.0).map(lambda share: share * e),
+        )
+    )
+    return MachineSpec.two_qubit(e_c, draw(st.floats(0.05, 20.0)), e=e)
+
+
+def _outcome(search, spec, tolerance):
+    try:
+        return search(spec, tolerance)
+    except InfeasibleTargetError:
+        return InfeasibleTargetError
+
+
 class TestCrossingCommand:
     def test_reference_machine_geometry(self):
         spec = MachineSpec.two_qubit(0.4, 1.0)
@@ -301,6 +339,50 @@ class TestCrossingCommand:
     def test_equals_the_per_probe_search(self, tolerance):
         for spec in _crossing_machines():
             assert crossing_report(spec, tolerance) == _per_probe_crossing(spec, tolerance)
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec=_drawn_crossing_machines(), tolerance=st.sampled_from([1e-10, 1e-6]))
+    def test_equals_the_per_probe_search_on_drawn_machines(self, spec, tolerance):
+        assert _outcome(crossing_report, spec, tolerance) == _outcome(
+            _per_probe_crossing, spec, tolerance
+        )
+
+    def test_inverts_only_the_probes_monotonicity_leaves_open(self, monkeypatch):
+        # The per-probe search inverts the incoherent frontier 185 times here:
+        # at 161 probes, 23 bisection steps and t_crit.
+        budgets = []
+        real = protocols.incoherent_inverse
+
+        def counted(spec):
+            t_inc = real(spec)
+
+            def inverse(delta_f):
+                budgets.append(delta_f)
+                return t_inc(delta_f)
+
+            return inverse
+
+        monkeypatch.setattr(protocols, "incoherent_inverse", counted)
+        report = crossing_report(MachineSpec.two_qubit(0.4, 1.0), 1e-10)
+        assert report.sign_changes == 2
+        assert len(budgets) <= 60
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-250])
+    def test_machine_in_tiny_units_keeps_every_sign_change(self, scale):
+        # The product of two gaps underflows to 0 here; their signs do not.
+        unit = crossing_report(MachineSpec.two_qubit(0.4, 1.0), 1e-10)
+        tiny = crossing_report(MachineSpec.two_qubit(0.4 * scale, scale, e=scale), 1e-10 * scale)
+        assert tiny.sign_changes == unit.sign_changes == 2
+        assert tiny.delta_f_crit / scale == pytest.approx(unit.delta_f_crit, rel=1e-12, abs=0.0)
+        assert tiny.t_crit / scale == pytest.approx(unit.t_crit, rel=1e-12, abs=0.0)
+
+    def test_infeasible_budget_error_names_the_machine(self, capsys):
+        # r_C - 1/2 is a few ulps, so the coherent f_max reaches W(1/2).
+        rc = main(["crossing", "--e-c", "1e-15", "--t-r", "2"])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (2, "")
+        for name in ("E_C=1e-15", "T_R=2.0", "f_max=", "W(1/2)="):
+            assert name in captured.err
 
     @pytest.mark.parametrize("e_c", [0.4, 1.7])
     def test_machine_constants_are_computed_once(self, e_c, monkeypatch):

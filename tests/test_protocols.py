@@ -213,6 +213,27 @@ class TestIncoherentTemperatureOfWork:
         t = protocols.incoherent_temperature_of_work(spec, below)
         assert t == pytest.approx(t_inf, rel=1e-12, abs=0.0)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        t_room=st.floats(0.02, 30.0),
+        e_c=st.one_of(
+            # E_C/T_R past ~37 saturates r_C to exactly 1.0
+            st.floats(1e-6, 50.0),
+            st.floats(-6.0, math.log10(50.0)).map(lambda x: 10.0**x),
+        ),
+        frac=st.one_of(st.floats(1e-9, 1.0 - 1e-9), st.floats(1e-300, 1e-9)),
+        u=st.floats(0.0, 1.0),
+    )
+    def test_nonincreasing_in_the_budget(self, t_room, e_c, frac, u):
+        # The crossing search settles probe signs on this, to the last ulp.
+        spec = MachineSpec.two_qubit(e_c, t_room)
+        ceiling = _incoherent_work_ceiling(spec)
+        t_inc = protocols.incoherent_inverse(spec)
+        f = frac * ceiling
+        budgets = sorted({f, math.nextafter(f, math.inf), f * (1.0 + u)})
+        temperatures = [t_inc(b) for b in budgets if b < ceiling]
+        assert temperatures == sorted(temperatures, reverse=True)
+
     def test_non_positive_budget_is_room_temperature(self):
         spec = MachineSpec.two_qubit(0.4, 1.3)
         assert protocols.incoherent_temperature_of_work(spec, 0.0) == 1.3

@@ -42,8 +42,8 @@ KEEP_MEMBERS = {
 # flag, and why each stays.
 KEEP_FLAGS = {
     ("ladder-coh", "t_h"): "the recorded benchmark ladder-coh op passes it",
-    ("ladder-coh", "e_c"): "every curve requires it; the recorded benchmark op passes it",
-    ("ladder-inc", "e_c"): "every curve requires it; the recorded benchmark op passes it",
+    ("ladder-coh", "e_c"): "the recorded benchmark op passes it; the ladder builds its own qubits",
+    ("ladder-inc", "e_c"): "the recorded benchmark op passes it; the ladder builds its own qubits",
 }
 
 # Two valid values per scenario-specific curve flag (E = T_R = 1, E_C = 0.4).
