@@ -23,7 +23,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from . import protocols
 from .ladder import LadderSpec, coherent_ladder, incoherent_ladder, incoherent_twin
@@ -92,6 +92,10 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
 def _logspace(start: float, stop: float, num: int) -> list[float]:
     """numpy.logspace(start, stop, num), each power by math.pow (within 1 ulp of numpy's)."""
     return [math.pow(10.0, x) for x in _linspace(start, stop, num)]
+
+
+# The crossing's probe budgets as shares of the coherent full cost f_max.
+_PROBE_SHARES = _logspace(-9.0, -0.0001, 160) + [1.0]
 
 
 def _hot_bath_grid(t_room: float, grid: int) -> list[float]:
@@ -170,46 +174,6 @@ def curve_points(
 # ---------------------------------------------------------------------------
 
 
-def _probe_gaps(
-    probes: list[float], t_inc: Callable[[float], float], t_coh: Callable[[float], float]
-) -> list[float]:
-    # T_inc - T_coh at each ascending probe budget, or only its sign (+-1.0)
-    # where monotonicity settles it.  T_inc is nonincreasing in the budget,
-    # so with T_inc known at probes i < k < j, T_coh(f_k) < T_inc(f_j) proves
-    # the gap > 0 at k, and T_coh(f_k) > T_inc(f_i) proves it < 0.  T_inc is
-    # inverted at the last probe, then the first, then at the midpoint of
-    # each index range whose interior holds a probe still open; no probe is
-    # inverted twice.  T_coh is cheap and evaluated everywhere: it is never
-    # assumed monotone (it breaks by an ulp at its phase kink).
-    coh = [t_coh(f) for f in probes]
-    inc: dict[int, float] = {}
-    values = [0.0] * len(probes)
-
-    def invert(k: int) -> None:
-        inc[k] = t_inc(probes[k])
-        values[k] = inc[k] - coh[k]
-
-    last = len(probes) - 1
-    invert(last)
-    invert(0)
-    ranges = [(0, last)]
-    while ranges:
-        i, j = ranges.pop()
-        still_open = False
-        for k in range(i + 1, j):
-            if coh[k] < inc[j]:
-                values[k] = 1.0
-            elif coh[k] > inc[i]:
-                values[k] = -1.0
-            else:
-                still_open = True
-        if still_open:
-            m = (i + j) // 2
-            invert(m)
-            ranges += [(i, m), (m, j)]
-    return values
-
-
 def crossing_report(spec: MachineSpec, tolerance: float) -> CrossingReport:
     """Locate every sign change of T_inc(dF) - T_coh(dF) on the common domain.
 
@@ -219,22 +183,20 @@ def crossing_report(spec: MachineSpec, tolerance: float) -> CrossingReport:
     by bisection in the budget until the bracket is at most ``tolerance``
     wide; ``tolerance`` (the CLI's ``--tolerance``) is that outer bracket
     width and nothing else.  A tolerance below the spacing of the doubles
-    near a zero stops the bisection at two adjacent doubles instead.  Only
-    the signs of the gap are compared, never their products, which underflow
-    on a machine in tiny units.  Both frontier inverses are built once per
-    machine, so the resonance check and the room populations are not redone
-    per probe: the incoherent one inverts C's hot ground population x
-    through W(x) = (r_C - x)(E_C - T_R ln(x/(1-x))) to two adjacent doubles
-    in a handful of W evaluations (see
-    :func:`qfridge.protocols.incoherent_inverse`), the coherent one walks its
-    swap phases piecewise-linearly.  The coherent one is evaluated at every
-    probe; the incoherent one, nonincreasing in the budget, is inverted only
-    at the probes whose sign that leaves open, the largest budget first, so
-    the result is the same as inverting it at every probe.
-    ``delta_f_crit`` is the first interior zero and ``delta_f_crit_prime``
-    the last (the two coincide when the crossing is unique, which is not
-    assumed).  A coherent full cost at or beyond the incoherent curve's end
-    W(1/2) raises :class:`InfeasibleTargetError` naming the machine.
+    near a zero stops the bisection at two adjacent doubles instead.  Every
+    probe and bisection step takes the gap's sign from one forward
+    evaluation (:func:`qfridge.protocols.frontier_gap_sign`): T_inc(f) >
+    T_coh(f) exactly when the incoherent frontier's cost
+    W = (s_x - s_C)(E_C - T_R ln((1 - s_x)/s_x)) at the C population that
+    reaches the coherent population at f exceeds f, since W is monotone in
+    C's population and the swap is linear in it.  No frontier is inverted
+    and only signs are compared, never their products, which underflow on a
+    machine in tiny units.  ``t_crit`` alone inverts both frontiers, once, at
+    the first zero.  ``delta_f_crit`` is the first interior zero and
+    ``delta_f_crit_prime`` the last (the two coincide when the crossing is
+    unique, which is not assumed).  A coherent full cost at or beyond the
+    incoherent curve's end W(1/2) raises :class:`InfeasibleTargetError`
+    naming the machine.
     """
     if not tolerance > 0.0:
         raise DomainError(f"tolerance must be > 0, got {tolerance}")
@@ -242,46 +204,39 @@ def crossing_report(spec: MachineSpec, tolerance: float) -> CrossingReport:
     f_max = single_cycle_coherent_cost(spec)
     if f_max <= 0.0:
         return CrossingReport(None, None, None, 0)
-    t_inc = protocols.incoherent_inverse(spec)
-    t_coh = protocols.coherent_inverse(spec)
-
-    def gap(f: float) -> float:
-        return t_inc(f) - t_coh(f)
-
-    probes = [f_max * u for u in _logspace(-9.0, -0.0001, 160)] + [f_max]
+    sign = protocols.frontier_gap_sign(spec)
+    probes = [f_max * u for u in _PROBE_SHARES]
     try:
-        values = _probe_gaps(probes, t_inc, t_coh)
+        signs = [sign(f) for f in probes]
     except InfeasibleTargetError:
-        # Only f_max, the largest budget and the first inverted, can be
-        # beyond the incoherent curve's end W(1/2), its cost at t_hot = inf.
+        # Only budgets at or beyond the incoherent curve's end W(1/2), its
+        # cost at t_hot = inf, have no sign.
         w_half = protocols.two_qubit_incoherent_single(replace(spec, t_hot=INFINITE)).work_cost
         raise InfeasibleTargetError(
             f"coherent budget f_max={f_max!r} is beyond the incoherent curve's end "
             f"W(1/2)={w_half!r} on the machine E_C={spec.e_c!r}, T_R={spec.t_room!r}"
         ) from None
     zeros: list[float] = []
-    for (f_lo, g_lo), (f_hi, g_hi) in zip(
-        zip(probes, values), zip(probes[1:], values[1:])
-    ):
-        if g_lo == 0.0:
+    for (f_lo, g_lo), (f_hi, g_hi) in zip(zip(probes, signs), zip(probes[1:], signs[1:])):
+        if g_lo == 0:
             zeros.append(f_lo)
             continue
-        # Signs, not products: a product of two tiny gaps underflows to 0.
-        if not (g_hi < 0.0 if g_lo > 0.0 else g_hi > 0.0):
+        if g_hi != -g_lo:
             continue
         lo, hi = f_lo, f_hi
         while hi - lo > tolerance:
             mid = 0.5 * (lo + hi)
             if mid == lo or mid == hi:
                 break
-            if gap(mid) > 0.0 if g_lo > 0.0 else gap(mid) < 0.0:
+            if sign(mid) == g_lo:
                 lo = mid
             else:
                 hi = mid
         zeros.append(0.5 * (lo + hi))
     if not zeros:
         return CrossingReport(None, None, None, 1)
-    t_crit = 0.5 * (t_inc(zeros[0]) + t_coh(zeros[0]))
+    t_inc = protocols.incoherent_inverse(spec)(zeros[0])
+    t_crit = 0.5 * (t_inc + protocols.coherent_inverse(spec)(zeros[0]))
     return CrossingReport(zeros[0], t_crit, zeros[-1], 1 + len(zeros))
 
 

@@ -24,6 +24,7 @@ from .thermal import (
     MachineSpec,
     RESONANCE_RTOL,
     boltzmann_population,
+    excited_population,
     resource_free_energy,
     temperature_from_population,
 )
@@ -129,34 +130,60 @@ def _origin_temperature(t_room: float, delta_f: float) -> float:
     raise DomainError(f"work budget must be a number, got {delta_f}")
 
 
+def _incoherent_work(u: float, r_x: float, s_c: float, e_c: float, t_room: float) -> float:
+    # W = (s_x - s_C)(E_C - T_R ln(r_x/s_x)), the incoherent frontier's cost
+    # at C's hot excited population s_x = s_C + u (ground r_x = r_C - u), in
+    # complement form: with E_C/T_R = ln(r_C/s_C), W = T_R u ln(1 + y),
+    # y = u/(s_C r_x), whose terms cannot cancel as u -> 0 or as E_C -> 0.
+    # Each rounding step is monotone in u and in r_x.  Once s_C < 1e-300, y
+    # would overflow: ln y = ln(u/r_x) + E_C/T_R there (ln s_C = -E_C/T_R
+    # to the last bit) and ln(1 + y) is its softplus.
+    if s_c >= 1e-300:
+        return t_room * u * math.log1p(u / (s_c * r_x))
+    log_y = math.log(u / r_x) + e_c / t_room
+    if log_y > 0.0:
+        return t_room * u * (log_y + math.log1p(math.exp(-log_y)))
+    return t_room * u * math.log1p(math.exp(log_y))
+
+
+def _frontier_end(spec: MachineSpec) -> tuple[float, float]:
+    # C's room ground population r_C and W(1/2) = E_C (r_C - 1/2), the
+    # incoherent frontier's cost at t_hot = inf, beyond which it has no point.
+    r_c = boltzmann_population(spec.e_c, spec.t_room)
+    return r_c, spec.e_c * (r_c - 0.5)
+
+
 def incoherent_inverse(spec: MachineSpec) -> Callable[[float], float]:
     """Inverse of the single-cycle incoherent frontier: work budget to temperature.
 
     The frontier of :func:`two_qubit_incoherent_single` over t_hot >= t_room
     is parametrised by C's hot ground population x in [1/2, r_C]: its work
-    cost W(x) = (r_C - x)(E_C - T_R ln(x/(1-x))) falls monotonically from
+    cost W = (r_C - x)(E_C - T_R ln(x/(1-x))) falls monotonically from
     E_C (r_C - 1/2) at x = 1/2 (t_hot = inf) to 0 at x = r_C (t_hot = t_room).
-    The resonance check and the machine's constants (r, r_B, r_C, W(1/2)) are
-    computed here once; the returned function inverts W at one budget in
-    plain float arithmetic (no tolerance parameter): the result is the x that
-    plain bisection of [1/2, r_C] on the float predicate W(x) < delta_f ends
-    on once the bracket holds two adjacent doubles.  A few safeguarded Newton
-    steps and an ulp search narrow the bracket first, so an inversion takes a
-    handful of W evaluations instead of ~52, and never more than 12 beyond
+    W is evaluated in complement form, T_R u ln(1 + u/(s_C x)) with
+    u = r_C - x and s_C = 1 - r_C carried as an excited population, so no
+    term cancels near either end or as E_C -> 0.  The resonance check and
+    the machine's constants (r, r_B, r_C, s_C, W(1/2)) are computed here
+    once; the returned function inverts W at one budget in plain float
+    arithmetic (no tolerance parameter): the result is the x that plain
+    bisection of [1/2, r_C] on the float predicate W(x) < delta_f ends on
+    once the bracket holds two adjacent doubles.  A few safeguarded Newton
+    steps and an ulp search narrow the bracket first, so an inversion takes
+    a handful of W evaluations instead of ~52, and never more than 12 beyond
     plain bisection.  The target population follows from the same
     degenerate-pair swap.  The result is nonincreasing in the budget over
     the doubles, to the last ulp: the predicate is monotone in x and in the
     budget, the result is an end of the one adjacent pair on which it flips,
-    and the swap population and the temperature are monotone in x; the
-    crossing search settles probe signs on this.  Budgets at or beyond W(1/2)
-    raise :class:`InfeasibleTargetError`; budgets <= 0 return t_room; NaN
-    raises :class:`DomainError`.
+    and the swap population and the temperature are monotone in x.  Budgets
+    at or beyond W(1/2) raise :class:`InfeasibleTargetError`; budgets <= 0
+    return t_room; NaN raises :class:`DomainError`.
     """
     spec.require_resonance()
     e_c, t_room = spec.e_c, spec.t_room
     r = _room_population(spec)
-    r_b, r_c = _machine_room_populations(spec)
-    w_half = e_c * (r_c - 0.5)
+    r_b = boltzmann_population(spec.e_b, t_room)
+    r_c, w_half = _frontier_end(spec)
+    s_c = excited_population(e_c, t_room)
 
     def temperature_of_work(delta_f: float) -> float:
         if not delta_f > 0.0:
@@ -164,35 +191,34 @@ def incoherent_inverse(spec: MachineSpec) -> Callable[[float], float]:
         if delta_f >= w_half:
             raise InfeasibleTargetError("work budget beyond the incoherent curve")
         # W(lo) >= delta_f > W(hi); every evaluation moves the end on its side.
-        # 1 - x is exact and each rounding step is monotone, so the float
-        # predicate is monotone in x and the adjacent pair the bracket closes
-        # on does not depend on where it was evaluated.
+        # Each rounding step is monotone, so the float predicate is monotone
+        # in x and the adjacent pair the bracket closes on does not depend on
+        # where it was evaluated.
         lo, hi = 0.5, r_c
 
-        def work_at(x: float) -> tuple[float, float]:
+        def work_at(x: float) -> float:
             nonlocal lo, hi
-            log_factor = e_c - t_room * math.log(x / (1.0 - x))
-            work = (r_c - x) * log_factor
+            work = _incoherent_work(r_c - x, x, s_c, e_c, t_room)
             if work < delta_f:
                 hi = x
             else:
                 lo = x
-            return work, log_factor
+            return work
 
         # Newton on ln W against ln(r_C - x), started from the small-budget
         # asymptote W ~ T_R (r_C - x)^2 / (r_C (1 - r_C)).  The log-log slope
-        # runs from 2 at W's double root r_C to about 1 far from it, so a few
-        # steps land within ulps of the crossing.  A guess outside the bracket
-        # is replaced by its midpoint; the saturated r_C == 1.0 family starts
-        # there.
+        # 1 + T_R u^2 / (x (1 - x) W) runs from 2 at W's double root r_C to
+        # about 1 far from it, so a few steps land within ulps of the
+        # crossing.  A guess outside the bracket is replaced by its midpoint;
+        # the saturated r_C == 1.0 family starts there.
         guess = r_c - math.sqrt(delta_f * r_c * (1.0 - r_c) / t_room)
         for _ in range(8):
             x = guess if lo < guess < hi else 0.5 * (lo + hi)
-            work, log_factor = work_at(x)
+            work = work_at(x)
             if work <= 0.0:
                 break
             u = r_c - x
-            slope = 1.0 + u * t_room / (x * (1.0 - x) * log_factor)
+            slope = 1.0 + t_room * u * u / (x * (1.0 - x) * work)
             guess = r_c - u * (delta_f / work) ** (1.0 / slope)
             if guess == lo or guess == hi:
                 break
@@ -224,17 +250,22 @@ def incoherent_temperature_of_work(spec: MachineSpec, delta_f: float) -> float:
     return spec.t_room if delta_f <= 0.0 else incoherent_inverse(spec)(delta_f)
 
 
-def _swap_phases(spec: MachineSpec, via_c: bool) -> list[tuple[float, float]]:
+def _swap_phases(
+    spec: MachineSpec, via_c: bool, ends: tuple[float, float] | None = None
+) -> list[tuple[float, float]]:
     # (population endpoint, gradient) of each swap raising the target from r
     # to r_B: with C first when via_c (to r_C at e_c - e), then with B (to r_B
-    # at e_b - e = e_c).
-    r_b, r_c = _machine_room_populations(spec)
-    return ([(r_c, spec.e_c - spec.e)] if via_c else []) + [(r_b, spec.e_c)]
+    # at e_b - e = e_c).  ends = (s_B, s_C) gives the endpoints as excited
+    # populations instead.
+    end_b, end_c = _machine_room_populations(spec) if ends is None else ends
+    return ([(end_c, spec.e_c - spec.e)] if via_c else []) + [(end_b, spec.e_c)]
 
 
-def _single_cycle_phases(spec: MachineSpec) -> list[tuple[float, float]]:
+def _single_cycle_phases(
+    spec: MachineSpec, ends: tuple[float, float] | None = None
+) -> list[tuple[float, float]]:
     # The work-optimal single cycle goes through C exactly when e_c > e.
-    return _swap_phases(spec, spec.e_c > spec.e)
+    return _swap_phases(spec, spec.e_c > spec.e, ends)
 
 
 def _phase_work(r: float, phases: list[tuple[float, float]], r_target: float) -> float:
@@ -320,6 +351,71 @@ def coherent_inverse(spec: MachineSpec) -> Callable[[float], float]:
 def coherent_temperature_of_work(spec: MachineSpec, delta_f: float) -> float:
     """Coherent frontier temperature at one budget (:func:`coherent_inverse`)."""
     return coherent_inverse(spec)(delta_f)
+
+
+def frontier_gap_sign(spec: MachineSpec) -> Callable[[float], int]:
+    """Sign of T_inc(dF) - T_coh(dF) between the single-cycle frontiers.
+
+    T_inc(f) > T_coh(f) exactly when the incoherent frontier needs more than
+    f to reach the coherent population at f.  The degenerate-pair swap is
+    linear in C's hot population, so that need is one forward evaluation,
+    not an inversion: the coherent phases, walked in excited populations,
+    lower the target's s by drop at f, and C's hot excited population must
+    then be s_x = ((s - s') + r s_B)/(s r_B + r s_B) with s' = s - drop, that
+    is s_C + u with u = drop/(s r_B + r s_B) (the resonance makes
+    r s_B r_C = s s_C r_B).  The sign is +1 once s_x >= 1/2, that is
+    u >= tanh(E_C/2T_R)/2, which no hot bath reaches, and otherwise that of
+    W(s_x) - f, with W in the complement form :func:`incoherent_inverse`
+    evaluates.  Excited
+    populations keep every term free of cancellation, also where r, r_B and
+    r_C round to 1.  The resonance check and the machine's constants are
+    computed here once; a sign costs one phase walk and one W evaluation.
+    Budgets <= 0 give 0; budgets at or beyond W(1/2) raise
+    :class:`InfeasibleTargetError`, as :func:`incoherent_inverse` does; NaN
+    raises :class:`DomainError`.
+    """
+    spec.require_resonance()
+    e_c, t_room = spec.e_c, spec.t_room
+    s = excited_population(spec.e, t_room)
+    s_b = excited_population(spec.e_b, t_room)
+    s_c = excited_population(e_c, t_room)
+    r_c, w_half = _frontier_end(spec)
+    denominator = s * (1.0 - s_b) + (1.0 - s) * s_b
+    u_half = 0.5 * math.tanh(0.5 * e_c / t_room)
+    # (span of s, gradient) of each coherent phase, in phase order.
+    spans, s_now = [], s
+    for s_end, gradient in _single_cycle_phases(spec, (s_b, s_c)):
+        spans.append((s_now - s_end, gradient))
+        s_now = s_end
+    *head, (last_span, last_gradient) = spans
+
+    def sign(delta_f: float) -> int:
+        if not delta_f > 0.0:
+            _origin_temperature(t_room, delta_f)
+            return 0
+        if delta_f >= w_half:
+            raise InfeasibleTargetError("work budget beyond the incoherent curve")
+        if not denominator > 0.0:
+            return 0  # s = s_B = 0.0: the target rounds to absolute zero
+        work, drop = 0.0, 0.0
+        for span, gradient in head:
+            cost = span * gradient
+            if delta_f - work <= cost:
+                drop += (delta_f - work) / gradient
+                break
+            work, drop = work + cost, drop + span
+        else:
+            cost = last_span * last_gradient
+            drop += last_span if delta_f - work >= cost else (delta_f - work) / cost * last_span
+        u = drop / denominator
+        if u >= u_half:
+            return 1
+        if not u > 0.0:
+            return -1
+        need = _incoherent_work(u, r_c - u, s_c, e_c, t_room)
+        return (need > delta_f) - (need < delta_f)
+
+    return sign
 
 
 def two_qubit_coherent_single(spec: MachineSpec, r_target: float) -> ProtocolOutcome:

@@ -4,7 +4,7 @@ Energies and temperatures are in natural units (k_B = hbar = 1) and every
 qubit has its ground state at zero energy.  ``math.inf`` serves as the
 distinguished infinite temperature: ``exp(-gap/inf)`` evaluates to ``exp(0.0)``
 exactly, so hot-bath limits such as the half-filled population carry no
-rounding error, and the Carnot factor ``1 - t_room/t_hot`` collapses to
+rounding error, and the Carnot factor ``(t_hot - t_room)/t_hot`` is taken as
 exactly ``1.0``.
 
 All values are immutable after construction and all functions are pure.
@@ -167,6 +167,24 @@ def boltzmann_population(gap: float, temp: float) -> float:
     if not temp > 0.0:
         raise DomainError(f"temperature must be > 0 or infinite, got {temp}")
     return 1.0 / (1.0 + math.exp(-gap / temp))
+
+
+def excited_population(gap: float, temp: float) -> float:
+    """Excited-state population q/(1 + q), q = exp(-gap/temp), of a thermal qubit.
+
+    The complement of :func:`boltzmann_population` without its cancellation:
+    within a few ulps also where the ground population rounds to 1.0, and
+    exactly 0.0, never an overflow, once gap/temp passes ~745.  ``temp =
+    math.inf`` returns exactly 0.5.  It is evaluated as 1/(1 + exp(gap/temp))
+    up to gap/temp = 40 and as exp(-gap/temp) beyond, where the two differ by
+    less than 1e-17 relative; each branch is a chain of monotone roundings,
+    so the result is monotone decreasing in ``gap`` and increasing in ``temp``.
+    """
+    _require_gap("gap", gap)
+    if not temp > 0.0:
+        raise DomainError(f"temperature must be > 0 or infinite, got {temp}")
+    x = gap / temp
+    return math.exp(-x) if x > 40.0 else 1.0 / (1.0 + math.exp(x))
 
 
 def temperature_from_population(gap: float, r: float) -> float:

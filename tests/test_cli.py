@@ -1,9 +1,12 @@
 import argparse
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import decimal_reference
 from qfridge import cli, ladder, protocols
 from qfridge.cli import (
     CSV_HEADER,
@@ -245,14 +249,24 @@ def _crossing_machines():
     return [MachineSpec.two_qubit(float(e_c), float(t)) for e_c, t in [*fixed, *drawn]]
 
 
+def _log_uniform(low, high):
+    return st.floats(math.log10(low), math.log10(high)).map(lambda x: 10.0**x)
+
+
 @st.composite
 def _drawn_crossing_machines(draw):
-    # Tiny E_C (noisy gaps, tens of sign changes), E_C < E, and kinked
-    # machines (E_C > E), at E = 1 and E != 1.
+    # Tiny E_C (where ground populations leave the gap's sign to noise),
+    # E_C < E and kinked machines (E_C > E), at E = 1 and E != 1; or E, E_C
+    # and T_R log-uniform over wide ranges, cold ones included, up to
+    # E_B/T_R = 600.
+    if draw(st.booleans()):
+        e = draw(_log_uniform(0.1, 10.0))
+        e_c = draw(_log_uniform(1e-6, 100.0))
+        return MachineSpec.two_qubit(e_c, draw(_log_uniform(max(0.01, (e + e_c) / 600.0), 100.0)), e=e)
     e = draw(st.one_of(st.just(1.0), st.floats(0.2, 5.0)))
     e_c = draw(
         st.one_of(
-            st.floats(-13.0, -8.0).map(lambda x: 10.0**x),
+            _log_uniform(1e-13, 1e-8),
             st.floats(0.01, 1.0).map(lambda share: share * e),
             st.floats(1.01, 20.0).map(lambda share: share * e),
         )
@@ -260,11 +274,35 @@ def _drawn_crossing_machines(draw):
     return MachineSpec.two_qubit(e_c, draw(st.floats(0.05, 20.0)), e=e)
 
 
-def _outcome(search, spec, tolerance):
+def _assert_matches_the_decimal_reference(spec, tolerance):
+    """Probe signs, sign changes and the first zero, against 50 digits."""
+    f_max = protocols.single_cycle_coherent_cost(spec)
+    machine = decimal_reference.Machine(spec.e, spec.e_c, spec.t_room)
     try:
-        return search(spec, tolerance)
+        report = crossing_report(spec, tolerance)
     except InfeasibleTargetError:
-        return InfeasibleTargetError
+        # f_max and W(1/2) are both differences of ground populations, each
+        # within a few 1e-16 of the truth.
+        slack = Decimal(1e-15) * Decimal(2.0 * spec.e_c + spec.e)
+        assert machine.coherent_full_cost() >= machine.incoherent_end() - slack
+        return
+    if f_max <= 0.0:
+        # r and r_B round to 1.0: the crossing reports no domain.
+        assert report == cli.CrossingReport(None, None, None, 0)
+        return
+    probes = [f_max * u for u in cli._logspace(-9.0, -0.0001, 160)] + [f_max]
+    signs = [machine.gap_sign(f) for f in probes]
+    sign = protocols.frontier_gap_sign(spec)
+    assert [sign(f) for f in probes] == signs
+    count, zeros = decimal_reference.sign_changes(signs)
+    assert report.sign_changes == count
+    if zeros:
+        k = zeros[0]
+        z = Decimal(probes[k]) if signs[k] == 0 else decimal_reference.zero_between(
+            machine, probes[k], probes[k + 1]
+        )
+        bound = max(tolerance, 4.0 * math.ulp(float(z)))
+        assert abs(Decimal(report.delta_f_crit) - z) <= Decimal(bound)
 
 
 class TestCrossingCommand:
@@ -342,10 +380,25 @@ class TestCrossingCommand:
 
     @settings(max_examples=150, deadline=None)
     @given(spec=_drawn_crossing_machines(), tolerance=st.sampled_from([1e-10, 1e-6]))
-    def test_equals_the_per_probe_search_on_drawn_machines(self, spec, tolerance):
-        assert _outcome(crossing_report, spec, tolerance) == _outcome(
-            _per_probe_crossing, spec, tolerance
-        )
+    def test_matches_the_decimal_reference_on_drawn_machines(self, spec, tolerance):
+        _assert_matches_the_decimal_reference(spec, tolerance)
+
+    @pytest.mark.parametrize(
+        "e, e_c, t_room, count",
+        [
+            # 97 and 9 sign changes of noise when each probe inverted T_inc
+            (0.9707969357468366, 5.098404036901539, 0.033287969787308365, 1),
+            (1.4057, 1.27e-6, 0.0736, 2),
+            # W in plain excited populations, (s_x - s_C)(E_C - T_R ln(r_x/s_x)),
+            # gets probe 149's sign wrong here
+            (1.0, 1.1633823840919966e-13, 14.918700432853685, 2),
+        ],
+    )
+    @pytest.mark.parametrize("tolerance", [1e-10, 1e-6])
+    def test_matches_the_decimal_reference_on_noisy_machines(self, e, e_c, t_room, count, tolerance):
+        spec = MachineSpec.two_qubit(e_c, t_room, e=e)
+        assert crossing_report(spec, tolerance).sign_changes == count
+        _assert_matches_the_decimal_reference(spec, tolerance)
 
     def test_inverts_only_the_probes_monotonicity_leaves_open(self, monkeypatch):
         # The per-probe search inverts the incoherent frontier 185 times here:
@@ -366,6 +419,23 @@ class TestCrossingCommand:
         report = crossing_report(MachineSpec.two_qubit(0.4, 1.0), 1e-10)
         assert report.sign_changes == 2
         assert len(budgets) <= 60
+
+    def test_inverts_the_incoherent_frontier_only_for_the_critical_temperature(self, monkeypatch):
+        budgets = []
+        real = protocols.incoherent_inverse
+
+        def counted(spec):
+            t_inc = real(spec)
+
+            def inverse(delta_f):
+                budgets.append(delta_f)
+                return t_inc(delta_f)
+
+            return inverse
+
+        monkeypatch.setattr(protocols, "incoherent_inverse", counted)
+        report = crossing_report(MachineSpec.two_qubit(0.4, 1.0), 1e-10)
+        assert budgets == [report.delta_f_crit]
 
     @pytest.mark.parametrize("scale", [1e-160, 1e-250])
     def test_machine_in_tiny_units_keeps_every_sign_change(self, scale):
@@ -417,6 +487,31 @@ class TestCrossingCommand:
         assert all(math.isfinite(v) for v in payload.values())
         pinned = crossing_report(MachineSpec.two_qubit(0.4, 1.0), 1e-10).delta_f_crit
         assert payload["delta_f_crit"] == pytest.approx(scale * pinned, rel=1e-7)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        e=_log_uniform(1e-6, 1e6),
+        e_c=st.one_of(_log_uniform(1e-300, 1e-8), _log_uniform(1e-8, 1e6)),
+        t_room=_log_uniform(1e-6, 1e6),
+    )
+    def test_any_machine_exits_cleanly_with_finite_numbers(self, e, e_c, t_room):
+        # Cold targets, tiny E_C and huge E_B/T_R, where the sign's
+        # denominator s r_B + r s_B and the excited populations underflow.
+        out, err = io.StringIO(), io.StringIO()
+        argv = ["crossing", "--e", repr(e), "--e-c", repr(e_c), "--t-r", repr(t_room)]
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(argv)
+        assert rc in (0, 2)
+        assert "Traceback" not in err.getvalue()
+        if rc == 2:
+            assert out.getvalue() == ""
+            return
+
+        def reject(token):
+            raise AssertionError(f"non-finite JSON number {token}")
+
+        payload = json.loads(out.getvalue(), parse_constant=reject)
+        assert all(v is None or math.isfinite(v) for v in payload.values())
 
     def test_crossing_exists_in_the_kinked_regime(self):
         # with e_c > e the coherent curve has a derivative kink at mu = 1/2

@@ -1,6 +1,7 @@
 import ast
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import decimal_reference
 from qfridge import oracle, protocols, virtual
 from qfridge.majorization import InfeasibleTargetError, solve_two_qubit, vertex_oracle_min
 from qfridge.protocols import TrajectoryPoint
@@ -19,6 +21,7 @@ from qfridge.thermal import (
     MachineSpec,
     QubitSpec,
     boltzmann_population,
+    excited_population,
     hamiltonian_diagonal,
     resource_free_energy,
     temperature_from_population,
@@ -121,13 +124,13 @@ def _nested_bisection_temperature_of_work(spec, delta_f):
 def _full_range_bisection_temperature_of_work(spec, delta_f):
     """Reference inversion: bisect x over all of [1/2, r_C] to adjacent doubles."""
     e_c, t_room = spec.e_c, spec.t_room
-    r_c = _r(e_c, t_room)
+    r_c, s_c = _r(e_c, t_room), excited_population(e_c, t_room)
     lo, hi = 0.5, r_c
     while True:
         x = 0.5 * (lo + hi)
         if x == lo or x == hi:
             break
-        if (r_c - x) * (e_c - t_room * math.log(x / (1.0 - x))) < delta_f:
+        if protocols._incoherent_work(r_c - x, x, s_c, e_c, t_room) < delta_f:
             hi = x
         else:
             lo = x
@@ -137,12 +140,12 @@ def _full_range_bisection_temperature_of_work(spec, delta_f):
     return protocols._final_temperature(spec, r_final)
 
 
-def _log_calls(function, *args):
-    """Result of ``function(*args)`` and the number of math.log calls it made."""
+def _work_evaluations(function, *args):
+    """Result of ``function(*args)`` and the number of W evaluations it made."""
     calls = []
-    log = math.log
+    work = protocols._incoherent_work
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(protocols.math, "log", lambda v: calls.append(v) or log(v))
+        patch.setattr(protocols, "_incoherent_work", lambda *a: calls.append(a) or work(*a))
         result = function(*args)
     return result, len(calls)
 
@@ -182,23 +185,38 @@ class TestIncoherentTemperatureOfWork:
     )
     def test_bit_identical_to_full_range_bisection(self, spec, frac):
         delta_f = frac * _incoherent_work_ceiling(spec)
-        expected, bisection_logs = _log_calls(
+        expected, bisection_evaluations = _work_evaluations(
             _full_range_bisection_temperature_of_work, spec, delta_f
         )
-        got, logs = _log_calls(protocols.incoherent_temperature_of_work, spec, delta_f)
+        got, evaluations = _work_evaluations(protocols.incoherent_temperature_of_work, spec, delta_f)
         assert got == expected
-        assert logs <= bisection_logs + 12
+        assert evaluations <= bisection_evaluations + 12
 
     @pytest.mark.parametrize("e_c", [0.4, 1.7])
     @pytest.mark.parametrize("frac", [1e-6, 0.1, 0.9])
     def test_few_frontier_evaluations(self, e_c, frac):
         spec = MachineSpec.two_qubit(e_c, 1.0)
         delta_f = frac * _incoherent_work_ceiling(spec)
-        _, logs = _log_calls(protocols.incoherent_temperature_of_work, spec, delta_f)
-        _, bisection_logs = _log_calls(
+        _, evaluations = _work_evaluations(protocols.incoherent_temperature_of_work, spec, delta_f)
+        _, bisection_evaluations = _work_evaluations(
             _full_range_bisection_temperature_of_work, spec, delta_f
         )
-        assert logs <= 12 < bisection_logs
+        assert evaluations <= 12 < bisection_evaluations
+
+    # E_C/T_R from tiny through the saturated r_C == 1.0 family to past the
+    # smallest double (s_C = 0.0), on both sides of the 1e-300 branch in s_C.
+    @pytest.mark.parametrize("ratio", [1e-12, 1e-3, 1.0, 30.0, 690.0, 700.0, 800.0, 5000.0])
+    def test_work_in_complement_form_matches_the_decimal_reference(self, ratio):
+        t_room = 0.7
+        e_c = ratio * t_room
+        r_c, s_c = _r(e_c, t_room), excited_population(e_c, t_room)
+        machine = decimal_reference.Machine(1.0, e_c, t_room)
+        u_end = 0.5 * math.tanh(0.5 * e_c / t_room)  # 1/2 - s_C
+        for share in (1e-9, 1e-4, 0.1, 0.5, 0.999):
+            u = share * u_end
+            got = protocols._incoherent_work(u, r_c - u, s_c, e_c, t_room)
+            want = machine.incoherent_work(u)
+            assert abs(Decimal(got) - want) <= Decimal(1e-13) * want
 
     def test_infeasible_boundary_is_the_infinite_bath_cost(self):
         spec = MachineSpec.two_qubit(0.4, 1.0)

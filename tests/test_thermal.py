@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import decimal_reference
 from qfridge.thermal import (
     DomainError,
     INFINITE,
@@ -14,6 +15,7 @@ from qfridge.thermal import (
     QubitSpec,
     binary_entropy,
     boltzmann_population,
+    excited_population,
     hamiltonian_diagonal,
     resource_free_energy,
     temperature_from_population,
@@ -76,6 +78,73 @@ class TestBoltzmannPopulation:
     @settings(max_examples=200)
     def test_thermal_population_above_half_for_positive_gap(self, temp, ratio):
         assert boltzmann_population(ratio * temp, temp) > 0.5
+
+
+def _log_uniform(low, high):
+    return st.floats(math.log10(low), math.log10(high)).map(lambda x: 10.0**x)
+
+
+def _ulps_from_reference(gap, temp):
+    got = excited_population(gap, temp)
+    want = decimal_reference.excited_population(gap, temp)
+    return abs(decimal.Decimal(got) - want) / decimal.Decimal(math.ulp(float(want)))
+
+
+class TestExcitedPopulation:
+    # Temperatures are powers of two, so gap/temp is exact; otherwise its
+    # rounding alone moves the population by up to gap/temp half-ulps.
+    @given(ratio=_log_uniform(1e-12, 700.0), scale=st.integers(-10, 10))
+    @settings(max_examples=300, deadline=None)
+    def test_within_four_ulps_of_the_decimal_reference(self, ratio, scale):
+        temp = 2.0**scale
+        assert _ulps_from_reference(ratio * temp, temp) <= 4
+
+    def test_within_four_ulps_across_the_branch_at_forty(self):
+        ratios = [math.nextafter(40.0, 0.0), 40.0, math.nextafter(40.0, 100.0)]
+        ratios += [float(x) for x in np.geomspace(1e-12, 700.0, 400)]
+        assert max(_ulps_from_reference(ratio, 1.0) for ratio in ratios) <= 4
+
+    def test_infinite_temperature_is_exact_half(self):
+        assert excited_population(0.4, INFINITE) == 0.5
+        assert excited_population(0.0, 1.0) == 0.5
+
+    @pytest.mark.parametrize(
+        "gap, temp", [(746.0, 1.0), (1e3, 1.0), (1.0, 1e-300), (1e308, 1e-10)]
+    )
+    def test_past_the_smallest_double_is_exact_zero(self, gap, temp):
+        # 1/(1 + exp(gap/temp)) raises OverflowError here.
+        assert excited_population(gap, temp) == 0.0
+
+    def test_rejects_what_the_ground_population_rejects(self):
+        for gap, temp in [(1.0, 0.0), (-1.0, 1.0), (INFINITE, INFINITE)]:
+            with pytest.raises(DomainError):
+                excited_population(gap, temp)
+
+    @given(ratio=st.floats(0.0, 800.0), temp=_log_uniform(1e-3, 1e3), factor=st.floats(1.0, 10.0))
+    @settings(max_examples=300)
+    def test_monotone_in_gap_to_the_ulp(self, ratio, temp, factor):
+        gap = ratio * temp
+        gaps = [gap, math.nextafter(gap, INFINITE), gap * factor]
+        populations = [excited_population(g, temp) for g in sorted(gaps)]
+        assert populations == sorted(populations, reverse=True)
+
+    @given(ratio=st.floats(0.0, 800.0), temp=_log_uniform(1e-3, 1e3), factor=st.floats(1.0, 10.0))
+    @settings(max_examples=300)
+    def test_monotone_in_temperature_to_the_ulp(self, ratio, temp, factor):
+        gap = ratio * temp
+        temps = [temp, math.nextafter(temp, INFINITE), temp * factor]
+        populations = [excited_population(gap, t) for t in sorted(temps)]
+        assert populations == sorted(populations)
+
+    def test_monotone_across_the_branch_at_forty(self):
+        x = 40.0
+        for _ in range(8):
+            x = math.nextafter(x, 0.0)
+        ratios = [x]
+        for _ in range(16):
+            ratios.append(math.nextafter(ratios[-1], INFINITE))
+        populations = [excited_population(r, 1.0) for r in ratios]
+        assert populations == sorted(populations, reverse=True)
 
 
 class TestTemperatureFromPopulation:
