@@ -537,8 +537,9 @@ def main(argv: Sequence[str] | None = None) -> int:
                     "gap": inc.gap,
                     "q_init": inc.q_init,
                 }
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        # One write: json.dump writes chunk by chunk, each a syscall when
+        # stdout is unbuffered.
+        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
         sys.stdout.flush()
         return code
     except BrokenPipeError:

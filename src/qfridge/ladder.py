@@ -16,16 +16,12 @@ the same work per unit population).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
-from .thermal import (
-    ConfigurationError,
-    DomainError,
-    binary_entropy,
-    boltzmann_population,
-    resource_free_energy,
-)
+from .thermal import ConfigurationError, DomainError, binary_entropy, resource_free_energy
 
 
 class LadderStage(NamedTuple):
@@ -52,46 +48,65 @@ class LadderSpec:
     target_gap: float = 1.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_steps, int) or self.n_steps < 1:
-            raise DomainError(f"ladder needs an integer n_steps >= 1, got {self.n_steps!r}")
+        n = self.n_steps
+        if isinstance(n, bool) or not hasattr(type(n), "__index__") or n < 1:
+            raise DomainError(f"ladder needs an integer n_steps >= 1, got {n!r}")
+        object.__setattr__(self, "n_steps", operator.index(n))  # numpy ints too
         if not 0.0 < self.t_room < math.inf:
             raise DomainError(f"t_room must be finite and > 0, got {self.t_room}")
+        if not 0.0 < self.target_gap < math.inf:
+            raise DomainError(f"target gap must be finite and > 0, got {self.target_gap}")
         if not 0.0 < self.t_cold <= self.t_room:
-            raise DomainError(
-                f"t_cold must satisfy 0 < t_cold <= t_room, got {self.t_cold}"
-            )
+            raise DomainError(f"t_cold must satisfy 0 < t_cold <= t_room, got {self.t_cold}")
+        if not max(self.target_gap, self.t_room) / self.t_cold < math.inf:
+            raise DomainError(f"t_cold = {self.t_cold} overflows E/t_cold or t_room/t_cold")
         if self.t_hot is not None and not self.t_hot >= self.t_room:
             raise DomainError(f"t_hot must be >= t_room, got {self.t_hot}")
         if self.e_ground_offset is not None and not 0.0 <= self.e_ground_offset < math.inf:
             raise DomainError(f"e_ground_offset must be finite and >= 0, got {self.e_ground_offset}")
-        if not 0.0 < self.target_gap < math.inf:
-            raise DomainError(f"target gap must be finite and > 0, got {self.target_gap}")
 
 
 @dataclass(frozen=True)
 class LadderOutcome:
-    """Total work, target free-energy increase, and their second-law gap."""
+    """Total work, target free-energy increase, and their second-law gap.
+
+    The totals are computed when it is built.  ``per_step``, the coherent
+    stages of ``spec``, is built by a second walk on first read, and never
+    otherwise.
+    """
 
     w_total: float
     df_target: float
     gap: float
+    spec: LadderSpec
     q_init: float | None = None
-    per_step: tuple[LadderStage, ...] = ()
+
+    @cached_property
+    def per_step(self) -> tuple[LadderStage, ...]:
+        stages: list[LadderStage] = []
+        _walk(self.spec, stages)
+        return tuple(stages)
 
 
-def _stage_exponents(spec: LadderSpec) -> list[float]:
-    """E/T_i for i = 0..N along the inverse-temperature interpolation."""
+def _walk(spec: LadderSpec, stages: list[LadderStage] | None = None) -> tuple[float, float, float]:
+    """(w_total, r_0, r_N) of :func:`coherent_ladder`; each stage goes to ``stages`` if given."""
     e = spec.target_gap
+    n = spec.n_steps
+    excess = spec.t_room / spec.t_cold - 1.0
     x_room = e / spec.t_room
-    x_cold = e / spec.t_cold
-    return [x_room + (i / spec.n_steps) * (x_cold - x_room) for i in range(spec.n_steps + 1)]
-
-
-def _target_free_energy_increase(spec: LadderSpec, r_start: float, r_end: float) -> float:
-    e = spec.target_gap
-    return spec.t_room * (binary_entropy(r_start) - binary_entropy(r_end)) - e * (
-        r_end - r_start
-    )
+    span = e / spec.t_cold - x_room
+    r_0 = r_prev = 1.0 / (1.0 + math.exp(-x_room))
+    w_total = 0.0
+    for i in range(1, n + 1):
+        f = i / n
+        x = x_room + f * span
+        r = 1.0 / (1.0 + math.exp(-x))
+        work = (r - r_prev) * (e * (1.0 + f * excess) - e)
+        w_total += work
+        if stages is not None:
+            stages.append(LadderStage(i, e / x, r, work))
+        r_prev = r
+    return w_total, r_0, r_prev
 
 
 def coherent_ladder(spec: LadderSpec) -> LadderOutcome:
@@ -99,31 +114,20 @@ def coherent_ladder(spec: LadderSpec) -> LadderOutcome:
 
     Stage i leaves the target at 1/T_i = 1/T_R + (i/N)(1/T_C - 1/T_R) and
     costs the population increment times the gap excess E_i - E.  The gap
-    over the target's free-energy increase is positive and O(1/N).
+    over the target's free-energy increase is positive and O(1/N).  One
+    walk in constant memory; stage records are built when ``per_step`` is read.
     """
+    w_total, r_0, r_n = _walk(spec)
     e = spec.target_gap
-    ratio = spec.t_room / spec.t_cold
-    exponents = _stage_exponents(spec)
-    rs = [1.0 / (1.0 + math.exp(-x)) for x in exponents]
-    stages = []
-    w_total = 0.0
-    for i in range(1, spec.n_steps + 1):
-        e_i = e * (1.0 + (i / spec.n_steps) * (ratio - 1.0))
-        work = (rs[i] - rs[i - 1]) * (e_i - e)
-        w_total += work
-        stages.append(LadderStage(i, e / exponents[i], rs[i], work))
-    df_target = _target_free_energy_increase(spec, rs[0], rs[-1])
-    return LadderOutcome(
-        w_total=w_total,
-        df_target=df_target,
-        gap=w_total - df_target,
-        per_step=tuple(stages),
-    )
+    df_target = spec.t_room * (binary_entropy(r_0) - binary_entropy(r_n)) - e * (r_n - r_0)
+    return LadderOutcome(w_total, df_target, w_total - df_target, spec)
 
 
 def _incoherent_max_gap(spec: LadderSpec, t_hot: float) -> float:
-    e = spec.target_gap
-    return e * (1.0 / spec.t_cold - 1.0 / t_hot) / (1.0 / spec.t_room - 1.0 / t_hot)
+    e_max = spec.target_gap * (1.0 / spec.t_cold - 1.0 / t_hot) / (1.0 / spec.t_room - 1.0 / t_hot)
+    if e_max == math.inf:
+        raise DomainError(f"the incoherent ladder's largest stage gap overflows at t_hot = {t_hot}")
+    return e_max
 
 
 def embedded_ladder_preheat(spec: LadderSpec) -> float:
@@ -145,7 +149,7 @@ def embedded_ladder_preheat(spec: LadderSpec) -> float:
             "embedded preheating needs a finite t_hot: no ground offset can "
             "freeze the ladder out at an infinite hot-bath temperature"
         )
-    if t_hot == spec.t_room:
+    if 1.0 / t_hot == 1.0 / spec.t_room:  # also a t_hot whose reciprocal rounds to 1/t_room
         return 0.0
     e_g = spec.e_ground_offset
     if e_g is None:
@@ -164,12 +168,16 @@ def embedded_ladder_preheat(spec: LadderSpec) -> float:
 
 
 def _real_qubit_preheat(spec: LadderSpec, t_hot: float) -> float:
+    # boltzmann_population inline: the spec and a finite spacing give it
+    # 0 <= e_ci < inf and positive temperatures.
     spacing = _incoherent_max_gap(spec, t_hot) - spec.target_gap
+    n = spec.n_steps
+    t_room = spec.t_room
     total = 0.0
-    for i in range(1, spec.n_steps + 1):
-        e_ci = (i / spec.n_steps) * spacing
+    for i in range(1, n + 1):
+        e_ci = (i / n) * spacing
         total += e_ci * (
-            boltzmann_population(e_ci, spec.t_room) - boltzmann_population(e_ci, t_hot)
+            1.0 / (1.0 + math.exp(-e_ci / t_room)) - 1.0 / (1.0 + math.exp(-e_ci / t_hot))
         )
     return total
 
@@ -192,9 +200,9 @@ def _driving_hot_bath(spec: LadderSpec) -> float:
     t_hot = spec.t_hot
     if t_hot is None:
         raise ConfigurationError("incoherent ladder needs t_hot")
-    if t_hot == spec.t_room:
+    if 1.0 / t_hot == 1.0 / spec.t_room:  # also a t_hot whose reciprocal rounds to 1/t_room
         raise DomainError(
-            "incoherent ladder needs t_hot > t_room: a hot bath at room "
+            "incoherent ladder needs 1/t_hot < 1/t_room: a hot bath at room "
             "temperature supplies no free energy to cool with"
         )
     return t_hot
@@ -204,7 +212,8 @@ def incoherent_twin(spec: LadderSpec, coherent: LadderOutcome) -> LadderOutcome:
     """:func:`incoherent_ladder` priced on ``coherent = coherent_ladder(spec)``.
 
     For callers that already hold the coherent outcome, so the ladder is
-    not built twice.
+    not walked twice.  q_init is summed here in constant memory; the
+    outcome's ``per_step`` is built from ``spec`` when read.
     """
     t_hot = _driving_hot_bath(spec)
     if spec.e_ground_offset is not None:
@@ -216,6 +225,6 @@ def incoherent_twin(spec: LadderSpec, coherent: LadderOutcome) -> LadderOutcome:
         w_total=w_total,
         df_target=coherent.df_target,
         gap=w_total - coherent.df_target,
+        spec=spec,
         q_init=q_init,
-        per_step=coherent.per_step,
     )

@@ -842,6 +842,38 @@ class TestLadderCommand:
         assert "target gap" in captured.err
 
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["ladder", "--n", "4", "--t-c", "1e-320"],
+            ["ladder", "--n", "4", "--t-c", "1e-320", "--t-h", "10"],
+            ["ladder", "--n", "4", "--t-c", "1e-300", "--t-h", "10", "--e", "1e10"],
+            ["curve", "ladder-coh", "--grid", "3", "--t-c", "1e-320"],
+            ["curve", "ladder-inc", "--grid", "3", "--t-c", "1e-320", "--t-h", "10"],
+        ],
+    )
+    def test_cold_temperature_that_overflows_the_ladder_is_usage_error_naming_it(
+        self, command, capsys
+    ):
+        # E/t_cold or t_room/t_cold overflows.
+        rc = main(command)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: t_cold")
+
+    def test_hot_bath_whose_reciprocal_rounds_to_the_room_one_is_usage_error(self):
+        # 1/t_hot == 1/t_room although t_hot > t_room.
+        result = _run(
+            ["ladder", "--t-c", "0.75", "--t-r", "1.5000000000000002",
+             "--t-h", "1.5000000000000004", "--n", "4"]
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+        assert "t_hot" in result.stderr
+
+
 class TestConfigFile:
     def test_file_values_and_flag_override(self, tmp_path, capsys):
         config = tmp_path / "machine.cfg"
@@ -961,6 +993,43 @@ class TestConsoleInterface:
         )
         assert child.stdout.readline().decode().strip() == CSV_HEADER
         child.stdout.close()
+        stderr = child.stderr.read()
+        assert child.wait(timeout=60) == 141
+        assert stderr == b""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["summary", *STANDARD, "--t-h", "inf"],
+            ["crossing", *STANDARD],
+            ["ladder", *STANDARD, "--t-h", "10", "--t-c", "0.5", "--n", "8"],
+            ["verify", "--samples", "0", "--machines", "2", "--instances", "2"],
+        ],
+    )
+    def test_json_payload_is_one_write_of_the_json_dump_text(self, argv, monkeypatch):
+        class Recorder(io.StringIO):
+            def __init__(self):
+                super().__init__()
+                self.writes = []
+
+            def write(self, text):
+                self.writes.append(text)
+                return super().write(text)
+
+        out = Recorder()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(argv) == 0
+        (text,) = out.writes
+        chunked = io.StringIO()
+        json.dump(json.loads(text), chunked, indent=2)
+        assert text == chunked.getvalue() + "\n"
+
+    def test_reader_gone_before_the_json_payload_ends_quietly(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        cmd = [sys.executable, "-m", "qfridge.cli", "ladder", *STANDARD, "--t-c", "0.5", "--n", "8"]
+        child = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        child.stdout.close()  # before the child has imported qfridge
         stderr = child.stderr.read()
         assert child.wait(timeout=60) == 141
         assert stderr == b""

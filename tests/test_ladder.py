@@ -1,7 +1,12 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
+import ladder_reference
 from qfridge import ladder
 from qfridge.ladder import (
     LadderSpec,
@@ -17,6 +22,7 @@ from qfridge.thermal import (
     MachineSpec,
     binary_entropy,
     boltzmann_population,
+    resource_free_energy,
 )
 
 
@@ -225,3 +231,141 @@ class TestEmbeddedPreheat:
         if e_g is not None:
             with pytest.raises(DomainError):
                 incoherent_ladder(spec)
+
+
+class TestSpecGuards:
+    @pytest.mark.parametrize(
+        "t_cold,target_gap", [(1e-320, 1.0), (5e-324, 1.0), (0.5, 1.7e308), (1e-300, 1e10)]
+    )
+    def test_cold_temperature_that_overflows_the_stage_walk_rejected(self, t_cold, target_gap):
+        # E/t_cold or t_room/t_cold would be inf and the walk NaN.
+        with pytest.raises(DomainError, match="t_cold"):
+            LadderSpec(4, t_cold, 1.0, t_hot=10.0, target_gap=target_gap)
+
+    def test_smallest_cold_temperature_with_finite_ratios_accepted(self):
+        out = incoherent_ladder(LadderSpec(4, 1e-300, 1.0, t_hot=10.0))
+        assert math.isfinite(out.w_total) and out.gap > 0.0
+
+    @pytest.mark.parametrize("n_steps", [True, False])
+    def test_bool_stage_count_rejected(self, n_steps):
+        with pytest.raises(DomainError, match="n_steps"):
+            LadderSpec(n_steps, 0.5, 1.0)
+
+    @pytest.mark.parametrize("n_steps", [np.int64(5), np.int32(5), np.uint8(5)])
+    def test_integral_stage_count_accepted_as_int(self, n_steps):
+        spec = LadderSpec(n_steps, 0.5, 1.0, t_hot=10.0)
+        assert type(spec.n_steps) is int
+        assert spec == LadderSpec(5, 0.5, 1.0, t_hot=10.0)
+        assert incoherent_ladder(spec) == incoherent_ladder(LadderSpec(5, 0.5, 1.0, t_hot=10.0))
+
+    @pytest.mark.parametrize("n_steps", [np.int64(0), -3])
+    def test_integral_stage_count_below_one_rejected(self, n_steps):
+        with pytest.raises(DomainError, match="n_steps"):
+            LadderSpec(n_steps, 0.5, 1.0)
+
+    def test_hot_bath_whose_reciprocal_rounds_to_the_room_one_rejected(self):
+        # t_hot > t_room, yet 1/t_hot == 1/t_room: the stage gaps divide by zero.
+        t_room = 1.5000000000000002
+        t_hot = math.nextafter(t_room, 2.0)
+        assert t_hot > t_room and 1.0 / t_hot == 1.0 / t_room
+        with pytest.raises(DomainError, match="t_hot"):
+            incoherent_ladder(LadderSpec(4, 0.75, t_room, t_hot=t_hot))
+        spec = LadderSpec(4, 0.75, t_room, t_hot=t_hot, e_ground_offset=3.0)
+        assert embedded_ladder_preheat(spec) == 0.0
+
+    @pytest.mark.parametrize("offset", [None, 3.0])
+    def test_overflowing_stage_gap_rejected(self, offset):
+        spec = LadderSpec(4, 0.5, 1.0, t_hot=1.0 + 1e-15, e_ground_offset=offset, target_gap=1e300)
+        with pytest.raises(DomainError, match="largest stage gap"):
+            incoherent_ladder(spec)
+
+
+def _bit_identity_specs():
+    for n in (1, 2, 3, 256, 1000):
+        yield LadderSpec(n, 0.5, 1.0, t_hot=10.0)
+        yield LadderSpec(n, 1.3, 1.3, t_hot=4.0, target_gap=0.7)  # T_C = T_R
+        yield LadderSpec(n, 0.3, 2.0, t_hot=INFINITE, target_gap=2.5)
+        yield LadderSpec(n, 0.5, 1.0, t_hot=10.0, e_ground_offset=50.0 * 10.0 * (n + 1))
+        yield LadderSpec(n, 0.21, 0.9, t_hot=3.0, e_ground_offset=1.5, target_gap=1.7)
+
+
+class TestSinglePassWalk:
+    """The one-pass walks against the list-building loops they replaced."""
+
+    @pytest.mark.parametrize("spec", list(_bit_identity_specs()), ids=repr)
+    def test_bit_identical_to_the_list_building_loops(self, spec):
+        w_total, df_target, gap, stages = ladder_reference.coherent_ladder(spec)
+        coh = coherent_ladder(spec)
+        assert (coh.w_total, coh.df_target, coh.gap) == (w_total, df_target, gap)
+        assert coh.per_step == stages
+        if spec.e_ground_offset is None:
+            q_init = ladder_reference.real_qubit_preheat(spec, spec.t_hot)
+        else:
+            q_init = embedded_ladder_preheat(spec)
+        w_inc = resource_free_energy(q_init, spec.t_hot, spec.t_room) + w_total
+        inc = ladder.incoherent_twin(spec, coh)
+        assert inc.q_init == q_init
+        assert (inc.w_total, inc.df_target, inc.gap) == (w_inc, df_target, w_inc - df_target)
+        assert inc.per_step == stages
+        assert incoherent_ladder(spec) == inc
+
+    @seed(20261019)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        t_room=st.floats(0.1, 10.0),
+        cold_share=st.floats(0.01, 0.99),
+        target_gap=st.floats(0.1, 10.0),
+    )
+    def test_stages_sum_to_the_total_and_fall_to_the_cold_temperature(
+        self, n, t_room, cold_share, target_gap
+    ):
+        spec = LadderSpec(n, cold_share * t_room, t_room, target_gap=target_gap)
+        out = coherent_ladder(spec)
+        total = 0.0
+        for stage in out.per_step:  # in order, as the walk adds them
+            total += stage.work
+        assert total == out.w_total
+        assert all(stage.work >= 0.0 for stage in out.per_step)
+        temperatures = [t_room] + [stage.temperature for stage in out.per_step]
+        assert all(b < a for a, b in zip(temperatures, temperatures[1:]))
+        last = out.per_step[-1]
+        assert last.index == n
+        assert last.temperature == pytest.approx(spec.t_cold, rel=1e-13)
+        assert last.r == pytest.approx(boltzmann_population(target_gap, spec.t_cold), rel=1e-15)
+        r_0 = boltzmann_population(target_gap, t_room)
+        df_target = t_room * (binary_entropy(r_0) - binary_entropy(last.r)) - target_gap * (
+            last.r - r_0
+        )
+        assert out.df_target == df_target
+
+    def test_large_ladder_runs_in_constant_memory(self):
+        spec = LadderSpec(2**16, 0.5, 1.0, t_hot=10.0)
+        coherent_ladder(LadderSpec(4, 0.5, 1.0))  # warm the code path outside the trace
+        tracemalloc.start()
+        try:
+            ladder.incoherent_twin(spec, coherent_ladder(spec))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_no_stage_record_is_built_until_per_step_is_read(self, monkeypatch):
+        built = []
+
+        class CountedStage(ladder.LadderStage):
+            def __new__(cls, *fields):
+                built.append(fields[0])
+                return super().__new__(cls, *fields)
+
+        monkeypatch.setattr(ladder, "LadderStage", CountedStage)
+        spec = LadderSpec(64, 0.5, 1.0, t_hot=10.0)
+        coh = coherent_ladder(spec)
+        inc = ladder.incoherent_twin(spec, coh)
+        incoherent_ladder(spec)
+        assert built == []
+        assert len(inc.per_step) == 64
+        assert built == list(range(1, 65))
+        assert coh.per_step == inc.per_step
+        assert inc.per_step is inc.per_step  # built once per outcome
+        assert len(built) == 128
