@@ -9,7 +9,9 @@ Machine parameters are taken from flags or from a plain key-value config file
 (keys: E, E_C, T_R, T_H, N, seed); flags override the file.  ``verify`` reads
 only seed, and ``FRIDGE_SEED`` overrides the default oracle seed.  ``curve``
 rejects a scenario flag its scenario does not read (see ``SCENARIOS``), and
-``ladder`` rejects ``--e-g`` without a hot bath.  Exit status:
+``ladder`` rejects ``--e-g`` without a hot bath.  Each call is parsed once,
+by the parser of the subcommand it names first; the top-level parser only
+prints the top-level help and usage errors.  Exit status:
 0 success, 1 verification failure, 2 usage error, 141 when the reader
 closes stdout early.
 """
@@ -252,6 +254,10 @@ def summary_quantities(spec: MachineSpec) -> dict:
     ones at an infinite hot bath, the repeated ones at n = inf.
     """
     e, e_b, e_c, t = spec.e, spec.e_b, spec.e_c, spec.t_room
+    if e == 0.0:
+        # No temperature reads off a gapless target, and E = E_C = 0 leaves
+        # T_R E/E_B as 0/0.
+        raise DomainError(f"summary needs a target gap > 0, got {e}")
     r = boltzmann_population(e, t)
     r_b = boltzmann_population(e_b, t)
     r_c = boltzmann_population(e_c, t)
@@ -340,53 +346,43 @@ def load_config(path: str) -> dict:
     return values
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    # Built on first use and shared by every later main() call; parse_args
-    # leaves the parser unchanged and returns a fresh namespace.
-    parser = argparse.ArgumentParser(
-        prog="qfridge",
-        description="Cooling limits and work costs of minimal quantum refrigerators.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _machine_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", help="key-value config file (flags override it)")
+    p.add_argument("--e", type=_parse_value, default=None, help="target gap (default 1)")
+    p.add_argument("--e-c", type=_parse_value, default=None, help="machine qubit C gap")
+    p.add_argument("--t-r", type=_parse_value, default=None, help="room temperature (default 1)")
+    p.add_argument("--t-h", type=_parse_value, default=None, help="hot bath temperature ('inf' allowed)")
 
-    def add_machine_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="key-value config file (flags override it)")
-        p.add_argument("--e", type=_parse_value, default=None, help="target gap (default 1)")
-        p.add_argument("--e-c", type=_parse_value, default=None, help="machine qubit C gap")
-        p.add_argument("--t-r", type=_parse_value, default=None, help="room temperature (default 1)")
-        p.add_argument("--t-h", type=_parse_value, default=None, help="hot bath temperature ('inf' allowed)")
 
-    curve = sub.add_parser("curve", help="write a cooling curve as CSV")
-    curve.add_argument("scenario", choices=SCENARIOS)
-    add_machine_args(curve)
-    curve.add_argument("--grid", type=int, default=100, help="number of control samples")
-    curve.add_argument("--nu", type=float, default=None, help="precooling mix for the algo scenario (default 1)")
-    curve.add_argument("--r0", type=float, default=None, help="starting population for the algo scenario")
-    curve.add_argument("--t-c", type=_parse_value, default=None, help="cold target temperature (ladder scenarios)")
-    curve.add_argument("--output", "-o", default="-", help="output path ('-' for stdout)")
-    curve.add_argument(
+def _curve_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("scenario", choices=SCENARIOS)
+    _machine_args(p)
+    p.add_argument("--grid", type=int, default=100, help="number of control samples")
+    p.add_argument("--nu", type=float, default=None, help="precooling mix for the algo scenario (default 1)")
+    p.add_argument("--r0", type=float, default=None, help="starting population for the algo scenario")
+    p.add_argument("--t-c", type=_parse_value, default=None, help="cold target temperature (ladder scenarios)")
+    p.add_argument("--output", "-o", default="-", help="output path ('-' for stdout)")
+    p.add_argument(
         "--full-precision",
         action="store_true",
         help="write full float precision instead of 6 significant digits",
     )
 
-    crossing = sub.add_parser("crossing", help="locate the coherent/incoherent crossing")
-    add_machine_args(crossing)
-    crossing.add_argument("--tolerance", type=float, default=1e-10)
 
-    summary = sub.add_parser("summary", help="emit every boxed limit quantity as JSON")
-    add_machine_args(summary)
+def _crossing_args(p: argparse.ArgumentParser) -> None:
+    _machine_args(p)
+    p.add_argument("--tolerance", type=float, default=1e-10)
 
-    ver = sub.add_parser("verify", help="run the oracle verification suite")
-    ver.add_argument("--config", help="key-value config file (only its seed key is read)")
-    ver.add_argument("--seed", type=int, default=None)
-    ver.add_argument("--samples", type=int, default=10_000, help="Haar samples (0 skips the sweep)")
-    ver.add_argument("--machines", type=int, default=60)
-    ver.add_argument("--instances", type=int, default=60)
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", help="key-value config file (only its seed key is read)")
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--samples", type=int, default=10_000, help="Haar samples (0 skips the sweep)")
+    p.add_argument("--machines", type=int, default=60)
+    p.add_argument("--instances", type=int, default=60)
     # Checked against verify.MUTATIONS by run_verification, so building the
     # parser does not load the numpy-backed oracle.
-    ver.add_argument(
+    p.add_argument(
         "--mutate",
         default=None,
         metavar="NAME",
@@ -396,12 +392,62 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    lad = sub.add_parser("ladder", help="second-law saturation data for one N")
-    add_machine_args(lad)
-    lad.add_argument("--n", type=int, default=None, help="number of ladder stages")
-    lad.add_argument("--t-c", type=_parse_value, default=None, help="cold target temperature")
-    lad.add_argument("--e-g", type=_parse_value, default=None, help="embedded-ladder ground offset")
+
+def _ladder_args(p: argparse.ArgumentParser) -> None:
+    _machine_args(p)
+    p.add_argument("--n", type=int, default=None, help="number of ladder stages")
+    p.add_argument("--t-c", type=_parse_value, default=None, help="cold target temperature")
+    p.add_argument("--e-g", type=_parse_value, default=None, help="embedded-ladder ground offset")
+
+
+# Each subcommand's help line and the function that adds its arguments, in
+# the order the top-level help lists them.
+_COMMANDS = {
+    "curve": ("write a cooling curve as CSV", _curve_args),
+    "crossing": ("locate the coherent/incoherent crossing", _crossing_args),
+    "summary": ("emit every boxed limit quantity as JSON", _machine_args),
+    "verify": ("run the oracle verification suite", _verify_args),
+    "ladder": ("second-law saturation data for one N", _ladder_args),
+}
+
+
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    # The full parser, built on first use and shared by every later call;
+    # parse_args leaves the parser unchanged and returns a fresh namespace.
+    parser = argparse.ArgumentParser(
+        prog="qfridge",
+        description="Cooling limits and work costs of minimal quantum refrigerators.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_args) in _COMMANDS.items():
+        add_args(sub.add_parser(name, help=help_text))
     return parser
+
+
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    # Built as the full parser builds its ``name`` subparser, prog included.
+    parser = argparse.ArgumentParser(prog=f"qfridge {name}")
+    _COMMANDS[name][1](parser)
+    return parser
+
+
+def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
+    """The namespace ``_build_parser().parse_args(argv)`` gives, parsed once.
+
+    A call that names its subcommand first is parsed by that subcommand's
+    parser alone.  The full parser runs only to print the top-level help and
+    usage errors: when no subcommand comes first, or when the subcommand
+    leaves arguments unrecognized.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _COMMANDS:
+        args, unrecognized = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not unrecognized:
+            args.command = argv[0]
+            return args
+    return _build_parser().parse_args(argv)
 
 
 def _resolved(args: argparse.Namespace, key: str, config: dict, default):
@@ -455,8 +501,7 @@ def _write_curve(points: Iterable[CurvePoint], handle, full: bool) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(argv)
     try:
         if args.command == "curve":
             reads = SCENARIOS[args.scenario]

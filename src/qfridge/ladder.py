@@ -155,14 +155,21 @@ def embedded_ladder_preheat(spec: LadderSpec) -> float:
     if e_g is None:
         e_g = 50.0 * max(t_hot, spec.t_room) * (spec.n_steps + 1)
     spacing = _incoherent_max_gap(spec, t_hot) - spec.target_gap
-    # Shift by +e_g so the extra ground level sits at zero; the average-energy
-    # difference between two temperatures is shift invariant.
-    levels = [e_g + (i / spec.n_steps) * spacing for i in range(spec.n_steps + 1)]
+    n = spec.n_steps
 
     def mean_energy(temp: float) -> float:
-        weights = [math.exp(-lv / temp) for lv in levels]
-        partition = 1.0 + sum(weights)
-        return sum(lv * w for lv, w in zip(levels, weights)) / partition
+        # Shift by +e_g so the extra ground level sits at zero; the
+        # average-energy difference between two temperatures is shift
+        # invariant.  Both moments are summed left to right in one pass and
+        # the ground level's weight of 1 is added after, which keeps the bits
+        # of the list-building form in tests/ladder_reference.py.
+        partition = moment = 0.0
+        for i in range(n + 1):
+            level = e_g + (i / n) * spacing
+            weight = math.exp(-level / temp)
+            partition += weight
+            moment += level * weight
+        return moment / (1.0 + partition)
 
     return mean_energy(t_hot) - mean_energy(spec.t_room)
 

@@ -1,10 +1,12 @@
 """The list-building ladder loops that ``qfridge.ladder`` replaced, kept verbatim.
 
 ``coherent_ladder`` once filled a list of N + 1 stage exponents and a list of
-N + 1 populations before its stage loop, and ``_real_qubit_preheat`` called
-the validated ``boltzmann_population`` twice per stage.  The single-pass
-walks must do the same float operations in the same order; the tests compare
-against these copies with ``==``.
+N + 1 populations before its stage loop, ``_real_qubit_preheat`` called
+the validated ``boltzmann_population`` twice per stage, and
+``embedded_ladder_preheat`` built lists of N + 1 levels and weights.  The
+single-pass walks must do the same float operations in the same order; the
+tests compare against these copies with ``==``.  The embedded copy sums with
+``sum``, which adds floats left to right only before Python 3.12.
 """
 
 from __future__ import annotations
@@ -56,3 +58,20 @@ def real_qubit_preheat(spec: LadderSpec, t_hot: float) -> float:
             boltzmann_population(e_ci, spec.t_room) - boltzmann_population(e_ci, t_hot)
         )
     return total
+
+
+def embedded_ladder_preheat(spec: LadderSpec) -> float:
+    """The embedded preheat for a finite t_hot above t_room."""
+    t_hot = spec.t_hot
+    e_g = spec.e_ground_offset
+    if e_g is None:
+        e_g = 50.0 * max(t_hot, spec.t_room) * (spec.n_steps + 1)
+    spacing = _incoherent_max_gap(spec, t_hot) - spec.target_gap
+    levels = [e_g + (i / spec.n_steps) * spacing for i in range(spec.n_steps + 1)]
+
+    def mean_energy(temp: float) -> float:
+        weights = [math.exp(-lv / temp) for lv in levels]
+        partition = 1.0 + sum(weights)
+        return sum(lv * w for lv, w in zip(levels, weights)) / partition
+
+    return mean_energy(t_hot) - mean_energy(spec.t_room)

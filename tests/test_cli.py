@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import decimal_reference
@@ -253,6 +253,27 @@ def _log_uniform(low, high):
     return st.floats(math.log10(low), math.log10(high)).map(lambda x: 10.0**x)
 
 
+def _clean_exit_payload(argv):
+    """Run ``main(argv)``: exit 0 or 2 with no traceback, and JSON with no NaN.
+
+    Returns the payload, or None on exit 2 (which prints nothing to stdout).
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    if rc == 2:
+        assert out.getvalue() == ""
+        return None
+
+    def no_nan(token):
+        assert token != "NaN", "NaN in the JSON payload"
+        return float(token)
+
+    return json.loads(out.getvalue(), parse_constant=no_nan)
+
+
 @st.composite
 def _drawn_crossing_machines(draw):
     # Tiny E_C (where ground populations leave the gap's sign to noise),
@@ -488,6 +509,7 @@ class TestCrossingCommand:
         pinned = crossing_report(MachineSpec.two_qubit(0.4, 1.0), 1e-10).delta_f_crit
         assert payload["delta_f_crit"] == pytest.approx(scale * pinned, rel=1e-7)
 
+    @seed(20261019)
     @settings(max_examples=150, deadline=None)
     @given(
         e=_log_uniform(1e-6, 1e6),
@@ -497,21 +519,11 @@ class TestCrossingCommand:
     def test_any_machine_exits_cleanly_with_finite_numbers(self, e, e_c, t_room):
         # Cold targets, tiny E_C and huge E_B/T_R, where the sign's
         # denominator s r_B + r s_B and the excited populations underflow.
-        out, err = io.StringIO(), io.StringIO()
-        argv = ["crossing", "--e", repr(e), "--e-c", repr(e_c), "--t-r", repr(t_room)]
-        with redirect_stdout(out), redirect_stderr(err):
-            rc = main(argv)
-        assert rc in (0, 2)
-        assert "Traceback" not in err.getvalue()
-        if rc == 2:
-            assert out.getvalue() == ""
-            return
-
-        def reject(token):
-            raise AssertionError(f"non-finite JSON number {token}")
-
-        payload = json.loads(out.getvalue(), parse_constant=reject)
-        assert all(v is None or math.isfinite(v) for v in payload.values())
+        payload = _clean_exit_payload(
+            ["crossing", "--e", repr(e), "--e-c", repr(e_c), "--t-r", repr(t_room)]
+        )
+        if payload is not None:
+            assert all(v is None or math.isfinite(v) for v in payload.values())
 
     def test_crossing_exists_in_the_kinked_regime(self):
         # with e_c > e the coherent curve has a derivative kink at mu = 1/2
@@ -528,6 +540,29 @@ class TestSummaryCommand:
         assert rc == 2
         assert captured.out == ""
         assert "target gap" in captured.err
+
+    @pytest.mark.parametrize("e_c", ["0", "0.4"])
+    def test_zero_target_gap_is_usage_error_naming_it(self, e_c, capsys):
+        # E = E_C = 0 made T_R E/E_B a ZeroDivisionError with a traceback.
+        rc = main(["summary", "--e", "0", "--e-c", e_c])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == "error: summary needs a target gap > 0, got 0.0\n"
+
+    @seed(20261019)
+    @settings(max_examples=150, deadline=None)
+    @given(
+        e=st.one_of(st.just(0.0), _log_uniform(1e-6, 1e6)),
+        e_c=st.one_of(st.just(0.0), _log_uniform(1e-300, 1e-8), _log_uniform(1e-8, 1e6)),
+        t_room=_log_uniform(1e-6, 1e6),
+        hot_share=st.one_of(st.none(), st.just(INFINITE), _log_uniform(1.0, 1e6)),
+    )
+    def test_any_machine_exits_cleanly_without_nan(self, e, e_c, t_room, hot_share):
+        argv = ["summary", "--e", repr(e), "--e-c", repr(e_c), "--t-r", repr(t_room)]
+        if hot_share is not None:
+            argv += ["--t-h", repr(hot_share * t_room)]
+        _clean_exit_payload(argv)
 
     def test_reference_values(self, capsys):
         rc = main(["summary", "--e-c", "1", "--t-r", "1"])
@@ -862,6 +897,29 @@ class TestLadderCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: t_cold")
 
+    @seed(20261019)
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(0, 8),
+        e=st.one_of(st.just(0.0), _log_uniform(1e-6, 1e6)),
+        t_room=_log_uniform(1e-6, 1e6),
+        cold_share=st.one_of(_log_uniform(1e-6, 1.0), st.floats(1.0, 2.0)),
+        hot_share=st.one_of(
+            st.none(), st.just(INFINITE), _log_uniform(1.0, 1e6), st.floats(0.5, 1.0)
+        ),
+        e_g=st.one_of(st.none(), st.just(0.0), _log_uniform(1e-6, 1e6)),
+    )
+    def test_any_small_ladder_exits_cleanly_without_nan(
+        self, n, e, t_room, cold_share, hot_share, e_g
+    ):
+        argv = ["ladder", "--n", str(n), "--e", repr(e), "--t-r", repr(t_room)]
+        argv += ["--t-c", repr(cold_share * t_room)]
+        if hot_share is not None:
+            argv += ["--t-h", repr(hot_share * t_room)]
+        if e_g is not None:
+            argv += ["--e-g", repr(e_g)]
+        _clean_exit_payload(argv)
+
     def test_hot_bath_whose_reciprocal_rounds_to_the_room_one_is_usage_error(self):
         # 1/t_hot == 1/t_room although t_hot > t_room.
         result = _run(
@@ -969,6 +1027,122 @@ class TestParserReuse:
         assert main(["crossing", *STANDARD]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["delta_f_crit"] == 0.005055054214935581
+
+
+# Each subcommand's flags, a few values for them (valid and not), and tokens
+# no subcommand knows.
+_MACHINE_FLAGS = ["--config", "--e", "--e-c", "--t-r", "--t-h"]
+_COMMAND_FLAGS = {
+    "curve": [*_MACHINE_FLAGS, "--grid", "--nu", "--r0", "--t-c", "--output", "-o", "--full-precision"],
+    "crossing": [*_MACHINE_FLAGS, "--tolerance"],
+    "summary": _MACHINE_FLAGS,
+    "verify": ["--config", "--seed", "--samples", "--machines", "--instances", "--mutate"],
+    "ladder": [*_MACHINE_FLAGS, "--n", "--t-c", "--e-g"],
+}
+_VALUES = ["0.4", "1", "10", "inf", "-1", "1e-8", "x", "", "nan", "vertex", *cli.SCENARIOS]
+_STRAYS = ["--bogus", "-x", "--tol", "--e-", "--t", "--", "-", "-h", "--help", "--e-c=0.4"]
+
+
+@st.composite
+def _argv(draw):
+    # A subcommand and tokens drawn from its own flags, its values, other
+    # subcommands' flags and strays, with the subcommand sometimes moved
+    # away from the front or left out.
+    command = draw(st.sampled_from(list(_COMMAND_FLAGS)))
+    own = st.sampled_from(_COMMAND_FLAGS[command])
+    pair = st.tuples(own, st.sampled_from(_VALUES)).map(list)
+    foreign = st.sampled_from([f for flags in _COMMAND_FLAGS.values() for f in flags])
+    token = st.one_of(
+        pair, pair, pair, own.map(lambda f: [f]), st.sampled_from(_VALUES).map(lambda v: [v]),
+        foreign.map(lambda f: [f]), st.sampled_from(_STRAYS).map(lambda f: [f]),
+    )
+    rest = [t for chunk in draw(st.lists(token, max_size=6)) for t in chunk]
+    where = draw(st.sampled_from(["first"] * 6 + ["moved", "absent"]))
+    if where == "absent":
+        return rest
+    at = draw(st.integers(0, len(rest))) if where == "moved" else 0
+    return rest[:at] + [command] + rest[at:]
+
+
+def _parse_outcome(parse, argv):
+    """(namespace as {name: repr}, exit code, stdout, stderr) of one parse.
+
+    Values are compared by repr, so that a parsed NaN equals itself.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    args, code = None, None
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            args = {name: repr(value) for name, value in vars(parse(argv)).items()}
+        except SystemExit as exc:
+            code = exc.code
+    return args, code, out.getvalue(), err.getvalue()
+
+
+class TestOneParsePerCall:
+    """main parses with the named subcommand's parser alone, as the full parser would."""
+
+    @seed(20261019)
+    @settings(max_examples=600, deadline=None)
+    @given(argv=_argv())
+    def test_same_namespace_or_usage_error_as_the_full_parser(self, argv):
+        full = _parse_outcome(cli._build_parser().parse_args, argv)
+        assert _parse_outcome(cli._parse_args, argv) == full
+
+    def test_one_shot_call_builds_only_its_subcommands_parser(self):
+        # No parser at import; a one-shot crossing builds one, not all six.
+        script = """
+import argparse, contextlib, io
+built = []
+init = argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted
+import qfridge.cli
+print(built)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert qfridge.cli.main(["crossing", "--e-c", "0.4", "--t-r", "1"]) == 0
+print(built)
+"""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == ["[]", "['qfridge crossing']"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["-h"],
+            ["bogus"],
+            ["crossing", "-h"],
+            ["summary", "--e-c", "0.4", "--bogus"],
+            ["crossing", "--e-c", "0.4", "--tolerance", "x"],
+            ["curve"],
+            ["--", "crossing", "--e-c", "0.4"],
+            ["--e-c", "0.4", "crossing"],
+        ],
+        ids=repr,
+    )
+    def test_help_and_usage_errors_print_the_full_parsers_bytes(self, argv):
+        # Each in a fresh interpreter, against the full parser alone.
+        env = dict(os.environ, COLUMNS="80")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        full = "import sys; from qfridge import cli; cli._build_parser().parse_args(sys.argv[1:])"
+        outcomes = [
+            subprocess.run([sys.executable, *cmd, *argv], capture_output=True, env=env, timeout=60)
+            for cmd in (["-m", "qfridge.cli"], ["-c", full])
+        ]
+        (rc, out, err), (rc_full, out_full, err_full) = (
+            (r.returncode, r.stdout, r.stderr) for r in outcomes
+        )
+        assert rc == rc_full in (0, 2)
+        assert (out, err) == (out_full, err_full)
+        assert (out if rc == 0 else err).startswith(b"usage: qfridge")
 
 
 class TestConsoleInterface:

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -309,6 +310,23 @@ class TestSinglePassWalk:
         assert inc.per_step == stages
         assert incoherent_ladder(spec) == inc
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            LadderSpec(n, t_cold, t_room, t_hot=t_hot, e_ground_offset=e_g, target_gap=gap)
+            for n in (1, 2, 3, 256, 1000)
+            for t_cold, t_room, t_hot, gap in ((0.5, 1.0, 10.0, 1.0), (0.21, 0.9, 3.0, 1.7))
+            for e_g in (None, 0.0, 1.5, 40.0)  # None: the default offset
+        ],
+        ids=repr,
+    )
+    def test_embedded_preheat_equals_the_list_form(self, spec):
+        expected = ladder_reference.embedded_ladder_preheat(spec)
+        if sys.version_info >= (3, 12):  # its sum of floats is compensated
+            assert embedded_ladder_preheat(spec) == pytest.approx(expected, rel=1e-9, abs=1e-300)
+        else:
+            assert embedded_ladder_preheat(spec) == expected
+
     @seed(20261019)
     @settings(max_examples=200, deadline=None)
     @given(
@@ -340,15 +358,17 @@ class TestSinglePassWalk:
         assert out.df_target == df_target
 
     def test_large_ladder_runs_in_constant_memory(self):
-        spec = LadderSpec(2**16, 0.5, 1.0, t_hot=10.0)
-        coherent_ladder(LadderSpec(4, 0.5, 1.0))  # warm the code path outside the trace
-        tracemalloc.start()
-        try:
-            ladder.incoherent_twin(spec, coherent_ladder(spec))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 1024
+        for e_g in (None, 5.0):  # real-qubit and embedded preheat
+            spec = LadderSpec(2**16, 0.5, 1.0, t_hot=10.0, e_ground_offset=e_g)
+            small = LadderSpec(4, 0.5, 1.0, t_hot=10.0, e_ground_offset=e_g)
+            ladder.incoherent_twin(small, coherent_ladder(small))  # warm outside the trace
+            tracemalloc.start()
+            try:
+                ladder.incoherent_twin(spec, coherent_ladder(spec))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 1024, e_g
 
     def test_no_stage_record_is_built_until_per_step_is_read(self, monkeypatch):
         built = []
