@@ -40,43 +40,83 @@ HAAR_BATCH = 10_000
 _QR_CHUNK = 512
 
 
+def _dagger(mat: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return np.swapaxes(mat.conj(), -1, -2)
+
+
+def _unitarity_error(mat: np.ndarray) -> np.ndarray:
+    """max |U U^dagger - 1| of a matrix, or of each matrix of a stack."""
+    return np.abs(mat @ _dagger(mat) - np.eye(mat.shape[-1])).max(axis=(-2, -1))
+
+
+def _require(ok: np.ndarray, message: str) -> None:
+    """Raise ``DomainError(message)`` unless ``ok`` holds for every matrix.
+
+    ``ok`` holds one verdict, or one per matrix of a stack, from comparisons
+    written as ``x <= tol`` so that a NaN fails them.  For a stack the error
+    names the index of the first failing matrix.
+    """
+    ok = np.asarray(ok)
+    if not ok.all():
+        if ok.ndim:
+            message = f"{message} (stack index {int(np.argmin(ok))})"
+        raise DomainError(message)
+
+
+def _require_square(mat: np.ndarray, what: str) -> None:
+    if mat.ndim not in (2, 3) or mat.shape[-1] != mat.shape[-2]:
+        raise DomainError(f"{what} must be square, or a stack of square matrices")
+
+
 @dataclass(frozen=True)
 class DenseState:
-    """Hermitian PSD trace-one matrix over the product basis |a b c>."""
+    """Hermitian PSD trace-one matrix over the product basis |a b c>.
+
+    ``matrix`` is one (d, d) matrix or a (k, d, d) stack with one matrix per
+    machine; every matrix of a stack passes every check.
+    """
 
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
         mat = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", mat)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise DomainError("state matrix must be square")
-        if mat.shape[0] not in (2, 4, 8):
+        _require_square(mat, "state matrix")
+        if mat.shape[-1] not in (2, 4, 8):
             raise DomainError("oracle states are capped at dimension 8")
-        trace = np.trace(mat)
-        if abs(trace.real - 1.0) > TRACE_ATOL or abs(trace.imag) > TRACE_ATOL:
-            raise DomainError("state matrix must have unit trace")
-        if np.linalg.eigvalsh((mat + mat.conj().T) / 2.0).min() < -1e-12:
-            raise DomainError("state matrix must be positive semidefinite")
+        # Before LAPACK sees it: eigvalsh need not report a NaN entry as NaN.
+        _require(np.isfinite(mat).all(axis=(-2, -1)), "state matrix must be finite")
+        trace = np.trace(mat, axis1=-2, axis2=-1)
+        _require(
+            (abs(trace.real - 1.0) <= TRACE_ATOL) & (abs(trace.imag) <= TRACE_ATOL),
+            "state matrix must have unit trace",
+        )
+        _require(
+            -np.linalg.eigvalsh((mat + _dagger(mat)) / 2.0).min(axis=-1) <= 1e-12,
+            "state matrix must be positive semidefinite",
+        )
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     @property
     def n_qubits(self) -> int:
         return self.dim.bit_length() - 1
 
     def diagonal(self) -> np.ndarray:
-        return self.matrix.diagonal().real.copy()
+        return np.diagonal(self.matrix, axis1=-2, axis2=-1).real.copy()
 
-    def target_ground_population(self) -> float:
-        return float(self.diagonal()[: self.dim // 2].sum())
+    def target_ground_population(self) -> float | np.ndarray:
+        """A float for one matrix, an array with one entry per matrix of a stack."""
+        pops = self.diagonal()[..., : self.dim // 2].sum(axis=-1)
+        return pops if pops.ndim else float(pops)
 
 
 @dataclass(frozen=True)
 class UnitaryOp:
-    """A unitary with a tag recording whether it must conserve energy."""
+    """A unitary, or a stack of them, with a tag recording whether it must conserve energy."""
 
     matrix: np.ndarray
     tag: str = "general"
@@ -86,13 +126,12 @@ class UnitaryOp:
         object.__setattr__(self, "matrix", mat)
         if self.tag not in ("energy_conserving", "general"):
             raise DomainError(f"unknown unitary tag {self.tag!r}")
-        dim = mat.shape[0]
-        if np.abs(mat @ mat.conj().T - np.eye(dim)).max() > UNITARITY_ATOL:
-            raise DomainError("matrix is not unitary within 1e-10")
+        _require_square(mat, "unitary")
+        _require(_unitarity_error(mat) <= UNITARITY_ATOL, "matrix is not unitary within 1e-10")
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
 
 def swap_unitary(dim: int, i: int, j: int, tag: str = "general") -> UnitaryOp:
@@ -102,15 +141,20 @@ def swap_unitary(dim: int, i: int, j: int, tag: str = "general") -> UnitaryOp:
     return UnitaryOp(mat, tag)
 
 
-def partial_swap_unitary(dim: int, i: int, j: int, weight: float) -> UnitaryOp:
-    """Two-level rotation moving population fraction ``weight`` between i and j."""
-    if not 0.0 <= weight <= 1.0:
-        raise DomainError(f"swap weight must lie in [0, 1], got {weight}")
-    mat = np.eye(dim, dtype=complex)
-    c, s = math.sqrt(1.0 - weight), math.sqrt(weight)
-    mat[i, i] = mat[j, j] = c
-    mat[i, j] = s
-    mat[j, i] = -s
+def partial_swap_unitary(
+    dim: int, i: int, j: int, weight: float | np.ndarray
+) -> UnitaryOp:
+    """Two-level rotation moving population fraction ``weight`` between i and j.
+
+    An array of weights gives a stack of rotations, one per weight.
+    """
+    w = np.asarray(weight, dtype=float)
+    _require((0.0 <= w) & (w <= 1.0), f"swap weight must lie in [0, 1], got {weight}")
+    mat = np.broadcast_to(np.eye(dim, dtype=complex), w.shape + (dim, dim)).copy()
+    c, s = np.sqrt(1.0 - w), np.sqrt(w)
+    mat[..., i, i] = mat[..., j, j] = c
+    mat[..., i, j] = s
+    mat[..., j, i] = -s
     return UnitaryOp(mat)
 
 
@@ -130,9 +174,10 @@ def qubit_swap_unitary(n_qubits: int, qa: int, qb: int) -> UnitaryOp:
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices: np.kron's entries without its overhead."""
-    rows, cols = a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
-    return np.multiply.outer(a, b).transpose(0, 2, 1, 3).reshape(rows, cols)
+    """Kronecker product of the last two axes, broadcast over a leading stack axis."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    rows, cols = a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]
+    return out.reshape(out.shape[:-4] + (rows, cols))
 
 
 def build_thermal_state(spec: MachineSpec, per_qubit_temps: Sequence[float]) -> DenseState:
@@ -143,10 +188,14 @@ def build_thermal_state(spec: MachineSpec, per_qubit_temps: Sequence[float]) -> 
 
 
 def assert_energy_conserving(u: UnitaryOp, h: Sequence[float]) -> None:
+    """Require [U, H] = 0 for diagonal H; either may be a stack."""
     h_arr = np.asarray(h, dtype=float)
-    comm = u.matrix @ np.diag(h_arr) - np.diag(h_arr) @ u.matrix
-    if np.abs(comm).max() > ENERGY_ATOL * max(1.0, float(np.abs(h_arr).max())):
-        raise DomainError("unitary tagged energy_conserving does not commute with H")
+    comm = u.matrix * h_arr[..., None, :] - h_arr[..., :, None] * u.matrix
+    scale = np.maximum(1.0, np.abs(h_arr).max(axis=-1))
+    _require(
+        np.abs(comm).max(axis=(-2, -1)) <= ENERGY_ATOL * scale,
+        "unitary tagged energy_conserving does not commute with H",
+    )
 
 
 def apply_and_measure(
@@ -160,56 +209,88 @@ def apply_and_measure(
     evolved state passes the ``DenseState`` unit-trace and PSD checks;
     energy-conserving tagged unitaries are additionally checked to commute
     with H and to change <H> by less than 1e-10.
+
+    The state, the unitary and the energies ``h`` may each be a stack with a
+    leading machine axis, and a single one acts on every machine; with any
+    stack the population and the energy change come back as arrays.
     """
     if u.dim != state.dim:
         raise DomainError(f"dimension mismatch: state {state.dim}, unitary {u.dim}")
     h_arr = np.asarray(h, dtype=float)
-    if h_arr.size != state.dim:
+    if h_arr.shape[-1:] != (state.dim,):
         raise DomainError("energy vector length must match the state dimension")
-    if np.abs(u.matrix @ u.matrix.conj().T - np.eye(u.dim)).max() > UNITARITY_ATOL:
-        raise DomainError("unitary drifted away from unitarity")
-    final = DenseState(u.matrix @ state.matrix @ u.matrix.conj().T)
-    delta_energy = float((final.diagonal() - state.diagonal()) @ h_arr)
+    try:
+        np.broadcast_shapes(state.matrix.shape[:-2], u.matrix.shape[:-2], h_arr.shape[:-1])
+    except ValueError:
+        raise DomainError("state, unitary and energy stacks differ in length") from None
+    _require(_unitarity_error(u.matrix) <= UNITARITY_ATOL, "unitary drifted away from unitarity")
+    final = DenseState(u.matrix @ state.matrix @ _dagger(u.matrix))
+    # A 1 x d by d x 1 product per machine sums as a vector @ vector dot does.
+    change = final.diagonal() - state.diagonal()
+    delta_energy = (change[..., None, :] @ h_arr[..., :, None])[..., 0, 0]
     if u.tag == "energy_conserving":
         assert_energy_conserving(u, h_arr)
-        if abs(delta_energy) > ENERGY_ATOL:
-            raise DomainError("energy-conserving unitary changed <H>")
+        _require(abs(delta_energy) <= ENERGY_ATOL, "energy-conserving unitary changed <H>")
+    if not delta_energy.ndim:
+        delta_energy = float(delta_energy)
     return final.target_ground_population(), delta_energy, final
 
 
 def _partial_trace(mat: np.ndarray, n_qubits: int, qubit: int) -> np.ndarray:
-    tensor = mat.reshape((2,) * (2 * n_qubits))
-    traced = np.trace(tensor, axis1=qubit, axis2=n_qubits + qubit)
+    lead = mat.shape[:-2]
+    tensor = mat.reshape(lead + (2,) * (2 * n_qubits))
+    traced = np.trace(tensor, axis1=len(lead) + qubit, axis2=len(lead) + n_qubits + qubit)
     half = 2 ** (n_qubits - 1)
-    return traced.reshape(half, half)
+    return traced.reshape(lead + (half, half))
 
 
 def replace_qubit_marginal(
-    state: DenseState, qubit: int, ground_population: float
+    state: DenseState, qubit: int, ground_population: float | np.ndarray
 ) -> DenseState:
-    """Trace one qubit out and re-insert it in a fresh diagonal state."""
+    """Trace one qubit out and re-insert it in a fresh diagonal state.
+
+    ``ground_population`` is a float, or an array with one entry per matrix
+    of a stack.
+    """
     n = state.n_qubits
     if not 0 <= qubit < n:
         raise DomainError(f"qubit index {qubit} out of range for {n} qubits")
     rest = _partial_trace(state.matrix, n, qubit)
-    tau = np.diag([ground_population, 1.0 - ground_population]).astype(complex)
-    full = _kron(rest, tau).reshape((2,) * (2 * n))
+    pop = np.asarray(ground_population, dtype=float)
+    tau = np.zeros(pop.shape + (2, 2), dtype=complex)
+    tau[..., 0, 0] = pop
+    tau[..., 1, 1] = 1.0 - pop
+    full = _kron(rest, tau)
+    lead = full.shape[:-2]
+    full = full.reshape(lead + (2,) * (2 * n))
     # kron left the fresh qubit in the least significant slot; move it home.
     remaining = [q for q in range(n) if q != qubit]
     src_axis = {q: a for a, q in enumerate(remaining)}
     src_axis[qubit] = n - 1
-    perm = [src_axis[q] for q in range(n)]
-    full = np.transpose(full, perm + [n + p for p in perm])
-    return DenseState(full.reshape(state.dim, state.dim))
+    perm = [len(lead) + src_axis[q] for q in range(n)]
+    full = np.transpose(full, list(range(len(lead))) + perm + [n + p for p in perm])
+    return DenseState(full.reshape(lead + (state.dim, state.dim)))
 
 
-def rethermalize(state: DenseState, qubit: int, gap: float, temp: float) -> DenseState:
-    """Replace one qubit's marginal with a fresh Gibbs state at ``temp``."""
-    return replace_qubit_marginal(state, qubit, boltzmann_population(gap, temp))
+def rethermalize(
+    state: DenseState, qubit: int, gap: float | np.ndarray, temp: float | np.ndarray
+) -> DenseState:
+    """Replace one qubit's marginal with a fresh Gibbs state at ``temp``.
+
+    ``gap`` and ``temp`` are floats, or arrays with one entry per matrix of a
+    stack.
+    """
+    gaps, temps = np.broadcast_arrays(gap, temp)
+    pops = [boltzmann_population(float(g), float(t)) for g, t in zip(gaps.flat, temps.flat)]
+    return replace_qubit_marginal(state, qubit, np.reshape(pops, gaps.shape))
 
 
 # ---------------------------------------------------------------------------
 # Step-by-step protocol simulators (dense route only).
+#
+# Each takes one MachineSpec or a sequence of them.  A sequence is simulated
+# as one stack of states with a leading machine axis and gives arrays with
+# that axis; one spec is a stack of one and gives floats and lists.
 # ---------------------------------------------------------------------------
 
 
@@ -225,112 +306,153 @@ def simulate_one_qubit_partial_swap(
     return r_final, delta_energy
 
 
-def simulate_incoherent_single(spec: MachineSpec) -> tuple[float, float, float]:
+Machines = MachineSpec | Sequence[MachineSpec]
+
+
+def _machines(specs: Machines) -> tuple[list[MachineSpec], bool]:
+    """The machines of a call as a list, and whether it named just one spec."""
+    if isinstance(specs, MachineSpec):
+        return [specs], True
+    return list(specs), False
+
+
+def _column(values: Sequence[float]) -> np.ndarray:
+    return np.array(values, dtype=float)
+
+
+def _stack(
+    machines: Sequence[MachineSpec], temps: Sequence[Sequence[float]]
+) -> tuple[DenseState, np.ndarray]:
+    """Gibbs product states of three-qubit machines and their energy diagonals."""
+    k = len(machines)
+    pops = np.array([thermal_populations(s.gaps, t) for s, t in zip(machines, temps)])
+    h = np.array([hamiltonian_diagonal(s.gaps) for s in machines])
+    return DenseState(pops.reshape(k, 8)[:, :, None] * np.eye(8)), h.reshape(k, 8)
+
+
+def _results(one: bool, *per_machine: np.ndarray) -> tuple:
+    """Arrays for a stack; for one spec, its floats and lists of floats."""
+    if one:
+        return tuple(values[0].tolist() for values in per_machine)
+    return per_machine
+
+
+def simulate_incoherent_single(specs: Machines) -> tuple:
     """Heat C, apply the |010><101| swap; returns (r, heat, work)."""
-    t_hot = spec.require_hot_bath()
-    h = hamiltonian_diagonal(spec.gaps)
-    state = build_thermal_state(spec, (spec.t_room, spec.t_room, t_hot))
-    heat = spec.e_c * (
-        boltzmann_population(spec.e_c, spec.t_room) - boltzmann_population(spec.e_c, t_hot)
+    machines, one = _machines(specs)
+    t_hot = _column([s.require_hot_bath() for s in machines])
+    t_room = _column([s.t_room for s in machines])
+    state, h = _stack(machines, [(s.t_room, s.t_room, s.t_hot) for s in machines])
+    heat = _column(
+        [
+            s.e_c
+            * (boltzmann_population(s.e_c, s.t_room) - boltzmann_population(s.e_c, s.t_hot))
+            for s in machines
+        ]
     )
     u = swap_unitary(8, 2, 5, tag="energy_conserving")
     r_final, _, _ = apply_and_measure(state, u, h)
-    work = heat * (1.0 - spec.t_room / t_hot)
-    return r_final, heat, work
+    work = heat * (1.0 - t_room / t_hot)
+    return _results(one, r_final, heat, work)
 
 
-def simulate_coherent_single(spec: MachineSpec, mu: float) -> tuple[float, float]:
-    """Apply the mu-parametrized work-optimal single-cycle unitary; (r, work)."""
-    if not 0.0 <= mu <= 1.0:
-        raise DomainError(f"mu must lie in [0, 1], got {mu}")
-    h = hamiltonian_diagonal(spec.gaps)
-    state = build_thermal_state(spec, (spec.t_room,) * 3)
-    if spec.e_c <= spec.e:
-        unit = (
-            partial_swap_unitary(8, 2, 4, mu).matrix
-            @ partial_swap_unitary(8, 3, 5, mu).matrix
-        )
-    else:
-        w_ac = min(2.0 * mu, 1.0)
-        w_ab = max(2.0 * mu - 1.0, 0.0)
-        unit = (
-            partial_swap_unitary(8, 2, 4, w_ab).matrix
-            @ partial_swap_unitary(8, 3, 5, w_ab).matrix
-            @ partial_swap_unitary(8, 1, 4, w_ac).matrix
-            @ partial_swap_unitary(8, 3, 6, w_ac).matrix
-        )
+def simulate_coherent_single(specs: Machines, mu: float | Sequence[float]) -> tuple:
+    """Apply the mu-parametrized work-optimal single-cycle unitary; (r, work).
+
+    ``mu`` is a float for one spec and holds one value per machine for a
+    sequence of specs.
+    """
+    machines, one = _machines(specs)
+    mus = np.asarray(mu, dtype=float)
+    _require((0.0 <= mus) & (mus <= 1.0), f"mu must lie in [0, 1], got {mu}")
+    mus = np.atleast_1d(mus)
+    if mus.shape != (len(machines),):
+        raise DomainError(f"need one mu per machine: {len(machines)} machines, mu {mu}")
+    state, h = _stack(machines, [(s.t_room,) * 3 for s in machines])
+    # e_c <= e swaps A with B alone, the other route through C first; the
+    # identity rotations at weight 0 give the first route the same product.
+    through_b = np.array([s.e_c <= s.e for s in machines], dtype=bool)
+    w_ab = np.where(through_b, mus, np.maximum(2.0 * mus - 1.0, 0.0))
+    w_ac = np.where(through_b, 0.0, np.minimum(2.0 * mus, 1.0))
+    unit = (
+        partial_swap_unitary(8, 2, 4, w_ab).matrix
+        @ partial_swap_unitary(8, 3, 5, w_ab).matrix
+        @ partial_swap_unitary(8, 1, 4, w_ac).matrix
+        @ partial_swap_unitary(8, 3, 6, w_ac).matrix
+    )
     r_final, work, _ = apply_and_measure(state, UnitaryOp(unit), h)
-    return r_final, work
+    return _results(one, r_final, work)
 
 
-def _c_ground_population(state: DenseState) -> float:
-    diag = state.diagonal()
-    return float(diag[[0, 2, 4, 6]].sum())
+def _c_ground_population(state: DenseState) -> np.ndarray:
+    return state.diagonal()[..., [0, 2, 4, 6]].sum(axis=-1)
 
 
 def simulate_repeated_incoherent(
-    spec: MachineSpec, n: int, r0: float | None = None
-) -> tuple[list[float], list[float]]:
+    specs: Machines, n: int, r0: float | np.ndarray | None = None
+) -> tuple:
     """n reset-and-swap incoherent cycles; returns (r after k, heat after k).
 
     ``r0`` overrides the target's starting population (default: thermal at
     t_room), which lets ladder stages be chained.
     """
-    t_hot = spec.require_hot_bath()
-    h = hamiltonian_diagonal(spec.gaps)
-    r_ch = boltzmann_population(spec.e_c, t_hot)
-    state = build_thermal_state(spec, (spec.t_room,) * 3)
+    machines, one = _machines(specs)
+    t_hot = _column([s.require_hot_bath() for s in machines])
+    e_b, e_c = _column([s.e_b for s in machines]), _column([s.e_c for s in machines])
+    t_room = _column([s.t_room for s in machines])
+    state, h = _stack(machines, [(s.t_room,) * 3 for s in machines])
+    r_ch = _column([boltzmann_population(s.e_c, s.t_hot) for s in machines])
     if r0 is not None:
         state = replace_qubit_marginal(state, 0, r0)
     swap = swap_unitary(8, 2, 5, tag="energy_conserving")
 
-    heat = spec.e_c * (boltzmann_population(spec.e_c, spec.t_room) - r_ch)
+    heat = e_c * (_column([boltzmann_population(s.e_c, s.t_room) for s in machines]) - r_ch)
     rs = [state.target_ground_population()]
     heats = [heat]
     for step in range(n):
         if step > 0:
-            state = rethermalize(state, 1, spec.e_b, spec.t_room)
-            heat += spec.e_c * (_c_ground_population(state) - r_ch)
-        state = rethermalize(state, 2, spec.e_c, t_hot)
+            state = rethermalize(state, 1, e_b, t_room)
+            heat = heat + e_c * (_c_ground_population(state) - r_ch)
+        state = rethermalize(state, 2, e_c, t_hot)
         r_new, _, state = apply_and_measure(state, swap, h)
         rs.append(r_new)
         heats.append(heat)
-    return rs, heats
+    return _results(one, np.stack(rs, axis=-1), np.stack(heats, axis=-1))
 
 
-def simulate_repeated_coherent(
-    spec: MachineSpec, n: int
-) -> tuple[list[float], list[float]]:
+def simulate_repeated_coherent(specs: Machines, n: int) -> tuple:
     """Optimal first cycle, then reset-and-|100><011|-swap cycles; (r_k, work_k)."""
-    h = hamiltonian_diagonal(spec.gaps)
-    state = build_thermal_state(spec, (spec.t_room,) * 3)
-    rs = [state.target_ground_population()]
-    works = [0.0]
-    work = 0.0
+    machines, one = _machines(specs)
+    e_b, e_c = _column([s.e_b for s in machines]), _column([s.e_c for s in machines])
+    t_room = _column([s.t_room for s in machines])
+    state, h = _stack(machines, [(s.t_room,) * 3 for s in machines])
+    # The first cycle swaps A with B, or with B and then C when e_c > e.
+    swap_ab = qubit_swap_unitary(3, 0, 1).matrix
+    swap_abc = swap_ab @ qubit_swap_unitary(3, 0, 2).matrix
+    through_b = np.array([s.e_c <= s.e for s in machines], dtype=bool)
+    first = UnitaryOp(np.where(through_b[:, None, None], swap_ab, swap_abc))
     swap_00_11 = swap_unitary(8, 3, 4)
+
+    work = np.zeros(len(machines))
+    rs = [state.target_ground_population()]
+    works = [work]
     for step in range(n):
         if step == 0:
-            if spec.e_c <= spec.e:
-                u = qubit_swap_unitary(3, 0, 1)
-            else:
-                u = UnitaryOp(
-                    qubit_swap_unitary(3, 0, 1).matrix
-                    @ qubit_swap_unitary(3, 0, 2).matrix
-                )
+            u = first
         else:
-            state = rethermalize(state, 1, spec.e_b, spec.t_room)
-            state = rethermalize(state, 2, spec.e_c, spec.t_room)
+            state = rethermalize(state, 1, e_b, t_room)
+            state = rethermalize(state, 2, e_c, t_room)
             u = swap_00_11
         r_new, delta_e, state = apply_and_measure(state, u, h)
-        work += delta_e
+        work = work + delta_e
         rs.append(r_new)
         works.append(work)
-    return rs, works
+    return _results(one, np.stack(rs, axis=-1), np.stack(works, axis=-1))
 
 
 def simulate_algorithmic(
-    spec: MachineSpec, n: int, nu: float = 1.0, r0: float | None = None
-) -> tuple[list[float], list[float]]:
+    specs: Machines, n: int, nu: float = 1.0, r0: float | np.ndarray | None = None
+) -> tuple:
     """Precool-and-swap cycles; returns (r after k, work after k).
 
     Each cycle resets B, precools C and runs the cooling swap.  At nu = 1 the
@@ -345,34 +467,36 @@ def simulate_algorithmic(
     """
     if not 0.0 <= nu <= 1.0:
         raise DomainError(f"nu must lie in [0, 1], got {nu}")
-    h = hamiltonian_diagonal(spec.gaps)
-    r_b = boltzmann_population(spec.e_b, spec.t_room)
-    r_c = boltzmann_population(spec.e_c, spec.t_room)
+    machines, one = _machines(specs)
+    e_b, e_c = _column([s.e_b for s in machines]), _column([s.e_c for s in machines])
+    t_room = _column([s.t_room for s in machines])
+    state, h = _stack(machines, [(s.t_room,) * 3 for s in machines])
+    r_b = _column([boltzmann_population(s.e_b, s.t_room) for s in machines])
+    r_c = _column([boltzmann_population(s.e_c, s.t_room) for s in machines])
     r_c_nu = r_c + nu * (r_b - r_c)
 
-    state = build_thermal_state(spec, (spec.t_room,) * 3)
     if r0 is not None:
         state = replace_qubit_marginal(state, 0, r0)
     precool_swap = qubit_swap_unitary(3, 1, 2)
     cool_swap = swap_unitary(8, 3, 4)
 
+    work = np.zeros(len(machines))
     rs = [state.target_ground_population()]
-    works = [0.0]
-    work = 0.0
+    works = [work]
     for _ in range(n):
-        state = rethermalize(state, 1, spec.e_b, spec.t_room)
+        state = rethermalize(state, 1, e_b, t_room)
         if nu == 1.0:
             _, delta_e, state = apply_and_measure(state, precool_swap, h)
-            work += delta_e
-            state = rethermalize(state, 1, spec.e_b, spec.t_room)
+            work = work + delta_e
+            state = rethermalize(state, 1, e_b, t_room)
         else:
-            work += (spec.e_b - spec.e_c) * (r_c_nu - _c_ground_population(state))
+            work = work + (e_b - e_c) * (r_c_nu - _c_ground_population(state))
             state = replace_qubit_marginal(state, 2, r_c_nu)
         r_new, delta_e, state = apply_and_measure(state, cool_swap, h)
-        work += delta_e
+        work = work + delta_e
         rs.append(r_new)
         works.append(work)
-    return rs, works
+    return _results(one, np.stack(rs, axis=-1), np.stack(works, axis=-1))
 
 
 # ---------------------------------------------------------------------------

@@ -745,6 +745,11 @@ class TestVerifyCommand:
             "pareto": "pareto_sweep",
         }[mutation]
         assert failed == {expected}
+        if mutation == "r_inc":
+            (check,) = [c for c in payload["checks"] if not c["passed"]]
+            assert "; worst: incoherent single cycle on machine " in check["detail"]
+            for name in ("e_c=", "t_room=", "t_hot=", "n="):
+                assert name in check["detail"]
 
     def test_machine_flags_are_unrecognized(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracle_reference as ref
 from qfridge import oracle, protocols
 from qfridge.oracle import (
     DEFAULT_SEED,
@@ -370,3 +371,204 @@ def test_oracle_never_imports_the_closed_forms():
             imported.append(node.module or "")
             imported += [alias.name for alias in node.names]
     assert not [name for name in imported if "protocols" in name.split(".")]
+
+
+def _reference_machines():
+    # Drawn machines, which include t_hot = inf, plus one of each e_c route
+    # at both a finite and an infinite hot bath.
+    from qfridge.verify import _draw_machine
+
+    rng = np.random.default_rng(DEFAULT_SEED)
+    drawn = [_draw_machine(rng) for _ in range(40)]
+    fixed = [
+        MachineSpec.two_qubit(e_c, 1.0, t_hot) for e_c in (0.4, 1.7) for t_hot in (3.0, INFINITE)
+    ]
+    machines = drawn + fixed
+    assert any(s.t_hot == INFINITE for s in drawn)
+    assert {s.e_c <= s.e for s in drawn} == {True, False}
+    return machines
+
+
+def _assert_rows_match(stacked, per_machine):
+    # Every stacked output against the reference run of the same machine.
+    for got, want in zip(stacked, zip(*per_machine)):
+        assert np.asarray(got).shape == np.asarray(want).shape
+        assert np.abs(np.asarray(got) - np.asarray(want)).max(initial=0.0) <= 1e-15
+
+
+class TestStackedSimulatorsMatchTheReference:
+    MACHINES = _reference_machines()
+
+    def test_incoherent_single(self):
+        stacked = oracle.simulate_incoherent_single(self.MACHINES)
+        _assert_rows_match(stacked, [ref.simulate_incoherent_single(s) for s in self.MACHINES])
+
+    def test_coherent_single(self):
+        mus = np.random.default_rng(5).uniform(0.0, 1.0, len(self.MACHINES))
+        mus[:3] = (0.0, 0.5, 1.0)
+        stacked = oracle.simulate_coherent_single(self.MACHINES, mus)
+        _assert_rows_match(
+            stacked, [ref.simulate_coherent_single(s, mu) for s, mu in zip(self.MACHINES, mus)]
+        )
+
+    @pytest.mark.parametrize("n", range(6))
+    @pytest.mark.parametrize("r0", [None, 0.8])
+    def test_repeated_incoherent(self, n, r0):
+        stacked = oracle.simulate_repeated_incoherent(self.MACHINES, n, r0=r0)
+        _assert_rows_match(
+            stacked, [ref.simulate_repeated_incoherent(s, n, r0=r0) for s in self.MACHINES]
+        )
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_repeated_coherent(self, n):
+        stacked = oracle.simulate_repeated_coherent(self.MACHINES, n)
+        _assert_rows_match(stacked, [ref.simulate_repeated_coherent(s, n) for s in self.MACHINES])
+
+    @pytest.mark.parametrize("n", range(6))
+    @pytest.mark.parametrize("nu, r0", [(1.0, None), (0.4, None), (1.0, 0.8), (0.4, 0.8)])
+    def test_algorithmic(self, n, nu, r0):
+        stacked = oracle.simulate_algorithmic(self.MACHINES, n, nu=nu, r0=r0)
+        _assert_rows_match(
+            stacked, [ref.simulate_algorithmic(s, n, nu=nu, r0=r0) for s in self.MACHINES]
+        )
+
+    def test_one_spec_is_a_stack_of_one_with_the_old_return_types(self):
+        for spec in (self.MACHINES[0], self.MACHINES[-1], self.MACHINES[-3]):
+            assert oracle.simulate_incoherent_single(spec) == ref.simulate_incoherent_single(spec)
+            assert oracle.simulate_coherent_single(spec, 0.3) == ref.simulate_coherent_single(
+                spec, 0.3
+            )
+            for n in (0, 3):
+                for got, want in (
+                    (
+                        oracle.simulate_repeated_incoherent(spec, n, r0=0.8),
+                        ref.simulate_repeated_incoherent(spec, n, r0=0.8),
+                    ),
+                    (
+                        oracle.simulate_repeated_coherent(spec, n),
+                        ref.simulate_repeated_coherent(spec, n),
+                    ),
+                    (
+                        oracle.simulate_algorithmic(spec, n, nu=0.4),
+                        ref.simulate_algorithmic(spec, n, nu=0.4),
+                    ),
+                ):
+                    assert got == want
+                    assert all(type(x) is float for values in got for x in values)
+            stack_of_one = oracle.simulate_repeated_coherent([spec], 3)
+            assert [values[0].tolist() for values in stack_of_one] == list(
+                oracle.simulate_repeated_coherent(spec, 3)
+            )
+
+    def test_an_empty_stack_gives_empty_arrays(self):
+        rs, works = oracle.simulate_algorithmic([], 4)
+        assert rs.shape == works.shape == (0, 5)
+
+    def test_coherent_single_needs_one_mu_per_machine(self):
+        with pytest.raises(DomainError, match="one mu per machine"):
+            oracle.simulate_coherent_single(self.MACHINES[:3], [0.5, 0.5])
+        with pytest.raises(DomainError, match=r"stack index 1"):
+            oracle.simulate_coherent_single(self.MACHINES[:3], [0.5, 1.5, 0.5])
+
+
+def _thermal_stack(count):
+    spec = MachineSpec.two_qubit(0.4, 1.0)
+    state = build_thermal_state(spec, (1.0,) * 3)
+    return np.repeat(state.matrix[None], count, axis=0), hamiltonian_diagonal(spec.gaps)
+
+
+class TestStackChecks:
+    def test_one_non_psd_matrix_is_named_by_its_index(self):
+        mats, _ = _thermal_stack(5)
+        mats[3] = np.diag([1.5, -0.5, 0, 0, 0, 0, 0, 0])
+        with pytest.raises(DomainError, match=r"positive semidefinite \(stack index 3\)"):
+            DenseState(mats)
+
+    def test_one_bad_trace_is_named_by_its_index(self):
+        mats, _ = _thermal_stack(4)
+        mats[2] *= 1.01
+        with pytest.raises(DomainError, match=r"unit trace \(stack index 2\)"):
+            DenseState(mats)
+
+    def test_one_non_unitary_matrix_is_named_by_its_index(self):
+        units = np.repeat(np.eye(8)[None], 3, axis=0)
+        units[1, 0, 0] = 1.1
+        with pytest.raises(DomainError, match=r"not unitary .*\(stack index 1\)"):
+            UnitaryOp(units)
+
+    def test_stacked_unitary_drift_is_caught_on_application(self):
+        mats, h = _thermal_stack(3)
+        u = UnitaryOp(np.repeat(np.eye(8)[None], 3, axis=0))
+        u.matrix[2, 0, 0] = 1.1
+        with pytest.raises(DomainError, match=r"drifted .*\(stack index 2\)"):
+            apply_and_measure(DenseState(mats), u, h)
+
+    def test_energy_conservation_is_checked_per_machine(self):
+        # The swap conserves energy on resonant machines only.
+        mats, _ = _thermal_stack(3)
+        h = np.array([hamiltonian_diagonal(MachineSpec.two_qubit(0.4, 1.0).gaps)] * 3)
+        h[1] = hamiltonian_diagonal((1.0, 1.5, 0.4))
+        swap = swap_unitary(8, 2, 5, tag="energy_conserving")
+        with pytest.raises(DomainError, match=r"commute with H \(stack index 1\)"):
+            apply_and_measure(DenseState(mats), swap, h)
+
+    def test_stacks_of_different_lengths_are_rejected(self):
+        mats, h = _thermal_stack(3)
+        u = UnitaryOp(np.repeat(np.eye(8)[None], 2, axis=0))
+        with pytest.raises(DomainError, match="differ in length"):
+            apply_and_measure(DenseState(mats), u, h)
+
+    def test_stacked_blocks_equal_their_per_matrix_results(self):
+        spec = MachineSpec.two_qubit(0.7, 1.3)
+        rng = np.random.default_rng(11)
+        local = haar_unitaries(8, 4, rng)
+        base = build_thermal_state(spec, (1.3,) * 3).matrix
+        mats = local @ base @ np.swapaxes(local.conj(), -1, -2)
+        h = hamiltonian_diagonal(spec.gaps)
+        u = UnitaryOp(haar_unitaries(8, 4, rng))
+        r, delta, final = apply_and_measure(DenseState(mats), u, np.array([h] * 4))
+        pops = np.array([0.9, 0.8, 0.7, 0.6])
+        marginal = replace_qubit_marginal(final, 1, pops)
+        fresh = rethermalize(final, 2, np.array([0.4, 0.5, 0.6, 0.7]), 2.0)
+        for i in range(4):
+            r_i, delta_i, final_i = apply_and_measure(
+                DenseState(mats[i]), UnitaryOp(u.matrix[i]), h
+            )
+            assert (r[i], delta[i]) == (r_i, delta_i)
+            assert np.array_equal(final.matrix[i], final_i.matrix)
+            assert np.array_equal(
+                marginal.matrix[i], replace_qubit_marginal(final_i, 1, pops[i]).matrix
+            )
+            assert np.array_equal(
+                fresh.matrix[i], rethermalize(final_i, 2, 0.4 + 0.1 * i, 2.0).matrix
+            )
+
+
+class TestNonFiniteInputs:
+    def test_all_nan_state_is_rejected(self):
+        with pytest.raises(DomainError):
+            DenseState(np.full((2, 2), np.nan))
+
+    def test_nan_off_diagonal_state_is_rejected(self):
+        with pytest.raises(DomainError):
+            DenseState(np.array([[0.5, np.nan], [np.nan, 0.5]]))
+
+    def test_all_nan_unitary_is_rejected(self):
+        with pytest.raises(DomainError):
+            UnitaryOp(np.full((4, 4), np.nan))
+
+    def test_unitary_turned_nan_after_construction_is_caught_on_application(self):
+        spec = MachineSpec.two_qubit(0.4, 1.0)
+        state = build_thermal_state(spec, (1.0,) * 3)
+        u = swap_unitary(8, 3, 4)
+        u.matrix[0, 1] = np.nan
+        with pytest.raises(DomainError, match="drifted"):
+            apply_and_measure(state, u, hamiltonian_diagonal(spec.gaps))
+
+    def test_nan_energy_fails_the_conservation_check(self):
+        spec = MachineSpec.two_qubit(0.4, 1.0)
+        state = build_thermal_state(spec, (1.0,) * 3)
+        h = hamiltonian_diagonal(spec.gaps)
+        h[5] = np.nan
+        with pytest.raises(DomainError):
+            apply_and_measure(state, swap_unitary(8, 2, 5, tag="energy_conserving"), h)

@@ -1,11 +1,17 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import pytest
 
 from qfridge import oracle, protocols
 from qfridge.thermal import DomainError
-from qfridge.verify import check_thermalization_gradients, check_vertex_oracle, run_verification
+from qfridge.verify import (
+    check_formula_dense_equivalence,
+    check_thermalization_gradients,
+    check_vertex_oracle,
+    run_verification,
+)
 
 
 @pytest.mark.parametrize("machines, instances", [(-3, -2), (-1, 0), (0, -1)])
@@ -50,3 +56,54 @@ class TestVertexOracleGatesTheClosedForm:
         assert not result.passed
         assert result.residual == pytest.approx(1e-6, rel=1e-6)
         assert (result.name, result.tolerance) == ("vertex_oracle", 1e-10)
+
+
+class TestFormulaDenseReport:
+    def test_passing_report_is_unchanged(self):
+        result = check_formula_dense_equivalence(seed=9, machines=6)
+        assert result.passed
+        assert result.detail == "6 machines, single-cycle and repeated protocols"
+
+    def test_failure_names_the_worst_instance(self, monkeypatch):
+        # Shift the last closed-form point of the third machine only; the
+        # closed forms run machine by machine, in draw order.
+        seen = []
+        closed_form = protocols.repeated_coherent
+
+        def shifted(spec, n):
+            out = closed_form(spec, n)
+            seen.append(spec)
+            if len(seen) != 3:
+                return out
+            *head, last = out.trajectory
+            return SimpleNamespace(trajectory=[*head, last._replace(r=last.r + 1e-6)])
+
+        monkeypatch.setattr(protocols, "repeated_coherent", shifted)
+        result = check_formula_dense_equivalence(seed=9, machines=4)
+        assert not result.passed
+        assert result.residual == pytest.approx(1e-6, rel=1e-6)
+        spec = seen[2]
+        assert result.detail.startswith("4 machines, single-cycle and repeated protocols; ")
+        assert f"repeated coherent on machine 2, e_c={spec.e_c!r}, " in result.detail
+        assert f"t_room={spec.t_room!r}, t_hot={spec.t_hot!r}, n=" in result.detail
+        assert "mu=" not in result.detail
+
+    @pytest.mark.parametrize("route", ["closed form", "dense"])
+    def test_nan_from_either_route_fails_with_an_infinite_residual(self, route, monkeypatch):
+        if route == "dense":
+            simulate = oracle.simulate_coherent_single
+
+            def with_nan(specs, mus):
+                r, work = simulate(specs, mus)
+                r[1] = math.nan
+                return r, work
+
+            monkeypatch.setattr(oracle, "simulate_coherent_single", with_nan)
+        else:
+            monkeypatch.setattr(protocols, "coherent_single_population", lambda spec, mu: math.nan)
+        result = check_formula_dense_equivalence(seed=9, machines=4)
+        assert not result.passed
+        assert result.residual == math.inf
+        machine = 1 if route == "dense" else 0
+        assert f"coherent single cycle on machine {machine}, " in result.detail
+        assert ", mu=" in result.detail
