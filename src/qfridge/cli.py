@@ -237,8 +237,8 @@ def crossing_report(spec: MachineSpec, tolerance: float) -> CrossingReport:
         zeros.append(0.5 * (lo + hi))
     if not zeros:
         return CrossingReport(None, None, None, 1)
-    t_inc = protocols.incoherent_inverse(spec)(zeros[0])
-    t_crit = 0.5 * (t_inc + protocols.coherent_inverse(spec)(zeros[0]))
+    t_inc = protocols.incoherent_temperature_of_work(spec, zeros[0])
+    t_crit = 0.5 * (t_inc + protocols.coherent_temperature_of_work(spec, zeros[0]))
     return CrossingReport(zeros[0], t_crit, zeros[-1], 1 + len(zeros))
 
 

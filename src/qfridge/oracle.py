@@ -675,17 +675,15 @@ def degenerate_subspace_sweep(
     if spec.t_hot is not None and spec.n_qubits >= 2:
         temps[-1] = spec.t_hot
     state = build_thermal_state(spec, temps)
-    dim = state.dim
-
-    best_r, best_w = -1.0, 0.0
-    baseline = state.target_ground_population()
-    for weight in np.linspace(0.0, 1.0, grid):
-        u = partial_swap_unitary(dim, i, j, float(weight))
-        r_final, _, _ = apply_and_measure(state, u, h)
-        if r_final > best_r:
-            best_r, best_w = r_final, float(weight)
+    weights = np.linspace(0.0, 1.0, grid)
+    r_final, _, _ = apply_and_measure(state, partial_swap_unitary(state.dim, i, j, weights), h)
+    best = int(np.argmax(r_final))  # the first of equal maxima
     return SubspaceSweepReport(
-        subspace=(i, j), baseline_r=baseline, best_r=best_r, best_weight=best_w, grid=grid
+        subspace=(i, j),
+        baseline_r=state.target_ground_population(),
+        best_r=float(r_final[best]),
+        best_weight=float(weights[best]),
+        grid=grid,
     )
 
 

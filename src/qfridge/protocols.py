@@ -153,7 +153,7 @@ def _frontier_end(spec: MachineSpec) -> tuple[float, float]:
     return r_c, spec.e_c * (r_c - 0.5)
 
 
-def incoherent_inverse(spec: MachineSpec) -> Callable[[float], float]:
+def incoherent_temperature_of_work(spec: MachineSpec, delta_f: float) -> float:
     """Inverse of the single-cycle incoherent frontier: work budget to temperature.
 
     The frontier of :func:`two_qubit_incoherent_single` over t_hot >= t_room
@@ -162,92 +162,39 @@ def incoherent_inverse(spec: MachineSpec) -> Callable[[float], float]:
     E_C (r_C - 1/2) at x = 1/2 (t_hot = inf) to 0 at x = r_C (t_hot = t_room).
     W is evaluated in complement form, T_R u ln(1 + u/(s_C x)) with
     u = r_C - x and s_C = 1 - r_C carried as an excited population, so no
-    term cancels near either end or as E_C -> 0.  The resonance check and
-    the machine's constants (r, r_B, r_C, s_C, W(1/2)) are computed here
-    once; the returned function inverts W at one budget in plain float
-    arithmetic (no tolerance parameter): the result is the x that plain
-    bisection of [1/2, r_C] on the float predicate W(x) < delta_f ends on
-    once the bracket holds two adjacent doubles.  A few safeguarded Newton
-    steps and an ulp search narrow the bracket first, so an inversion takes
-    a handful of W evaluations instead of ~52, and never more than 12 beyond
-    plain bisection.  The target population follows from the same
-    degenerate-pair swap.  The result is nonincreasing in the budget over
-    the doubles, to the last ulp: the predicate is monotone in x and in the
-    budget, the result is an end of the one adjacent pair on which it flips,
-    and the swap population and the temperature are monotone in x.  Budgets
-    at or beyond W(1/2) raise :class:`InfeasibleTargetError`; budgets <= 0
-    return t_room; NaN raises :class:`DomainError`.
+    term cancels near either end or as E_C -> 0.  The inversion is plain
+    bisection of [1/2, r_C] on the float predicate W(x) < delta_f until the
+    bracket holds two adjacent doubles (no tolerance parameter); the target
+    population follows from the same degenerate-pair swap.  The result is
+    nonincreasing in the budget over the doubles, to the last ulp: each
+    rounding step of W is monotone, so the predicate is monotone in x and in
+    the budget, the result is an end of the one adjacent pair on which it
+    flips, and the swap population and the temperature are monotone in x.
+    Budgets <= 0 return t_room before the machine is checked for resonance;
+    budgets at or beyond W(1/2) raise :class:`InfeasibleTargetError`; NaN
+    raises :class:`DomainError`.
     """
+    if not delta_f > 0.0:
+        return _origin_temperature(spec.t_room, delta_f)
     spec.require_resonance()
     e_c, t_room = spec.e_c, spec.t_room
-    r = _room_population(spec)
-    r_b = boltzmann_population(spec.e_b, t_room)
     r_c, w_half = _frontier_end(spec)
+    if delta_f >= w_half:
+        raise InfeasibleTargetError("work budget beyond the incoherent curve")
     s_c = excited_population(e_c, t_room)
-
-    def temperature_of_work(delta_f: float) -> float:
-        if not delta_f > 0.0:
-            return _origin_temperature(t_room, delta_f)
-        if delta_f >= w_half:
-            raise InfeasibleTargetError("work budget beyond the incoherent curve")
-        # W(lo) >= delta_f > W(hi); every evaluation moves the end on its side.
-        # Each rounding step is monotone, so the float predicate is monotone
-        # in x and the adjacent pair the bracket closes on does not depend on
-        # where it was evaluated.
-        lo, hi = 0.5, r_c
-
-        def work_at(x: float) -> float:
-            nonlocal lo, hi
-            work = _incoherent_work(r_c - x, x, s_c, e_c, t_room)
-            if work < delta_f:
-                hi = x
-            else:
-                lo = x
-            return work
-
-        # Newton on ln W against ln(r_C - x), started from the small-budget
-        # asymptote W ~ T_R (r_C - x)^2 / (r_C (1 - r_C)).  The log-log slope
-        # 1 + T_R u^2 / (x (1 - x) W) runs from 2 at W's double root r_C to
-        # about 1 far from it, so a few steps land within ulps of the
-        # crossing.  A guess outside the bracket is replaced by its midpoint;
-        # the saturated r_C == 1.0 family starts there.
-        guess = r_c - math.sqrt(delta_f * r_c * (1.0 - r_c) / t_room)
-        for _ in range(8):
-            x = guess if lo < guess < hi else 0.5 * (lo + hi)
-            work = work_at(x)
-            if work <= 0.0:
-                break
-            u = r_c - x
-            slope = 1.0 + t_room * u * u / (x * (1.0 - x) * work)
-            guess = r_c - u * (delta_f / work) ** (1.0 / slope)
-            if guess == lo or guess == hi:
-                break
-        # Newton closes in from one side: step from its last point towards
-        # the other end by doubling ulps until the predicate flips, which
-        # puts the next step outside the bracket.
-        step = math.ulp(x) if x == lo else -math.ulp(x)
-        for _ in range(3):
-            x += step
-            if not lo < x < hi:
-                break
-            work_at(x)
-            step *= 2.0
-        while True:
-            x = 0.5 * (lo + hi)
-            if x == lo or x == hi:
-                break
-            work_at(x)
-        return _final_temperature(spec, _degenerate_swap_population(r, r_b, x))
-
-    return temperature_of_work
-
-
-def incoherent_temperature_of_work(spec: MachineSpec, delta_f: float) -> float:
-    """Incoherent frontier temperature at one budget (:func:`incoherent_inverse`).
-
-    Budgets <= 0 return t_room before the machine is checked for resonance.
-    """
-    return spec.t_room if delta_f <= 0.0 else incoherent_inverse(spec)(delta_f)
+    lo, hi = 0.5, r_c  # W(lo) >= delta_f > W(hi)
+    while True:
+        x = 0.5 * (lo + hi)
+        if x == lo or x == hi:
+            break
+        if _incoherent_work(r_c - x, x, s_c, e_c, t_room) < delta_f:
+            hi = x
+        else:
+            lo = x
+    r_final = _degenerate_swap_population(
+        _room_population(spec), boltzmann_population(spec.e_b, t_room), x
+    )
+    return _final_temperature(spec, r_final)
 
 
 def _swap_phases(
@@ -289,12 +236,14 @@ def _phase_work(r: float, phases: list[tuple[float, float]], r_target: float) ->
 
 def swap_route_cost(spec: MachineSpec, via_c: bool) -> float:
     """Work of swapping the target up to r_B, through C first when ``via_c``."""
+    spec.require_resonance()
     phases = _swap_phases(spec, via_c)
     return _phase_work(_room_population(spec), phases, phases[-1][0])
 
 
 def single_cycle_coherent_cost(spec: MachineSpec) -> float:
     """Optimal work of maximal single-cycle coherent cooling (r_target = r_B)."""
+    spec.require_resonance()
     return swap_route_cost(spec, spec.e_c > spec.e)
 
 
@@ -316,41 +265,31 @@ def coherent_single_population(spec: MachineSpec, mu: float) -> float:
     return r_now + (position - k) * (r_end - r_now)
 
 
-def coherent_inverse(spec: MachineSpec) -> Callable[[float], float]:
+def coherent_temperature_of_work(spec: MachineSpec, delta_f: float) -> float:
     """Inverse of the piecewise-linear single-cycle coherent frontier.
 
-    The room population and the swap phases are computed here once; the
-    returned function walks the phases at their gradients for one budget.
-    Budgets <= 0 return t_room; budgets beyond
+    Walks the swap phases at their gradients up to the budget.  Budgets <= 0
+    return t_room before the machine is checked for resonance; budgets beyond
     :func:`single_cycle_coherent_cost` return r_B's temperature (0.0 once r_B
     saturates to 1 in double precision); NaN raises :class:`DomainError`.
     """
-    t_room = spec.t_room
+    if not delta_f > 0.0:
+        return _origin_temperature(spec.t_room, delta_f)
+    spec.require_resonance()
     r = _room_population(spec)
     phases = _single_cycle_phases(spec)
-
-    def temperature_of_work(delta_f: float) -> float:
-        if not delta_f > 0.0:
-            return _origin_temperature(t_room, delta_f)
-        if phases[-1][0] <= r:
-            return t_room
-        work, r_now = 0.0, r
-        for r_end, gradient in phases[:-1]:
-            cost = (r_end - r_now) * gradient
-            if delta_f - work <= cost:
-                return _final_temperature(spec, r_now + (delta_f - work) / gradient)
-            work, r_now = work + cost, r_end
-        r_end, gradient = phases[-1]
+    if phases[-1][0] <= r:
+        return spec.t_room
+    work, r_now = 0.0, r
+    for r_end, gradient in phases[:-1]:
         cost = (r_end - r_now) * gradient
-        share = 1.0 if delta_f - work >= cost else (delta_f - work) / cost
-        return _final_temperature(spec, r_now + share * (r_end - r_now))
-
-    return temperature_of_work
-
-
-def coherent_temperature_of_work(spec: MachineSpec, delta_f: float) -> float:
-    """Coherent frontier temperature at one budget (:func:`coherent_inverse`)."""
-    return coherent_inverse(spec)(delta_f)
+        if delta_f - work <= cost:
+            return _final_temperature(spec, r_now + (delta_f - work) / gradient)
+        work, r_now = work + cost, r_end
+    r_end, gradient = phases[-1]
+    cost = (r_end - r_now) * gradient
+    share = 1.0 if delta_f - work >= cost else (delta_f - work) / cost
+    return _final_temperature(spec, r_now + share * (r_end - r_now))
 
 
 def frontier_gap_sign(spec: MachineSpec) -> Callable[[float], int]:
@@ -365,13 +304,13 @@ def frontier_gap_sign(spec: MachineSpec) -> Callable[[float], int]:
     is s_C + u with u = drop/(s r_B + r s_B) (the resonance makes
     r s_B r_C = s s_C r_B).  The sign is +1 once s_x >= 1/2, that is
     u >= tanh(E_C/2T_R)/2, which no hot bath reaches, and otherwise that of
-    W(s_x) - f, with W in the complement form :func:`incoherent_inverse`
-    evaluates.  Excited
-    populations keep every term free of cancellation, also where r, r_B and
-    r_C round to 1.  The resonance check and the machine's constants are
-    computed here once; a sign costs one phase walk and one W evaluation.
+    W(s_x) - f, with W in the complement form
+    :func:`incoherent_temperature_of_work` evaluates.  Excited populations
+    keep every term free of cancellation, also where r, r_B and r_C round
+    to 1.  The resonance check and the machine's constants are computed here
+    once; a sign costs one phase walk and one W evaluation.
     Budgets <= 0 give 0; budgets at or beyond W(1/2) raise
-    :class:`InfeasibleTargetError`, as :func:`incoherent_inverse` does; NaN
+    :class:`InfeasibleTargetError`, as the incoherent inversion does; NaN
     raises :class:`DomainError`.
     """
     spec.require_resonance()
@@ -513,16 +452,23 @@ def _incoherent_limit(spec: MachineSpec, t_hot: float) -> tuple[float, float]:
     return boltzmann_population(spec.e, t), t
 
 
-def _coherent_limit(spec: MachineSpec) -> tuple[float, float]:
-    # (r, t) asymptote of repeated {00,11} swaps against a thermal machine.
-    t = spec.t_room * spec.e / (spec.e_b + spec.e_c)
+def _swap_limit(spec: MachineSpec, pair_gap: float) -> tuple[float, float]:
+    # (r, t) = (r, T_R E / pair_gap), the asymptote of repeated {00,11} swaps
+    # against a thermal machine (pair_gap e_b + e_c) or with C fully precooled
+    # to B's population (2 e_b).  A gapless target has no such temperature,
+    # and E = E_C = 0 leaves it as 0/0.
+    if not spec.e > 0.0:
+        raise DomainError(f"the repeated-swap asymptotes need a target gap > 0, got {spec.e}")
+    t = spec.t_room * spec.e / pair_gap
     return boltzmann_population(spec.e, t), t
+
+
+def _coherent_limit(spec: MachineSpec) -> tuple[float, float]:
+    return _swap_limit(spec, spec.e_b + spec.e_c)
 
 
 def _algorithmic_limit(spec: MachineSpec) -> tuple[float, float]:
-    # (r, t) asymptote of {00,11} swaps with C fully precooled to B's population.
-    t = spec.t_room * spec.e / (2.0 * spec.e_b)
-    return boltzmann_population(spec.e, t), t
+    return _swap_limit(spec, 2.0 * spec.e_b)
 
 
 def autonomous_steady_state(spec: MachineSpec) -> ProtocolOutcome:
@@ -573,6 +519,7 @@ def repeated_coherent(spec: MachineSpec, n: float) -> ProtocolOutcome:
 
 def precooled_population(spec: MachineSpec, nu: float) -> float:
     """Qubit C ground population after a nu-partial precooling swap with B."""
+    spec.require_resonance()
     if not 0.0 <= nu <= 1.0:
         raise DomainError(f"nu must lie in [0, 1], got {nu}")
     r_b, r_c = _machine_room_populations(spec)
@@ -585,6 +532,7 @@ def precool_mixing_for_population(spec: MachineSpec, r_target: float) -> float:
     At and beyond the full-precooling floor the mixing is exactly 1; the
     closed form would lose that to the cancellation in 1 - r_target.
     """
+    spec.require_resonance()
     if not 0.0 <= r_target <= 1.0:
         raise DomainError(f"population must lie in [0, 1], got {r_target}")
     if r_target >= _algorithmic_limit(spec)[0]:

@@ -1,9 +1,10 @@
 """The per-machine dense simulators that the stacked ``qfridge.oracle`` replaced, kept verbatim.
 
 Each simulator once pushed one 8x8 density matrix at a time through the
-building blocks below, which took a single matrix only.  The stacked
-simulators must give the same numbers, machine by machine; the tests compare
-against these copies.  The building blocks are copied too, so the reference
+building blocks below, which took a single matrix only, and the degenerate
+subspace sweep applied one partial swap per grid weight.  The stacked
+simulators and sweep must give the same numbers, machine by machine; the
+tests compare against these copies.  The building blocks are copied too, so the reference
 shares no dense code with the module it checks.
 """
 
@@ -15,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from qfridge.oracle import ENERGY_ATOL, TRACE_ATOL, UNITARITY_ATOL
+from qfridge.oracle import ENERGY_ATOL, TRACE_ATOL, UNITARITY_ATOL, SubspaceSweepReport
 from qfridge.thermal import (
     DomainError,
     MachineSpec,
@@ -342,3 +343,40 @@ def simulate_algorithmic(
         works.append(work)
     return rs, works
 
+
+
+def degenerate_subspace_sweep(
+    spec: MachineSpec, subspace: tuple[int, int], grid: int
+) -> SubspaceSweepReport:
+    """Sweep the partial-swap family on one degenerate level pair.
+
+    The machine is prepared with qubit C heated to t_hot (when set); the
+    sweep covers the one-parameter family of phase-free rotations, which is
+    exhaustive for diagonal states.  Reports the best reachable target ground
+    population.
+    """
+    i, j = subspace
+    h = hamiltonian_diagonal(spec.gaps)
+    scale = max(1.0, float(np.abs(h).max()))
+    if abs(h[i] - h[j]) > 1e-9 * scale:
+        raise DomainError(
+            f"levels {i} and {j} are not degenerate (energies {h[i]}, {h[j]})"
+        )
+    if grid < 2:
+        raise DomainError("grid must have at least 2 points")
+    temps = [spec.t_room] * spec.n_qubits
+    if spec.t_hot is not None and spec.n_qubits >= 2:
+        temps[-1] = spec.t_hot
+    state = build_thermal_state(spec, temps)
+    dim = state.dim
+
+    best_r, best_w = -1.0, 0.0
+    baseline = state.target_ground_population()
+    for weight in np.linspace(0.0, 1.0, grid):
+        u = partial_swap_unitary(dim, i, j, float(weight))
+        r_final, _, _ = apply_and_measure(state, u, h)
+        if r_final > best_r:
+            best_r, best_w = r_final, float(weight)
+    return SubspaceSweepReport(
+        subspace=(i, j), baseline_r=baseline, best_r=best_r, best_weight=best_w, grid=grid
+    )

@@ -189,6 +189,17 @@ class TestCurveCommand:
         assert rc == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("scenario", ["coh-repeat", "algo"])
+    @pytest.mark.parametrize("e_c", ["0", "0.4"])
+    def test_gapless_target_asymptote_is_usage_error_naming_it(self, scenario, e_c, capsys):
+        # E = E_C = 0 made the n = inf temperature T_R E/(E_B + E_C) a 0/0.
+        rc = main(["curve", scenario, "--e", "0", "--e-c", e_c, "--grid", "1"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert "target gap > 0, got 0.0" in captured.err
+
     def test_unknown_scenario_is_usage_error(self):
         result = _run(["curve", "nonsense", *STANDARD])
         assert result.returncode == 2
@@ -425,36 +436,26 @@ class TestCrossingCommand:
         # The per-probe search inverts the incoherent frontier 185 times here:
         # at 161 probes, 23 bisection steps and t_crit.
         budgets = []
-        real = protocols.incoherent_inverse
+        real = protocols.incoherent_temperature_of_work
 
-        def counted(spec):
-            t_inc = real(spec)
+        def counted(spec, delta_f):
+            budgets.append(delta_f)
+            return real(spec, delta_f)
 
-            def inverse(delta_f):
-                budgets.append(delta_f)
-                return t_inc(delta_f)
-
-            return inverse
-
-        monkeypatch.setattr(protocols, "incoherent_inverse", counted)
+        monkeypatch.setattr(protocols, "incoherent_temperature_of_work", counted)
         report = crossing_report(MachineSpec.two_qubit(0.4, 1.0), 1e-10)
         assert report.sign_changes == 2
         assert len(budgets) <= 60
 
     def test_inverts_the_incoherent_frontier_only_for_the_critical_temperature(self, monkeypatch):
         budgets = []
-        real = protocols.incoherent_inverse
+        real = protocols.incoherent_temperature_of_work
 
-        def counted(spec):
-            t_inc = real(spec)
+        def counted(spec, delta_f):
+            budgets.append(delta_f)
+            return real(spec, delta_f)
 
-            def inverse(delta_f):
-                budgets.append(delta_f)
-                return t_inc(delta_f)
-
-            return inverse
-
-        monkeypatch.setattr(protocols, "incoherent_inverse", counted)
+        monkeypatch.setattr(protocols, "incoherent_temperature_of_work", counted)
         report = crossing_report(MachineSpec.two_qubit(0.4, 1.0), 1e-10)
         assert budgets == [report.delta_f_crit]
 
@@ -1167,13 +1168,13 @@ class TestConsoleInterface:
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
         cmd = [sys.executable, "-m", "qfridge.cli", "curve", "coh-single", *STANDARD]
-        child = subprocess.Popen(
+        with subprocess.Popen(
             [*cmd, "--grid", "20000"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
-        )
-        assert child.stdout.readline().decode().strip() == CSV_HEADER
-        child.stdout.close()
-        stderr = child.stderr.read()
-        assert child.wait(timeout=60) == 141
+        ) as child:
+            assert child.stdout.readline().decode().strip() == CSV_HEADER
+            child.stdout.close()
+            stderr = child.stderr.read()
+            assert child.wait(timeout=60) == 141
         assert stderr == b""
 
     @pytest.mark.parametrize(
@@ -1207,10 +1208,10 @@ class TestConsoleInterface:
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
         cmd = [sys.executable, "-m", "qfridge.cli", "ladder", *STANDARD, "--t-c", "0.5", "--n", "8"]
-        child = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-        child.stdout.close()  # before the child has imported qfridge
-        stderr = child.stderr.read()
-        assert child.wait(timeout=60) == 141
+        with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as child:
+            child.stdout.close()  # before the child has imported qfridge
+            stderr = child.stderr.read()
+            assert child.wait(timeout=60) == 141
         assert stderr == b""
 
     def test_closed_form_commands_never_load_numpy(self):

@@ -320,6 +320,47 @@ class TestDegenerateSubspaceSweep:
         with pytest.raises(DomainError):
             degenerate_subspace_sweep(spec, (0, 1), grid=11)
 
+    def test_grid_below_two_points_rejected(self):
+        spec = MachineSpec.two_qubit(0.4, 1.0, 3.0)
+        with pytest.raises(DomainError, match="grid"):
+            degenerate_subspace_sweep(spec, (2, 5), grid=1)
+
+    def test_stacked_sweep_equals_the_per_weight_loop(self):
+        # Every degeneracy relation, each with its gaps drawn, with and without
+        # a hot bath; flat sweeps (no pair cools) test that ties keep the first
+        # weight, as the loop's strict > did.
+        rng = np.random.default_rng(DEFAULT_SEED)
+        relations = [
+            lambda a, b: (0.0, a, b),
+            lambda a, b: (a, 0.0, b),
+            lambda a, b: (a, b, 0.0),
+            lambda a, b: (a, a, b),
+            lambda a, b: (a, b, a),
+            lambda a, b: (a, b, b),
+            lambda a, b: (a + b, a, b),
+            lambda a, b: (a, a + b, b),
+            lambda a, b: (a, b, a + b),
+        ]
+        cases = 0
+        for gaps_of in relations:
+            for t_hot in (None, 4.0, INFINITE):
+                a, b = (float(x) for x in rng.uniform(0.2, 3.0, size=2))
+                gaps = gaps_of(a, b)
+                spec = MachineSpec(QubitSpec(gaps[0]), tuple(map(QubitSpec, gaps[1:])), 1.1, t_hot)
+                h = hamiltonian_diagonal(gaps)
+                pairs = [
+                    (i, j)
+                    for i in range(8)
+                    for j in range(i + 1, 8)
+                    if abs(h[i] - h[j]) <= 1e-9 * max(1.0, float(np.abs(h).max()))
+                ]
+                for pair in pairs:
+                    for grid in (2, 21):
+                        got = degenerate_subspace_sweep(spec, pair, grid)
+                        assert got == ref.degenerate_subspace_sweep(spec, pair, grid)
+                        cases += 1
+        assert cases >= 100
+
 
 class TestThermalizationGradients:
     def test_slope_signs_at_room_temperature(self):

@@ -190,18 +190,11 @@ class TestIncoherentTemperatureOfWork:
         )
         got, evaluations = _work_evaluations(protocols.incoherent_temperature_of_work, spec, delta_f)
         assert got == expected
-        assert evaluations <= bisection_evaluations + 12
-
-    @pytest.mark.parametrize("e_c", [0.4, 1.7])
-    @pytest.mark.parametrize("frac", [1e-6, 0.1, 0.9])
-    def test_few_frontier_evaluations(self, e_c, frac):
-        spec = MachineSpec.two_qubit(e_c, 1.0)
-        delta_f = frac * _incoherent_work_ceiling(spec)
-        _, evaluations = _work_evaluations(protocols.incoherent_temperature_of_work, spec, delta_f)
-        _, bisection_evaluations = _work_evaluations(
-            _full_range_bisection_temperature_of_work, spec, delta_f
-        )
-        assert evaluations <= 12 < bisection_evaluations
+        assert evaluations == bisection_evaluations
+        ceiling = _incoherent_work_ceiling(spec)
+        for delta_f in (ceiling, 2.0 * ceiling):
+            with pytest.raises(InfeasibleTargetError):
+                protocols.incoherent_temperature_of_work(spec, delta_f)
 
     # E_C/T_R from tiny through the saturated r_C == 1.0 family to past the
     # smallest double (s_C = 0.0), on both sides of the 1e-300 branch in s_C.
@@ -246,59 +239,27 @@ class TestIncoherentTemperatureOfWork:
         # The crossing search settles probe signs on this, to the last ulp.
         spec = MachineSpec.two_qubit(e_c, t_room)
         ceiling = _incoherent_work_ceiling(spec)
-        t_inc = protocols.incoherent_inverse(spec)
         f = frac * ceiling
         budgets = sorted({f, math.nextafter(f, math.inf), f * (1.0 + u)})
-        temperatures = [t_inc(b) for b in budgets if b < ceiling]
+        temperatures = [
+            protocols.incoherent_temperature_of_work(spec, b) for b in budgets if b < ceiling
+        ]
         assert temperatures == sorted(temperatures, reverse=True)
 
     def test_non_positive_budget_is_room_temperature(self):
         spec = MachineSpec.two_qubit(0.4, 1.3)
         assert protocols.incoherent_temperature_of_work(spec, 0.0) == 1.3
         assert protocols.incoherent_temperature_of_work(spec, -1.0) == 1.3
+        assert protocols.coherent_temperature_of_work(spec, 0.0) == 1.3
+        assert protocols.coherent_temperature_of_work(spec, -1.0) == 1.3
 
 
 class TestFrontierInverses:
-    """One inverse per machine answers every budget as the per-call functions do."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        spec=_frontier_machines(),
-        fracs=st.lists(
-            st.one_of(st.floats(1e-9, 1.0 - 1e-9), st.floats(1e-300, 1e-9)),
-            min_size=1,
-            max_size=6,
-        ),
-    )
-    def test_reused_inverse_equals_the_public_function(self, spec, fracs):
-        # One callable answers the budgets in turn, so state left over from
-        # an earlier budget would show against the fresh per-call result.
-        t_inc = protocols.incoherent_inverse(spec)
-        t_coh = protocols.coherent_inverse(spec)
-        ceiling = _incoherent_work_ceiling(spec)
-        f_max = protocols.single_cycle_coherent_cost(spec)
-        for frac in fracs:
-            delta_f = frac * ceiling
-            assert t_inc(delta_f) == protocols.incoherent_temperature_of_work(
-                spec, delta_f
-            )
-            for delta_f in (frac * f_max, (1.0 + frac) * f_max):
-                assert t_coh(delta_f) == protocols.coherent_temperature_of_work(
-                    spec, delta_f
-                )
-        for delta_f in (0.0, -1.0):
-            assert t_inc(delta_f) == t_coh(delta_f) == spec.t_room
-        for delta_f in (ceiling, 2.0 * ceiling):
-            with pytest.raises(InfeasibleTargetError):
-                t_inc(delta_f)
-            with pytest.raises(InfeasibleTargetError):
-                protocols.incoherent_temperature_of_work(spec, delta_f)
+    """Both frontier inversions reject budgets and machines they cannot answer."""
 
     def test_nan_budget_rejected(self):
         spec = MachineSpec.two_qubit(0.4, 1.0)
         for inverse in (
-            protocols.incoherent_inverse(spec),
-            protocols.coherent_inverse(spec),
             lambda f: protocols.incoherent_temperature_of_work(spec, f),
             lambda f: protocols.coherent_temperature_of_work(spec, f),
         ):
@@ -312,7 +273,8 @@ class TestFrontierInverses:
         with pytest.raises(DomainError):
             protocols.incoherent_temperature_of_work(spec, 0.01)
         with pytest.raises(DomainError):
-            protocols.incoherent_inverse(spec)
+            # resonance is checked before the budget is compared with W(1/2)
+            protocols.incoherent_temperature_of_work(spec, 1e300)
 
 
 class TestCoherentFrontier:
@@ -362,6 +324,50 @@ class TestCoherentFrontier:
         cost = protocols.single_cycle_coherent_cost(spec)
         assert cost == min(direct, via_c)
         assert cost == (via_c if e_c > 1.0 else direct)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        MachineSpec.one_qubit(2.0, 1.0),
+        MachineSpec(QubitSpec(1.0), (QubitSpec(2.0), QubitSpec(0.4)), 1.3),
+    ],
+    ids=["one-qubit", "non-resonant"],
+)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda spec: protocols.coherent_temperature_of_work(spec, 0.01),
+        lambda spec: protocols.swap_route_cost(spec, False),
+        lambda spec: protocols.single_cycle_coherent_cost(spec),
+        lambda spec: protocols.precooled_population(spec, 0.5),
+        lambda spec: protocols.precool_mixing_for_population(spec, 0.9),
+    ],
+    ids=["temperature_of_work", "swap_route", "single_cycle_cost", "precooled", "precool_mixing"],
+)
+def test_coherent_helpers_need_the_resonant_machine(call, spec):
+    # They raised IndexError on one machine qubit and priced the resonant
+    # formulas on a non-resonant pair.
+    with pytest.raises(DomainError, match=r"e_b = e \+ e_c required"):
+        call(spec)
+
+
+@pytest.mark.parametrize("e_c", [0.0, 0.4])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda spec: protocols.repeated_coherent(spec, INFINITE),
+        lambda spec: protocols.algorithmic_cooling(spec, INFINITE),
+        lambda spec: protocols.optimal_sequence(spec, 0.5),
+        lambda spec: protocols.precool_mixing_for_population(spec, 0.9),
+    ],
+    ids=["repeated_coherent", "algorithmic", "optimal_sequence", "precool_mixing"],
+)
+def test_gapless_target_asymptote_names_the_target_gap(call, e_c):
+    # E = E_C = 0 made T_R E/(E_B + E_C) a 0/0, and E = 0 < E_C a zero
+    # temperature that named no input.
+    with pytest.raises(DomainError, match=r"target gap > 0, got 0\.0"):
+        call(MachineSpec.two_qubit(e_c, 1.0, e=0.0))
 
 
 class TestTwoQubitCoherentSingle:
