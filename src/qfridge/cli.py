@@ -202,7 +202,6 @@ def crossing_report(spec: MachineSpec, tolerance: float) -> CrossingReport:
     """
     if not tolerance > 0.0:
         raise DomainError(f"tolerance must be > 0, got {tolerance}")
-    spec.require_resonance()
     f_max = single_cycle_coherent_cost(spec)
     if f_max <= 0.0:
         return CrossingReport(None, None, None, 0)
@@ -210,13 +209,12 @@ def crossing_report(spec: MachineSpec, tolerance: float) -> CrossingReport:
     probes = [f_max * u for u in _PROBE_SHARES]
     try:
         signs = [sign(f) for f in probes]
-    except InfeasibleTargetError:
+    except InfeasibleTargetError as exc:
         # Only budgets at or beyond the incoherent curve's end W(1/2), its
-        # cost at t_hot = inf, have no sign.
-        w_half = protocols.two_qubit_incoherent_single(replace(spec, t_hot=INFINITE)).work_cost
+        # cost at t_hot = inf, have no sign; the error names W(1/2).
         raise InfeasibleTargetError(
-            f"coherent budget f_max={f_max!r} is beyond the incoherent curve's end "
-            f"W(1/2)={w_half!r} on the machine E_C={spec.e_c!r}, T_R={spec.t_room!r}"
+            f"coherent budget f_max={f_max!r} reaches past the incoherent curve on the "
+            f"machine E_C={spec.e_c!r}, T_R={spec.t_room!r}: {exc}"
         ) from None
     zeros: list[float] = []
     for (f_lo, g_lo), (f_hi, g_hi) in zip(zip(probes, signs), zip(probes[1:], signs[1:])):

@@ -6,6 +6,11 @@ heat drawn (incoherent scenarios only), and the per-step trajectory.  The
 evaluators are purely closed-form; the dense density-matrix route lives in
 :mod:`qfridge.oracle` so that formula/oracle independence is architectural.
 
+Every two-qubit evaluator starts from one validated record of its machine:
+it checks the resonance e_b = e + e_c, then a target gap e > 0, then the hot
+bath where the protocol needs one, each with an error naming the input at
+fault; its room ground populations r, r_B and r_C are computed on first read.
+
 Infinite repetition counts and infinite hot-bath temperatures are exact limit
 branches, never large-number approximations.
 """
@@ -14,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 from . import virtual
@@ -48,6 +54,48 @@ class ProtocolOutcome:
     flag: str | None = None
 
 
+@dataclass(frozen=True)
+class _Machine:
+    # A resonant two-qubit machine with a target gap > 0, built only by
+    # _resonant.  Populations are computed on first read: the sign factory needs r_C alone.
+    spec: MachineSpec
+
+    @cached_property
+    def r(self) -> float:
+        return boltzmann_population(self.spec.e, self.spec.t_room)
+
+    @cached_property
+    def r_b(self) -> float:
+        return boltzmann_population(self.spec.e_b, self.spec.t_room)
+
+    @cached_property
+    def r_c(self) -> float:
+        return boltzmann_population(self.spec.e_c, self.spec.t_room)
+
+    @cached_property
+    def r_ch(self) -> float:
+        # C's ground population at the hot bath _resonant(spec, True) checked.
+        return boltzmann_population(self.spec.e_c, self.spec.t_hot)
+
+    @property
+    def w_half(self) -> float:
+        # W(1/2) = E_C (r_C - 1/2), the incoherent frontier's cost at
+        # t_hot = inf, beyond which it has no point.
+        return self.spec.e_c * (self.r_c - 0.5)
+
+
+def _resonant(spec: MachineSpec, hot_bath: bool = False) -> _Machine:
+    # The two-qubit protocols' one machine check.
+    spec.require_resonance()
+    if not spec.e > 0.0:
+        # No temperature reads off a gapless target, and E = E_C = 0 leaves
+        # the swap asymptotes' T_R E/(E_B + E_C) as 0/0.
+        raise DomainError(f"the two-qubit protocols need a target gap > 0, got {spec.e}")
+    if hot_bath:
+        spec.require_hot_bath()
+    return _Machine(spec)
+
+
 def _require_repetition_count(n: float) -> None:
     # Integer-valued floats (the curve grid passes float(k)) and math.inf are
     # counts; anything else would be silently truncated by int(n).
@@ -55,17 +103,6 @@ def _require_repetition_count(n: float) -> None:
         raise DomainError(f"repetition count must be >= 0, got {n}")
     if not (math.isinf(n) or float(n).is_integer()):
         raise DomainError(f"repetition count must be an integer or inf, got {n}")
-
-
-def _room_population(spec: MachineSpec) -> float:
-    return boltzmann_population(spec.e, spec.t_room)
-
-
-def _machine_room_populations(spec: MachineSpec) -> tuple[float, float]:
-    return (
-        boltzmann_population(spec.e_b, spec.t_room),
-        boltzmann_population(spec.e_c, spec.t_room),
-    )
 
 
 def _final_temperature(spec: MachineSpec, r_final: float) -> float:
@@ -78,8 +115,9 @@ def _final_temperature(spec: MachineSpec, r_final: float) -> float:
 
 
 def point_temperature(spec: MachineSpec, point: TrajectoryPoint) -> float:
-    """Temperature of a trajectory point; step 0 at the room population is t_room."""
-    if point.step == 0 and point.r == _room_population(spec):
+    """Temperature of a two-qubit trajectory point, machine checked; step 0 at r is t_room."""
+    m = _resonant(spec)
+    if point.step == 0 and point.r == m.r:
         return spec.t_room
     return _final_temperature(spec, point.r)
 
@@ -100,7 +138,7 @@ def one_qubit_coherent(spec: MachineSpec, r_target: float) -> ProtocolOutcome:
         raise DomainError(
             f"cooling impossible: needs e < e_b, got e={spec.e}, e_b={spec.e_b}"
         )
-    r = _room_population(spec)
+    r = boltzmann_population(spec.e, spec.t_room)
     r_b = boltzmann_population(spec.e_b, spec.t_room)
     return _single_cycle(spec, r, r_target, _phase_work(r, [(r_b, spec.e_b - spec.e)], r_target))
 
@@ -113,14 +151,11 @@ def _degenerate_swap_population(r: float, r_b: float, c_pop: float) -> float:
 
 def two_qubit_incoherent_single(spec: MachineSpec) -> ProtocolOutcome:
     """Heat qubit C, swap the degenerate pair |010>, |101> once."""
-    spec.require_resonance()
-    t_hot = spec.require_hot_bath()
-    r = _room_population(spec)
-    r_b, r_c = _machine_room_populations(spec)
-    r_ch = boltzmann_population(spec.e_c, t_hot)
-    r_final = _degenerate_swap_population(r, r_b, r_ch)
-    heat = spec.e_c * (r_c - r_ch)
-    return _single_cycle(spec, r, r_final, resource_free_energy(heat, t_hot, spec.t_room), heat)
+    m = _resonant(spec, hot_bath=True)
+    r_final = _degenerate_swap_population(m.r, m.r_b, m.r_ch)
+    heat = spec.e_c * (m.r_c - m.r_ch)
+    work = resource_free_energy(heat, spec.t_hot, spec.t_room)
+    return _single_cycle(spec, m.r, r_final, work, heat)
 
 
 def _origin_temperature(t_room: float, delta_f: float) -> float:
@@ -146,13 +181,6 @@ def _incoherent_work(u: float, r_x: float, s_c: float, e_c: float, t_room: float
     return t_room * u * math.log1p(math.exp(log_y))
 
 
-def _frontier_end(spec: MachineSpec) -> tuple[float, float]:
-    # C's room ground population r_C and W(1/2) = E_C (r_C - 1/2), the
-    # incoherent frontier's cost at t_hot = inf, beyond which it has no point.
-    r_c = boltzmann_population(spec.e_c, spec.t_room)
-    return r_c, spec.e_c * (r_c - 0.5)
-
-
 def incoherent_temperature_of_work(spec: MachineSpec, delta_f: float) -> float:
     """Inverse of the single-cycle incoherent frontier: work budget to temperature.
 
@@ -170,49 +198,42 @@ def incoherent_temperature_of_work(spec: MachineSpec, delta_f: float) -> float:
     rounding step of W is monotone, so the predicate is monotone in x and in
     the budget, the result is an end of the one adjacent pair on which it
     flips, and the swap population and the temperature are monotone in x.
-    Budgets <= 0 return t_room before the machine is checked for resonance;
-    budgets at or beyond W(1/2) raise :class:`InfeasibleTargetError`; NaN
+    Budgets <= 0 return t_room before the machine is checked; budgets at or
+    beyond W(1/2) raise :class:`InfeasibleTargetError` naming W(1/2); NaN
     raises :class:`DomainError`.
     """
     if not delta_f > 0.0:
         return _origin_temperature(spec.t_room, delta_f)
-    spec.require_resonance()
-    e_c, t_room = spec.e_c, spec.t_room
-    r_c, w_half = _frontier_end(spec)
+    m = _resonant(spec)
+    w_half = m.w_half
     if delta_f >= w_half:
-        raise InfeasibleTargetError("work budget beyond the incoherent curve")
+        raise InfeasibleTargetError(f"work budget {delta_f!r} at or beyond W(1/2)={w_half!r}")
+    e_c, t_room = spec.e_c, spec.t_room
     s_c = excited_population(e_c, t_room)
-    lo, hi = 0.5, r_c  # W(lo) >= delta_f > W(hi)
+    lo, hi = 0.5, m.r_c  # W(lo) >= delta_f > W(hi)
     while True:
         x = 0.5 * (lo + hi)
         if x == lo or x == hi:
             break
-        if _incoherent_work(r_c - x, x, s_c, e_c, t_room) < delta_f:
+        if _incoherent_work(m.r_c - x, x, s_c, e_c, t_room) < delta_f:
             hi = x
         else:
             lo = x
-    r_final = _degenerate_swap_population(
-        _room_population(spec), boltzmann_population(spec.e_b, t_room), x
-    )
-    return _final_temperature(spec, r_final)
+    return _final_temperature(spec, _degenerate_swap_population(m.r, m.r_b, x))
 
 
 def _swap_phases(
-    spec: MachineSpec, via_c: bool, ends: tuple[float, float] | None = None
+    m: _Machine, via_c: bool | None = None, ends: tuple[float, float] | None = None
 ) -> list[tuple[float, float]]:
     # (population endpoint, gradient) of each swap raising the target from r
     # to r_B: with C first when via_c (to r_C at e_c - e), then with B (to r_B
-    # at e_b - e = e_c).  ends = (s_B, s_C) gives the endpoints as excited
-    # populations instead.
-    end_b, end_c = _machine_room_populations(spec) if ends is None else ends
-    return ([(end_c, spec.e_c - spec.e)] if via_c else []) + [(end_b, spec.e_c)]
-
-
-def _single_cycle_phases(
-    spec: MachineSpec, ends: tuple[float, float] | None = None
-) -> list[tuple[float, float]]:
-    # The work-optimal single cycle goes through C exactly when e_c > e.
-    return _swap_phases(spec, spec.e_c > spec.e, ends)
+    # at e_b - e = e_c).  via_c = None takes the work-optimal single cycle,
+    # which goes through C exactly when e_c > e.  ends = (s_B, s_C) gives the
+    # endpoints as excited populations instead.
+    e, e_c = m.spec.e, m.spec.e_c
+    end_b, end_c = (m.r_b, m.r_c) if ends is None else ends
+    through_c = e_c > e if via_c is None else via_c
+    return ([(end_c, e_c - e)] if through_c else []) + [(end_b, e_c)]
 
 
 def _phase_work(r: float, phases: list[tuple[float, float]], r_target: float) -> float:
@@ -236,14 +257,14 @@ def _phase_work(r: float, phases: list[tuple[float, float]], r_target: float) ->
 
 def swap_route_cost(spec: MachineSpec, via_c: bool) -> float:
     """Work of swapping the target up to r_B, through C first when ``via_c``."""
-    spec.require_resonance()
-    phases = _swap_phases(spec, via_c)
-    return _phase_work(_room_population(spec), phases, phases[-1][0])
+    m = _resonant(spec)
+    phases = _swap_phases(m, via_c)
+    return _phase_work(m.r, phases, phases[-1][0])
 
 
 def single_cycle_coherent_cost(spec: MachineSpec) -> float:
     """Optimal work of maximal single-cycle coherent cooling (r_target = r_B)."""
-    spec.require_resonance()
+    _resonant(spec)
     return swap_route_cost(spec, spec.e_c > spec.e)
 
 
@@ -253,11 +274,11 @@ def coherent_single_population(spec: MachineSpec, mu: float) -> float:
     mu in [0, 1] walks the swap phases, an equal share each: r to r_B, or
     (e_c > e) r to r_C by mu = 1/2, then on to r_B.
     """
-    spec.require_resonance()
+    m = _resonant(spec)
     if not 0.0 <= mu <= 1.0:
         raise DomainError(f"mu must lie in [0, 1], got {mu}")
-    phases = _single_cycle_phases(spec)
-    r_now, position = _room_population(spec), len(phases) * mu
+    phases = _swap_phases(m)
+    r_now, position = m.r, len(phases) * mu
     for k, (r_end, _) in enumerate(phases):
         if position <= k + 1:
             break
@@ -269,18 +290,17 @@ def coherent_temperature_of_work(spec: MachineSpec, delta_f: float) -> float:
     """Inverse of the piecewise-linear single-cycle coherent frontier.
 
     Walks the swap phases at their gradients up to the budget.  Budgets <= 0
-    return t_room before the machine is checked for resonance; budgets beyond
+    return t_room before the machine is checked; budgets beyond
     :func:`single_cycle_coherent_cost` return r_B's temperature (0.0 once r_B
     saturates to 1 in double precision); NaN raises :class:`DomainError`.
     """
     if not delta_f > 0.0:
         return _origin_temperature(spec.t_room, delta_f)
-    spec.require_resonance()
-    r = _room_population(spec)
-    phases = _single_cycle_phases(spec)
-    if phases[-1][0] <= r:
+    m = _resonant(spec)
+    phases = _swap_phases(m)
+    if phases[-1][0] <= m.r:
         return spec.t_room
-    work, r_now = 0.0, r
+    work, r_now = 0.0, m.r
     for r_end, gradient in phases[:-1]:
         cost = (r_end - r_now) * gradient
         if delta_f - work <= cost:
@@ -307,23 +327,23 @@ def frontier_gap_sign(spec: MachineSpec) -> Callable[[float], int]:
     W(s_x) - f, with W in the complement form
     :func:`incoherent_temperature_of_work` evaluates.  Excited populations
     keep every term free of cancellation, also where r, r_B and r_C round
-    to 1.  The resonance check and the machine's constants are computed here
+    to 1.  The machine is checked and its constants are computed here
     once; a sign costs one phase walk and one W evaluation.
     Budgets <= 0 give 0; budgets at or beyond W(1/2) raise
     :class:`InfeasibleTargetError`, as the incoherent inversion does; NaN
     raises :class:`DomainError`.
     """
-    spec.require_resonance()
+    m = _resonant(spec)
     e_c, t_room = spec.e_c, spec.t_room
     s = excited_population(spec.e, t_room)
     s_b = excited_population(spec.e_b, t_room)
     s_c = excited_population(e_c, t_room)
-    r_c, w_half = _frontier_end(spec)
+    r_c, w_half = m.r_c, m.w_half
     denominator = s * (1.0 - s_b) + (1.0 - s) * s_b
     u_half = 0.5 * math.tanh(0.5 * e_c / t_room)
     # (span of s, gradient) of each coherent phase, in phase order.
     spans, s_now = [], s
-    for s_end, gradient in _single_cycle_phases(spec, (s_b, s_c)):
+    for s_end, gradient in _swap_phases(m, ends=(s_b, s_c)):
         spans.append((s_now - s_end, gradient))
         s_now = s_end
     *head, (last_span, last_gradient) = spans
@@ -333,7 +353,7 @@ def frontier_gap_sign(spec: MachineSpec) -> Callable[[float], int]:
             _origin_temperature(t_room, delta_f)
             return 0
         if delta_f >= w_half:
-            raise InfeasibleTargetError("work budget beyond the incoherent curve")
+            raise InfeasibleTargetError(f"work budget {delta_f!r} at or beyond W(1/2)={w_half!r}")
         if not denominator > 0.0:
             return 0  # s = s_B = 0.0: the target rounds to absolute zero
         work, drop = 0.0, 0.0
@@ -359,20 +379,18 @@ def frontier_gap_sign(spec: MachineSpec) -> Callable[[float], int]:
 
 def two_qubit_coherent_single(spec: MachineSpec, r_target: float) -> ProtocolOutcome:
     """Work-optimal single-cycle coherent cooling of the resonant machine."""
-    spec.require_resonance()
-    r = _room_population(spec)
-    return _single_cycle(spec, r, r_target, _phase_work(r, _single_cycle_phases(spec), r_target))
+    m = _resonant(spec)
+    return _single_cycle(spec, m.r, r_target, _phase_work(m.r, _swap_phases(m), r_target))
 
 
-def _virtual_qubit(spec: MachineSpec, c_pop: float, coherent: bool) -> virtual.VirtualQubit:
+def _virtual_qubit(m: _Machine, c_pop: float, coherent: bool) -> virtual.VirtualQubit:
     # B thermal at t_room, C at ground population c_pop; the coherent swaps
     # use the {00,11} pair (gap e_b + e_c), the incoherent ones {01,10}.
-    r_b, _ = _machine_room_populations(spec)
-    s_b, s_c = 1.0 - r_b, 1.0 - c_pop
+    r_b, s_b, s_c = m.r_b, 1.0 - m.r_b, 1.0 - c_pop
     state = (r_b * c_pop, r_b * s_c, s_b * c_pop, s_b * s_c)
     if coherent:
-        return virtual.extract_virtual_qubit(state, 0, 3, spec.e_b + spec.e_c)
-    return virtual.extract_virtual_qubit(state, 1, 2, spec.e_b - spec.e_c)
+        return virtual.extract_virtual_qubit(state, 0, 3, m.spec.e_b + m.spec.e_c)
+    return virtual.extract_virtual_qubit(state, 1, 2, m.spec.e_b - m.spec.e_c)
 
 
 def _reset_and_swap(
@@ -423,52 +441,45 @@ def repeated_incoherent(spec: MachineSpec, n: float) -> ProtocolOutcome:
     factor.
     """
     _require_repetition_count(n)
-    spec.require_resonance()
-    t_hot = spec.require_hot_bath()
-    r = _room_population(spec)
-    _, r_c = _machine_room_populations(spec)
-    r_ch = boltzmann_population(spec.e_c, t_hot)
-    preheat = spec.e_c * (r_c - r_ch)
+    m = _resonant(spec, hot_bath=True)
+    preheat = spec.e_c * (m.r_c - m.r_ch)
 
     def heat(r_prev: float) -> float:
-        return preheat + spec.e_c * (r_prev - r)
+        return preheat + spec.e_c * (r_prev - m.r)
 
     return _reset_and_swap(
         spec,
         n,
-        (r, resource_free_energy(preheat, t_hot, spec.t_room)),
-        lambda: _virtual_qubit(spec, r_ch, False),
-        lambda: _incoherent_limit(spec, t_hot),
-        lambda r_k, r_prev: resource_free_energy(heat(r_prev), t_hot, spec.t_room),
+        (m.r, resource_free_energy(preheat, spec.t_hot, spec.t_room)),
+        lambda: _virtual_qubit(m, m.r_ch, False),
+        lambda: _incoherent_limit(spec),
+        lambda r_k, r_prev: resource_free_energy(heat(r_prev), spec.t_hot, spec.t_room),
         heat,
     )
 
 
-def _incoherent_limit(spec: MachineSpec, t_hot: float) -> tuple[float, float]:
+def _incoherent_limit(spec: MachineSpec) -> tuple[float, float]:
     # (r, t) of the autonomous fridge; the bias vanishes only when t_room
     # (and so t_hot) is infinite.
-    bias = spec.e_b / spec.t_room - spec.e_c / t_hot
+    bias = spec.e_b / spec.t_room - spec.e_c / spec.t_hot
     t = spec.e / bias if bias > 0.0 else INFINITE
     return boltzmann_population(spec.e, t), t
 
 
-def _swap_limit(spec: MachineSpec, pair_gap: float) -> tuple[float, float]:
+def _swap_limit(m: _Machine, pair_gap: float) -> tuple[float, float]:
     # (r, t) = (r, T_R E / pair_gap), the asymptote of repeated {00,11} swaps
     # against a thermal machine (pair_gap e_b + e_c) or with C fully precooled
-    # to B's population (2 e_b).  A gapless target has no such temperature,
-    # and E = E_C = 0 leaves it as 0/0.
-    if not spec.e > 0.0:
-        raise DomainError(f"the repeated-swap asymptotes need a target gap > 0, got {spec.e}")
-    t = spec.t_room * spec.e / pair_gap
-    return boltzmann_population(spec.e, t), t
+    # to B's population (2 e_b).
+    t = m.spec.t_room * m.spec.e / pair_gap
+    return boltzmann_population(m.spec.e, t), t
 
 
-def _coherent_limit(spec: MachineSpec) -> tuple[float, float]:
-    return _swap_limit(spec, spec.e_b + spec.e_c)
+def _coherent_limit(m: _Machine) -> tuple[float, float]:
+    return _swap_limit(m, m.spec.e_b + m.spec.e_c)
 
 
-def _algorithmic_limit(spec: MachineSpec) -> tuple[float, float]:
-    return _swap_limit(spec, 2.0 * spec.e_b)
+def _algorithmic_limit(m: _Machine) -> tuple[float, float]:
+    return _swap_limit(m, 2.0 * m.spec.e_b)
 
 
 def autonomous_steady_state(spec: MachineSpec) -> ProtocolOutcome:
@@ -478,20 +489,16 @@ def autonomous_steady_state(spec: MachineSpec) -> ProtocolOutcome:
     incoherent operations; only the steady-state formulas are implemented,
     not the open-system dynamics reaching them.
     """
-    spec.require_resonance()
-    t_hot = spec.require_hot_bath()
-    r = _room_population(spec)
-    _, r_c = _machine_room_populations(spec)
-    r_ch = boltzmann_population(spec.e_c, t_hot)
-    r_auto, t_auto = _incoherent_limit(spec, t_hot)
-    heat = spec.e_c * (r_c - r_ch + r_auto - r)
-    work = resource_free_energy(heat, t_hot, spec.t_room)
+    m = _resonant(spec, hot_bath=True)
+    r_auto, t_auto = _incoherent_limit(spec)
+    heat = spec.e_c * (m.r_c - m.r_ch + r_auto - m.r)
+    work = resource_free_energy(heat, spec.t_hot, spec.t_room)
     return ProtocolOutcome(
         r_final=r_auto,
         t_final=t_auto,
         work_cost=work,
         heat_drawn=heat,
-        trajectory=(TrajectoryPoint(0, r, 0.0), TrajectoryPoint(INFINITE, r_auto, work)),
+        trajectory=(TrajectoryPoint(0, m.r, 0.0), TrajectoryPoint(INFINITE, r_auto, work)),
     )
 
 
@@ -503,27 +510,25 @@ def repeated_coherent(spec: MachineSpec, n: float) -> ProtocolOutcome:
     lower cost); each later cycle swaps |100> with |011> after the machine is
     rethermalized, moving population at gradient e_b + e_c - e = 2 e_c.
     """
-    spec.require_resonance()
+    m = _resonant(spec)
     _require_repetition_count(n)
-    r_b, r_c = _machine_room_populations(spec)
     first_cost = single_cycle_coherent_cost(spec)
     return _reset_and_swap(
         spec,
         n,
-        (_room_population(spec), 0.0),
-        lambda: _virtual_qubit(spec, r_c, True),
-        lambda: _coherent_limit(spec),
-        lambda r_k, _: first_cost + 2.0 * spec.e_c * (r_k - r_b),
+        (m.r, 0.0),
+        lambda: _virtual_qubit(m, m.r_c, True),
+        lambda: _coherent_limit(m),
+        lambda r_k, _: first_cost + 2.0 * spec.e_c * (r_k - m.r_b),
     )
 
 
 def precooled_population(spec: MachineSpec, nu: float) -> float:
     """Qubit C ground population after a nu-partial precooling swap with B."""
-    spec.require_resonance()
+    m = _resonant(spec)
     if not 0.0 <= nu <= 1.0:
         raise DomainError(f"nu must lie in [0, 1], got {nu}")
-    r_b, r_c = _machine_room_populations(spec)
-    return r_c + nu * (r_b - r_c)
+    return m.r_c + nu * (m.r_b - m.r_c)
 
 
 def precool_mixing_for_population(spec: MachineSpec, r_target: float) -> float:
@@ -532,12 +537,12 @@ def precool_mixing_for_population(spec: MachineSpec, r_target: float) -> float:
     At and beyond the full-precooling floor the mixing is exactly 1; the
     closed form would lose that to the cancellation in 1 - r_target.
     """
-    spec.require_resonance()
+    m = _resonant(spec)
     if not 0.0 <= r_target <= 1.0:
         raise DomainError(f"population must lie in [0, 1], got {r_target}")
-    if r_target >= _algorithmic_limit(spec)[0]:
+    if r_target >= _algorithmic_limit(m)[0]:
         return 1.0
-    r_b, r_c = _machine_room_populations(spec)
+    r_b, r_c = m.r_b, m.r_c
     denom = r_target * (1.0 - r_b) + r_b * (1.0 - r_target)
     c_pop = r_target * (1.0 - r_b) / denom
     span = r_b - r_c
@@ -557,23 +562,20 @@ def algorithmic_cooling(
     per cycle: 2 e_c per unit of population cooled plus e per unit of
     precooling restored.
     """
-    spec.require_resonance()
+    m = _resonant(spec)
     _require_repetition_count(n)
-    r = _room_population(spec)
-    if r0 is None:
-        r0 = r
-    if not r - 1e-12 <= r0 <= 1.0:
-        raise DomainError(f"starting population {r0} must lie in [{r}, 1]")
-    _, r_c = _machine_room_populations(spec)
+    r0 = m.r if r0 is None else r0
+    if not m.r - 1e-12 <= r0 <= 1.0:
+        raise DomainError(f"starting population {r0} must lie in [{m.r}, 1]")
     c_pop = precooled_population(spec, nu)
-    precool_cost = spec.e * (c_pop - r_c)
+    precool_cost = spec.e * (c_pop - m.r_c)
 
     def virtual_qubit() -> virtual.VirtualQubit:
-        return _virtual_qubit(spec, c_pop, True)
+        return _virtual_qubit(m, c_pop, True)
 
     def limit() -> tuple[float, float]:
         if nu == 1.0:
-            return _algorithmic_limit(spec)
+            return _algorithmic_limit(m)
         r_v = virtual_qubit().r_v
         return r_v, _final_temperature(spec, r_v)
 
@@ -595,27 +597,25 @@ def optimal_sequence(spec: MachineSpec, t_target: float) -> ProtocolOutcome:
     repeated {00,11} swaps down to their asymptote, then precooling tuned so
     the asymptotic population matches the target exactly.
     """
-    spec.require_resonance()
+    m = _resonant(spec)
     if not t_target > 0.0:
         raise DomainError(f"target temperature must be > 0, got {t_target}")
-    r = _room_population(spec)
-    _, r_c = _machine_room_populations(spec)
-    r_floor, t_floor = _algorithmic_limit(spec)
+    r_floor, t_floor = _algorithmic_limit(m)
     r_t = boltzmann_population(spec.e, t_target)
     if r_t > r_floor * (1.0 + 1e-12) or t_target < t_floor * (1.0 - 1e-12):
         raise InfeasibleTargetError(
             f"target temperature {t_target} below the reachable floor {t_floor}"
         )
     r_t = min(r_t, r_floor)
-    if r_t <= r:
-        return ProtocolOutcome(r, spec.t_room, 0.0)
+    if r_t <= m.r:
+        return ProtocolOutcome(m.r, spec.t_room, 0.0)
 
-    r_coh_inf, t_coh_inf = _coherent_limit(spec)
+    r_coh_inf, t_coh_inf = _coherent_limit(m)
     # (population endpoint, gradient): the single cycle, then {00,11} swaps.
-    phases = _single_cycle_phases(spec) + [(r_coh_inf, 2.0 * spec.e_c)]
+    phases = _swap_phases(m) + [(r_coh_inf, 2.0 * spec.e_c)]
 
-    work, r_now = 0.0, r
-    trajectory = [TrajectoryPoint(0, r, 0.0)]
+    work, r_now = 0.0, m.r
+    trajectory = [TrajectoryPoint(0, m.r, 0.0)]
     for index, (r_end, gradient) in enumerate(phases, start=1):
         work += (min(r_t, r_end) - r_now) * gradient
         r_now = min(r_t, r_end)
@@ -629,7 +629,7 @@ def optimal_sequence(spec: MachineSpec, t_target: float) -> ProtocolOutcome:
     # Tuned-precooling tail from the repeated-coherent asymptote to the target.
     nu = precool_mixing_for_population(spec, r_t)
     c_pop = precooled_population(spec, nu)
-    work += spec.e * (c_pop - r_c) + (spec.e + 2.0 * spec.e_c) * (r_t - r_now)
+    work += spec.e * (c_pop - m.r_c) + (spec.e + 2.0 * spec.e_c) * (r_t - r_now)
     trajectory.append(TrajectoryPoint(len(phases) + 1, r_t, work))
     return ProtocolOutcome(
         r_final=r_t,
@@ -653,9 +653,8 @@ def internal_resource(
     swap.  The incoherent variant dominates the coherent one at any
     temperature both can reach.
     """
-    spec.require_resonance()
-    r = _room_population(spec)
-    r_b, r_c = _machine_room_populations(spec)
+    m = _resonant(spec)
+    r_c = m.r_c
     if scenario == "incoherent":
         t_hot = control
         if not t_hot >= spec.t_room:
@@ -674,7 +673,7 @@ def internal_resource(
         work = (r_c - c_pop) * spec.e_c
     else:
         raise DomainError(f"unknown scenario {scenario!r}")
-    return _single_cycle(spec, r, _degenerate_swap_population(r, r_b, c_pop), work)
+    return _single_cycle(spec, m.r, _degenerate_swap_population(m.r, m.r_b, c_pop), work)
 
 
 @dataclass(frozen=True)

@@ -189,11 +189,26 @@ class TestCurveCommand:
         assert rc == 2
         assert capsys.readouterr().out == ""
 
-    @pytest.mark.parametrize("scenario", ["coh-repeat", "algo"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["curve", "inc-single", "--grid", "3"],
+            ["curve", "coh-single", "--grid", "3"],
+            ["curve", "inc-repeat", "--t-h", "2", "--grid", "3"],
+            ["curve", "coh-repeat", "--grid", "1"],
+            ["curve", "algo", "--grid", "1"],
+            ["curve", "internal-inc", "--grid", "3"],
+            ["curve", "internal-coh", "--grid", "3"],
+            ["crossing"],
+        ],
+        ids=lambda command: command[1] if command[0] == "curve" else command[0],
+    )
     @pytest.mark.parametrize("e_c", ["0", "0.4"])
-    def test_gapless_target_asymptote_is_usage_error_naming_it(self, scenario, e_c, capsys):
-        # E = E_C = 0 made the n = inf temperature T_R E/(E_B + E_C) a 0/0.
-        rc = main(["curve", scenario, "--e", "0", "--e-c", e_c, "--grid", "1"])
+    def test_gapless_target_asymptote_is_usage_error_naming_it(self, command, e_c, capsys):
+        # E = E_C = 0 made the n = inf temperature T_R E/(E_B + E_C) a 0/0;
+        # the other scenarios and crossing blamed a gap the caller never
+        # passed, and crossing at E = E_C = 0 reported no crossing.
+        rc = main([*command, "--e", "0", "--e-c", e_c])
         captured = capsys.readouterr()
         assert rc == 2
         assert captured.out == ""

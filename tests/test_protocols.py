@@ -1,6 +1,7 @@
 import ast
 import math
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -214,15 +215,17 @@ class TestIncoherentTemperatureOfWork:
     def test_infeasible_boundary_is_the_infinite_bath_cost(self):
         spec = MachineSpec.two_qubit(0.4, 1.0)
         ceiling = _incoherent_work_ceiling(spec)
+        at_inf = protocols.two_qubit_incoherent_single(MachineSpec.two_qubit(0.4, 1.0, INFINITE))
+        # Both errors name W(1/2), to the bit the infinite bath's cost.
+        named = re.escape(f"W(1/2)={at_inf.work_cost!r}")
         for delta_f in (ceiling, 2.0 * ceiling):
-            with pytest.raises(InfeasibleTargetError):
+            with pytest.raises(InfeasibleTargetError, match=named):
                 protocols.incoherent_temperature_of_work(spec, delta_f)
-        t_inf = protocols.two_qubit_incoherent_single(
-            MachineSpec.two_qubit(0.4, 1.0, INFINITE)
-        ).t_final
+            with pytest.raises(InfeasibleTargetError, match=named):
+                protocols.frontier_gap_sign(spec)(delta_f)
         below = math.nextafter(ceiling, 0.0)
         t = protocols.incoherent_temperature_of_work(spec, below)
-        assert t == pytest.approx(t_inf, rel=1e-12, abs=0.0)
+        assert t == pytest.approx(at_inf.t_final, rel=1e-12, abs=0.0)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -326,48 +329,62 @@ class TestCoherentFrontier:
         assert cost == (via_c if e_c > 1.0 else direct)
 
 
+# Every public two-qubit evaluator, with a hot bath where it reads one.
+_TWO_QUBIT_CALLS = {
+    "incoherent_single": lambda spec: protocols.two_qubit_incoherent_single(_hot(spec)),
+    "coherent_single": lambda spec: protocols.two_qubit_coherent_single(spec, 0.8),
+    "swap_route": lambda spec: protocols.swap_route_cost(spec, False),
+    "single_cycle_cost": protocols.single_cycle_coherent_cost,
+    "coherent_population": lambda spec: protocols.coherent_single_population(spec, 0.5),
+    "incoherent_of_work": lambda spec: protocols.incoherent_temperature_of_work(spec, 0.01),
+    "coherent_of_work": lambda spec: protocols.coherent_temperature_of_work(spec, 0.01),
+    "gap_sign": protocols.frontier_gap_sign,
+    "repeated_incoherent": lambda spec: protocols.repeated_incoherent(_hot(spec), 3),
+    "repeated_incoherent_inf": lambda spec: protocols.repeated_incoherent(_hot(spec), INFINITE),
+    "autonomous": lambda spec: protocols.autonomous_steady_state(_hot(spec)),
+    "repeated_coherent": lambda spec: protocols.repeated_coherent(spec, 3),
+    "repeated_coherent_inf": lambda spec: protocols.repeated_coherent(spec, INFINITE),
+    "precooled": lambda spec: protocols.precooled_population(spec, 0.5),
+    "precool_mixing": lambda spec: protocols.precool_mixing_for_population(spec, 0.9),
+    "algorithmic": lambda spec: protocols.algorithmic_cooling(spec, 3),
+    "algorithmic_inf": lambda spec: protocols.algorithmic_cooling(spec, INFINITE),
+    "optimal_sequence": lambda spec: protocols.optimal_sequence(spec, 0.5),
+    "internal_incoherent": lambda spec: protocols.internal_resource(spec, "incoherent", 2.0),
+    "internal_coherent": lambda spec: protocols.internal_resource(spec, "coherent", 0.5),
+    # A trajectory point's temperature checks the machine at every step.
+    "point_temperature_start": lambda spec: protocols.point_temperature(
+        spec, protocols.TrajectoryPoint(0, 0.7, 0.0)
+    ),
+    "point_temperature_later": lambda spec: protocols.point_temperature(
+        spec, protocols.TrajectoryPoint(3, 0.9, 0.1)
+    ),
+}
+
+
+def _hot(spec):
+    return MachineSpec(spec.target, spec.machine, spec.t_room, 2.0 * spec.t_room)
+
+
 @pytest.mark.parametrize(
-    "spec",
+    "spec, fault",
     [
-        MachineSpec.one_qubit(2.0, 1.0),
-        MachineSpec(QubitSpec(1.0), (QubitSpec(2.0), QubitSpec(0.4)), 1.3),
+        (MachineSpec.one_qubit(2.0, 1.0), r"e_b = e \+ e_c required"),
+        (
+            MachineSpec(QubitSpec(1.0), (QubitSpec(2.0), QubitSpec(0.4)), 1.3),
+            r"e_b = e \+ e_c required",
+        ),
+        (MachineSpec.two_qubit(0.0, 1.0, e=0.0), r"target gap > 0, got 0\.0"),
+        (MachineSpec.two_qubit(0.4, 1.0, e=0.0), r"target gap > 0, got 0\.0"),
     ],
-    ids=["one-qubit", "non-resonant"],
+    ids=["one-qubit", "non-resonant", "gapless-e_c-0", "gapless-e_c-0.4"],
 )
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda spec: protocols.coherent_temperature_of_work(spec, 0.01),
-        lambda spec: protocols.swap_route_cost(spec, False),
-        lambda spec: protocols.single_cycle_coherent_cost(spec),
-        lambda spec: protocols.precooled_population(spec, 0.5),
-        lambda spec: protocols.precool_mixing_for_population(spec, 0.9),
-    ],
-    ids=["temperature_of_work", "swap_route", "single_cycle_cost", "precooled", "precool_mixing"],
-)
-def test_coherent_helpers_need_the_resonant_machine(call, spec):
-    # They raised IndexError on one machine qubit and priced the resonant
-    # formulas on a non-resonant pair.
-    with pytest.raises(DomainError, match=r"e_b = e \+ e_c required"):
+@pytest.mark.parametrize("call", _TWO_QUBIT_CALLS.values(), ids=_TWO_QUBIT_CALLS.keys())
+def test_two_qubit_evaluator_names_the_bad_machine(call, spec, fault):
+    # One-qubit machines raised IndexError and non-resonant pairs were priced
+    # with the resonant formulas; gapless targets returned numbers, hit a 0/0
+    # or blamed a temperature or gap the caller never passed.
+    with pytest.raises(DomainError, match=fault):
         call(spec)
-
-
-@pytest.mark.parametrize("e_c", [0.0, 0.4])
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda spec: protocols.repeated_coherent(spec, INFINITE),
-        lambda spec: protocols.algorithmic_cooling(spec, INFINITE),
-        lambda spec: protocols.optimal_sequence(spec, 0.5),
-        lambda spec: protocols.precool_mixing_for_population(spec, 0.9),
-    ],
-    ids=["repeated_coherent", "algorithmic", "optimal_sequence", "precool_mixing"],
-)
-def test_gapless_target_asymptote_names_the_target_gap(call, e_c):
-    # E = E_C = 0 made T_R E/(E_B + E_C) a 0/0, and E = 0 < E_C a zero
-    # temperature that named no input.
-    with pytest.raises(DomainError, match=r"target gap > 0, got 0\.0"):
-        call(MachineSpec.two_qubit(e_c, 1.0, e=0.0))
 
 
 class TestTwoQubitCoherentSingle:
