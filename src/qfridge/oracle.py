@@ -11,9 +11,10 @@ thermalization-gradient finite-difference check.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -31,12 +32,14 @@ UNITARITY_ATOL = 1e-10
 TRACE_ATOL = 1e-12
 ENERGY_ATOL = 1e-10
 
-# Unitaries per haar_unitaries call in haar_pareto_sweep.  A batch draws all
-# its real parts before its imaginary parts, so this size fixes which
-# unitaries a seed draws.
+# Unitaries per haar_unitary_chunks call in haar_pareto_sweep.  A batch
+# draws all its real parts before its imaginary parts, so this size fixes
+# which unitaries a seed draws; the sweep holds one (batch, dim) table of
+# final populations, never a batch of unitaries.
 HAAR_BATCH = 10_000
-# Matrices factored per QR call in haar_unitaries: bounds the temporaries
-# only, since LAPACK factors each matrix on its own.
+# Matrices drawn, factored and yielded at a time by haar_unitary_chunks: the
+# sweep's only unitaries.  It bounds memory only, since LAPACK factors each
+# matrix on its own and the chunked draws continue one stream.
 _QR_CHUNK = 512
 
 
@@ -526,28 +529,40 @@ class DominanceReport:
         return not self.dominating
 
 
-def haar_unitaries(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Batch of Haar-distributed unitaries via QR with phase-fixed diagonal.
+def haar_unitary_chunks(
+    dim: int, count: int, rng: np.random.Generator
+) -> Iterator[np.ndarray]:
+    """Haar-distributed unitaries via QR with phase-fixed diagonal, by chunks.
 
-    All ``count`` Gaussian matrices are drawn first (real parts, then
-    imaginary parts), so the batch size alone fixes which unitaries ``rng``
-    yields.  They are then factored in place, ``_QR_CHUNK`` matrices at a
-    time; the chunk only bounds the temporaries and never changes a unitary.
+    Yields ``count`` unitaries as stacks of at most ``_QR_CHUNK``, the same
+    unitaries as drawing all ``count`` Gaussian matrices first (real parts,
+    then imaginary parts), so the batch size alone fixes which unitaries
+    ``rng`` yields.  A copy of ``rng`` taken at the batch start supplies each
+    chunk's real parts; ``rng`` draws the batch's real parts a second time,
+    a chunk at a time, discards them and supplies the imaginary parts, so
+    once the chunks are consumed it is where the whole-batch draw leaves it.
+    Consume them before drawing from ``rng`` again.  Bad sizes raise here, at
+    the call.
     """
     if dim < 1 or count < 0:
         raise DomainError(f"need dim >= 1 and count >= 0, got dim={dim}, count={count}")
-    shape = (count, dim, dim)
-    z = np.empty(shape, dtype=complex)
-    z.real = rng.standard_normal(shape)
-    z.imag = rng.standard_normal(shape)
-    z /= math.sqrt(2.0)
-    for lo in range(0, count, _QR_CHUNK):
-        chunk = z[lo : lo + _QR_CHUNK]
-        q, r = np.linalg.qr(chunk)
+    return _haar_chunks(dim, count, rng)
+
+
+def _haar_chunks(dim: int, count: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
+    real_rng = copy.deepcopy(rng)
+    shapes = [(min(_QR_CHUNK, count - lo), dim, dim) for lo in range(0, count, _QR_CHUNK)]
+    for shape in shapes:
+        rng.standard_normal(shape)
+    for shape in shapes:
+        z = np.empty(shape, dtype=complex)
+        z.real = real_rng.standard_normal(shape)
+        z.imag = rng.standard_normal(shape)
+        z /= math.sqrt(2.0)
+        q, r = np.linalg.qr(z)
         d = np.diagonal(r, axis1=1, axis2=2)
         q *= (d / np.abs(d))[:, None, :]
-        chunk[...] = q
-    return z
+        yield q
 
 
 def _curve_arrays(curve: Sequence[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
@@ -593,6 +608,9 @@ def haar_pareto_sweep(
     analytic frontier is piecewise linear).  A sample dominates if it reaches
     a higher population at strictly lower cost than the curve, beyond
     ``slack`` (see :func:`dominates_curve`).  The expected report is empty.
+
+    Each chunk of unitaries is scored as it is drawn, so the sweep holds one
+    chunk of unitaries and one (batch, dim) table of final populations.
     """
     if samples < 0:
         raise DomainError("sample count must be >= 0")
@@ -608,10 +626,13 @@ def haar_pareto_sweep(
     done = 0
     while done < samples:
         count = min(HAAR_BATCH, samples - done)
-        weights = np.abs(haar_unitaries(dim, count, rng))
-        weights **= 2
-        final_pops = weights @ pops
-        del weights  # before the next batch is drawn
+        final_pops = np.empty((count, dim))
+        lo = 0
+        for units in haar_unitary_chunks(dim, count, rng):
+            weights = np.abs(units)
+            weights **= 2
+            final_pops[lo : lo + len(units)] = weights @ pops
+            lo += len(units)
         r_s = final_pops[:, : dim // 2].sum(axis=1)
         f_s = final_pops @ h - base_energy
         bad, needed = dominates_curve(r_s, f_s, analytic_curve, slack)
@@ -629,6 +650,7 @@ def haar_pareto_sweep(
                 )
             )
         done += count
+        del final_pops, r_s, f_s, bad, needed  # before the next batch is drawn
     return DominanceReport(
         samples=samples, seed=seed, slack=slack, dominating=tuple(dominating)
     )

@@ -138,6 +138,8 @@ def one_qubit_coherent(spec: MachineSpec, r_target: float) -> ProtocolOutcome:
         raise DomainError(
             f"cooling impossible: needs e < e_b, got e={spec.e}, e_b={spec.e_b}"
         )
+    if not spec.e > 0.0:
+        raise DomainError(f"the one-qubit protocol needs a target gap > 0, got {spec.e}")
     r = boltzmann_population(spec.e, spec.t_room)
     r_b = boltzmann_population(spec.e_b, spec.t_room)
     return _single_cycle(spec, r, r_target, _phase_work(r, [(r_b, spec.e_b - spec.e)], r_target))

@@ -152,7 +152,9 @@ def check_pareto_sweep(seed: int, samples: int, *, mutate: str | None = None) ->
     curve; the deterministic probes run the claimed-optimal unitaries through
     the dense route and require them to land exactly on the curve, which
     catches a curve corrupted in either direction (too cheap cannot be
-    achieved, too expensive is dominated).  Both gate on a slack of 1e-9.
+    achieved, too expensive is dominated).  Both gate on a slack of 1e-9.  A
+    failure names the worst dominating sample or, when a probe is worse, the
+    worst probe; a NaN probe cost fails with an infinite residual.
     """
     slack = 1e-9
     spec = MachineSpec.two_qubit(0.4, 1.0)
@@ -163,15 +165,30 @@ def check_pareto_sweep(seed: int, samples: int, *, mutate: str | None = None) ->
     mus = (0.0, 0.2, 0.5, 0.8, 1.0)
     r_probe, f_probe = oracle.simulate_coherent_single([spec] * len(mus), mus)
     probe_dominates, needed = oracle.dominates_curve(r_probe, f_probe, curve, slack)
-    probe_residual = float(np.abs(f_probe - needed).max())
+    probe_gaps = np.nan_to_num(np.abs(f_probe - needed), nan=math.inf)
+    probe_residual = float(probe_gaps.max())
     haar_residual = max((p.excess for p in report.dominating), default=0.0)
     passed = report.passed and not probe_dominates.any() and probe_residual <= slack
+    detail = f"{samples} Haar unitaries plus optimal-unitary probes, seed {report.seed}"
+    if not passed:
+        sample = max(report.dominating, key=lambda p: p.excess, default=None)
+        if sample is not None and sample.excess >= probe_residual:
+            detail += (
+                f"; worst: Haar sample {sample.index}, r={sample.r!r}, "
+                f"delta_f={sample.delta_f!r}, excess={sample.excess!r}"
+            )
+        else:
+            probe = int(np.argmax(probe_gaps))
+            detail += (
+                f"; worst: probe mu={mus[probe]!r}, r={float(r_probe[probe])!r}, "
+                f"delta_f={float(f_probe[probe])!r}, curve delta_f={float(needed[probe])!r}"
+            )
     return CheckResult(
         name="pareto_sweep",
         passed=passed,
         residual=max(haar_residual, probe_residual),
         tolerance=slack,
-        detail=f"{samples} Haar unitaries plus optimal-unitary probes, seed {report.seed}",
+        detail=detail,
     )
 
 
@@ -180,10 +197,12 @@ def check_vertex_oracle(
 ) -> CheckResult:
     """Solver objective and closed-form cost vs the exhaustive vertex oracle.
 
-    Both are compared on every instance; the worse residual is gated.
+    Both are compared on every instance; the worse residual is gated.  A
+    failure names the worst instance and which route missed; a NaN from
+    either route fails with an infinite residual.
     """
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    worst, worst_at = 0.0, ""
     for index in range(instances):
         spec = _draw_machine(rng, allow_infinite=False)
         t = spec.t_room
@@ -209,13 +228,23 @@ def check_vertex_oracle(
         if mutate == "vertex":
             analytic += 1e-6
         closed += float(rho @ h)
-        worst = max(worst, abs(analytic - reference), abs(closed - reference))
+        for route, value in (("solver", analytic), ("closed form", closed)):
+            gap = abs(value - reference)
+            gap = math.inf if math.isnan(gap) else gap
+            if gap > worst:
+                worst = gap
+                worst_at = (
+                    f"; worst: instance {index}, dimension {rho.size}, "
+                    f"r_target={r_target!r}, {route} missed, e={spec.e!r}, "
+                    f"e_b={spec.e_b!r}, t_room={t!r}"
+                )
+    detail = f"{instances} random instances, dimensions 4 and 8"
     return CheckResult(
         name="vertex_oracle",
         passed=worst <= tol,
         residual=worst,
         tolerance=tol,
-        detail=f"{instances} random instances, dimensions 4 and 8",
+        detail=detail if worst <= tol else detail + worst_at,
     )
 
 

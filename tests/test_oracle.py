@@ -17,7 +17,7 @@ from qfridge.oracle import (
     degenerate_subspace_sweep,
     dominates_curve,
     haar_pareto_sweep,
-    haar_unitaries,
+    haar_unitary_chunks,
     partial_swap_unitary,
     replace_qubit_marginal,
     rethermalize,
@@ -177,29 +177,54 @@ def _whole_batch_sweep(spec, samples, curve, seed, slack=1e-9):
     return points
 
 
+def _haar_unitaries(dim, count, rng):
+    return np.concatenate(list(haar_unitary_chunks(dim, count, rng)))
+
+
+def _traced_peak(sweep):
+    tracemalloc.start()
+    try:
+        sweep()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestHaarSweep:
     def test_unitaries_are_unitary(self):
         rng = np.random.default_rng(7)
-        units = haar_unitaries(8, 16, rng)
+        units = _haar_unitaries(8, 16, rng)
         for u in units:
             assert np.abs(u @ u.conj().T - np.eye(8)).max() < 1e-12
+
+    def test_chunks_cover_the_batch(self):
+        rng = np.random.default_rng(7)
+        count = 2 * oracle._QR_CHUNK + 3
+        sizes = [len(units) for units in haar_unitary_chunks(2, count, rng)]
+        assert sizes == [oracle._QR_CHUNK, oracle._QR_CHUNK, 3]
+        assert list(haar_unitary_chunks(2, 0, rng)) == []
 
     @pytest.mark.parametrize(
         "dim, count", [(8, 1), (8, 300), (4, 50), (2, 9), (8, 1100)]
     )
-    def test_same_stream_as_the_out_of_place_construction(self, dim, count):
+    @pytest.mark.parametrize(
+        "generator",
+        [np.random.default_rng, lambda seed: np.random.Generator(np.random.Philox(seed))],
+        ids=["pcg64", "philox"],
+    )
+    def test_same_stream_as_the_out_of_place_construction(self, dim, count, generator):
         for seed in (0, 7, DEFAULT_SEED):
-            rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+            rng_new, rng_old = generator(seed), generator(seed)
             for _ in range(2):
                 assert np.array_equal(
-                    haar_unitaries(dim, count, rng_new),
+                    _haar_unitaries(dim, count, rng_new),
                     _whole_batch_haar(dim, count, rng_old),
                 )
 
     @pytest.mark.parametrize("dim, count", [(0, 3), (-1, 3), (8, -1)])
     def test_bad_sizes_rejected(self, dim, count):
         with pytest.raises(DomainError):
-            haar_unitaries(dim, count, np.random.default_rng(0))
+            haar_unitary_chunks(dim, count, np.random.default_rng(0))
 
     def test_sweep_across_a_batch_boundary_matches_whole_batch_factoring(self):
         # A deliberately wrong frontier (r lowered by 0.25, cost x3 + 0.5)
@@ -217,20 +242,18 @@ class TestHaarSweep:
         assert len(got) > 1000
         assert got[0][0] < oracle.HAAR_BATCH <= got[-1][0]
 
-    def test_sweep_holds_about_one_batch_of_unitaries(self):
-        # The traced peak stays under two batches of complex 8x8 matrices:
-        # one batch of Gaussians, the real draw that fills half of it, and
-        # one QR chunk's temporaries.
+    def test_sweep_holds_one_chunk_of_unitaries(self, monkeypatch):
+        # Complex 8x8 unitaries are 1 KiB each.  Three batches stay under
+        # half a batch of them: the sweep holds one chunk at a time.
         spec = MachineSpec.two_qubit(0.4, 1.0)
         curve = coherent_single_cycle_curve(spec, grid=101)
-        batch_bytes = oracle.HAAR_BATCH * 64 * 16
-        tracemalloc.start()
-        try:
-            haar_pareto_sweep(spec, 2 * oracle.HAAR_BATCH + 1, curve)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * batch_bytes
+        batch = oracle.HAAR_BATCH
+        peak = _traced_peak(lambda: haar_pareto_sweep(spec, 2 * batch + 1, curve))
+        assert peak <= batch * 64 * 16 // 2
+        # A 4x batch adds its (batch, 8) population table, not its unitaries.
+        monkeypatch.setattr(oracle, "HAAR_BATCH", 4 * batch)
+        peak_4x = _traced_peak(lambda: haar_pareto_sweep(spec, 8 * batch + 1, curve))
+        assert peak_4x - peak <= 4 * batch * 8 * 8
 
     def test_zero_samples_gives_empty_report(self):
         spec = MachineSpec.two_qubit(0.4, 1.0)
@@ -562,11 +585,11 @@ class TestStackChecks:
     def test_stacked_blocks_equal_their_per_matrix_results(self):
         spec = MachineSpec.two_qubit(0.7, 1.3)
         rng = np.random.default_rng(11)
-        local = haar_unitaries(8, 4, rng)
+        local = _haar_unitaries(8, 4, rng)
         base = build_thermal_state(spec, (1.3,) * 3).matrix
         mats = local @ base @ np.swapaxes(local.conj(), -1, -2)
         h = hamiltonian_diagonal(spec.gaps)
-        u = UnitaryOp(haar_unitaries(8, 4, rng))
+        u = UnitaryOp(_haar_unitaries(8, 4, rng))
         r, delta, final = apply_and_measure(DenseState(mats), u, np.array([h] * 4))
         pops = np.array([0.9, 0.8, 0.7, 0.6])
         marginal = replace_qubit_marginal(final, 1, pops)

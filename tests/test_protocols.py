@@ -58,10 +58,17 @@ class TestOneQubitCoherent:
         out = protocols.one_qubit_coherent(spec, 0.77)
         assert out.work_cost == pytest.approx((0.77 - r) * 0.4, abs=1e-13)
 
-    def test_inverted_gaps_rejected(self):
-        spec = MachineSpec.one_qubit(0.9, 1.0)
-        with pytest.raises(DomainError):
-            protocols.one_qubit_coherent(spec, 0.8)
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (MachineSpec.one_qubit(0.9, 1.0), "needs e < e_b, got e=1.0, e_b=0.9"),
+            (MachineSpec.one_qubit(2.0, 1.0, e=0.0), "target gap > 0, got 0.0"),
+        ],
+        ids=["inverted-gaps", "gapless-target"],
+    )
+    def test_bad_machine_rejected_naming_the_input(self, spec, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            protocols.one_qubit_coherent(spec, 0.6)
 
 
 class TestTwoQubitIncoherentSingle:

@@ -1,17 +1,30 @@
 import dataclasses
+import json
 import math
 from types import SimpleNamespace
 
 import pytest
 
-from qfridge import oracle, protocols
+from qfridge import majorization, oracle, protocols
+from qfridge.cli import main
 from qfridge.thermal import DomainError
 from qfridge.verify import (
     check_formula_dense_equivalence,
+    check_pareto_sweep,
     check_thermalization_gradients,
     check_vertex_oracle,
     run_verification,
 )
+
+
+def _mutated_check(mutation, name, capsys):
+    # The one failing check of a small `verify --mutate` run.
+    argv = ["verify", "--samples", "200", "--machines", "4", "--instances", "4"]
+    assert main([*argv, "--mutate", mutation]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    (check,) = [c for c in checks if not c["passed"]]
+    assert check["name"] == name
+    return check
 
 
 @pytest.mark.parametrize("machines, instances", [(-3, -2), (-1, 0), (0, -1)])
@@ -42,8 +55,12 @@ class TestThermalizationGradientReport:
 
 
 class TestVertexOracleGatesTheClosedForm:
-    @pytest.mark.parametrize("name", ["one_qubit_coherent", "two_qubit_coherent_single"])
-    def test_shifted_closed_form_fails(self, name, monkeypatch):
+    @pytest.mark.parametrize(
+        "name, dim",
+        [("one_qubit_coherent", 4), ("two_qubit_coherent_single", 8)],
+        ids=["one_qubit_coherent", "two_qubit_coherent_single"],
+    )
+    def test_shifted_closed_form_fails(self, name, dim, monkeypatch):
         closed_form = getattr(protocols, name)
 
         def shifted(spec, r_target):
@@ -56,6 +73,81 @@ class TestVertexOracleGatesTheClosedForm:
         assert not result.passed
         assert result.residual == pytest.approx(1e-6, rel=1e-6)
         assert (result.name, result.tolerance) == ("vertex_oracle", 1e-10)
+        assert f", dimension {dim}, r_target=" in result.detail
+        assert ", closed form missed, " in result.detail
+
+
+class TestVertexOracleReport:
+    def test_passing_report_is_unchanged(self):
+        result = check_vertex_oracle(seed=3, instances=4)
+        assert result.passed
+        assert result.detail == "4 random instances, dimensions 4 and 8"
+
+    def test_mutated_solver_names_the_worst_instance(self, capsys):
+        check = _mutated_check("vertex", "vertex_oracle", capsys)
+        assert check["detail"].startswith("4 random instances, dimensions 4 and 8; worst: ")
+        assert "; worst: instance " in check["detail"]
+        for name in (", dimension ", ", r_target=", ", solver missed, ", "e=", "e_b=", "t_room="):
+            assert name in check["detail"]
+
+    def test_nan_from_the_solver_fails_with_an_infinite_residual(self, monkeypatch):
+        solve = majorization.solve_two_qubit
+
+        def with_nan(rho, h, r_target):
+            return dataclasses.replace(solve(rho, h, r_target), objective=math.nan)
+
+        monkeypatch.setattr(majorization, "solve_two_qubit", with_nan)
+        result = check_vertex_oracle(seed=3, instances=4)
+        assert not result.passed
+        assert result.residual == math.inf
+        assert "; worst: instance 1, dimension 8, " in result.detail
+        assert ", solver missed, " in result.detail
+
+
+class TestParetoSweepReport:
+    def test_passing_report_is_unchanged(self):
+        result = check_pareto_sweep(seed=5, samples=50)
+        assert result.passed
+        assert result.detail == "50 Haar unitaries plus optimal-unitary probes, seed 5"
+
+    def test_mutated_curve_names_the_worst_probe(self, capsys):
+        check = _mutated_check("pareto", "pareto_sweep", capsys)
+        assert "; worst: probe mu=" in check["detail"]
+        for name in (", r=", ", delta_f=", ", curve delta_f="):
+            assert name in check["detail"]
+
+    def test_nan_probe_cost_fails_with_an_infinite_residual(self, monkeypatch):
+        simulate = oracle.simulate_coherent_single
+
+        def with_nan(specs, mus):
+            r, work = simulate(specs, mus)
+            work[2] = math.nan
+            return r, work
+
+        monkeypatch.setattr(oracle, "simulate_coherent_single", with_nan)
+        result = check_pareto_sweep(seed=5, samples=50)
+        assert not result.passed
+        assert result.residual == math.inf
+        assert "; worst: probe mu=0.5, " in result.detail
+        assert ", delta_f=nan, " in result.detail
+
+    def test_dominating_sample_is_named(self, monkeypatch):
+        sweep = oracle.haar_pareto_sweep
+        points = (
+            oracle.DominatingPoint(index=17, r=0.75, delta_f=0.25, excess=1e-3),
+            oracle.DominatingPoint(index=42, r=0.5, delta_f=0.125, excess=2e-3),
+        )
+
+        def dominated(*args, **kwargs):
+            return dataclasses.replace(sweep(*args, **kwargs), dominating=points)
+
+        monkeypatch.setattr(oracle, "haar_pareto_sweep", dominated)
+        result = check_pareto_sweep(seed=5, samples=50)
+        assert not result.passed
+        assert result.residual == 2e-3
+        assert result.detail.endswith(
+            "; worst: Haar sample 42, r=0.5, delta_f=0.125, excess=0.002"
+        )
 
 
 class TestFormulaDenseReport:
