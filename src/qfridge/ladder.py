@@ -60,6 +60,16 @@ class LadderSpec:
             raise DomainError(f"t_cold must satisfy 0 < t_cold <= t_room, got {self.t_cold}")
         if not max(self.target_gap, self.t_room) / self.t_cold < math.inf:
             raise DomainError(f"t_cold = {self.t_cold} overflows E/t_cold or t_room/t_cold")
+        # The last stage's gap, in the float operations of _walk at f = 1.
+        if not self.target_gap * (1.0 + (self.t_room / self.t_cold - 1.0)) < math.inf:
+            raise DomainError(
+                f"target gap {self.target_gap} overflows the largest stage gap "
+                f"E t_room/t_cold at t_room = {self.t_room}, t_cold = {self.t_cold}"
+            )
+        if self.target_gap / self.t_room == 0.0:
+            raise DomainError(
+                f"target gap {self.target_gap} underflows E/t_room to 0 at t_room = {self.t_room}"
+            )
         if self.t_hot is not None and not self.t_hot >= self.t_room:
             raise DomainError(f"t_hot must be >= t_room, got {self.t_hot}")
         if self.e_ground_offset is not None and not 0.0 <= self.e_ground_offset < math.inf:

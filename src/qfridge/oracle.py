@@ -145,16 +145,19 @@ def swap_unitary(dim: int, i: int, j: int, tag: str = "general") -> UnitaryOp:
 
 
 def partial_swap_unitary(
-    dim: int, i: int, j: int, weight: float | np.ndarray
+    dim: int, i: int | Sequence[int], j: int | Sequence[int], weight: float | np.ndarray
 ) -> UnitaryOp:
     """Two-level rotation moving population fraction ``weight`` between i and j.
 
-    An array of weights gives a stack of rotations, one per weight.
+    ``i`` and ``j`` may be equal-length sequences of disjoint level pairs,
+    each rotated alike.  An array of weights gives a stack of rotations, one
+    per weight.
     """
     w = np.asarray(weight, dtype=float)
     _require((0.0 <= w) & (w <= 1.0), f"swap weight must lie in [0, 1], got {weight}")
+    i, j = np.atleast_1d(i), np.atleast_1d(j)
     mat = np.broadcast_to(np.eye(dim, dtype=complex), w.shape + (dim, dim)).copy()
-    c, s = np.sqrt(1.0 - w), np.sqrt(w)
+    c, s = np.sqrt(1.0 - w)[..., None], np.sqrt(w)[..., None]
     mat[..., i, i] = mat[..., j, j] = c
     mat[..., i, j] = s
     mat[..., j, i] = -s
@@ -163,24 +166,10 @@ def partial_swap_unitary(
 
 def qubit_swap_unitary(n_qubits: int, qa: int, qb: int) -> UnitaryOp:
     """Swap of two whole qubits: a quarter turn on every (...0a..1b.., ...1a..0b..) pair."""
-    dim = 2**n_qubits
-    mat = np.eye(dim, dtype=complex)
-    bit_a, bit_b = n_qubits - 1 - qa, n_qubits - 1 - qb
-    for idx in range(dim):
-        if (idx >> bit_a) & 1 == 0 and (idx >> bit_b) & 1 == 1:
-            jdx = idx | (1 << bit_a)
-            jdx &= ~(1 << bit_b)
-            mat[idx, idx] = mat[jdx, jdx] = 0.0
-            mat[idx, jdx] = 1.0
-            mat[jdx, idx] = -1.0
-    return UnitaryOp(mat)
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of the last two axes, broadcast over a leading stack axis."""
-    out = a[..., :, None, :, None] * b[..., None, :, None, :]
-    rows, cols = a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]
-    return out.reshape(out.shape[:-4] + (rows, cols))
+    bit_a, bit_b = 1 << (n_qubits - 1 - qa), 1 << (n_qubits - 1 - qb)
+    levels = np.arange(2**n_qubits)
+    low = levels[((levels & bit_a) == 0) & ((levels & bit_b) != 0)]
+    return partial_swap_unitary(levels.size, low, low ^ bit_a ^ bit_b, 1.0)
 
 
 def build_thermal_state(spec: MachineSpec, per_qubit_temps: Sequence[float]) -> DenseState:
@@ -239,14 +228,6 @@ def apply_and_measure(
     return final.target_ground_population(), delta_energy, final
 
 
-def _partial_trace(mat: np.ndarray, n_qubits: int, qubit: int) -> np.ndarray:
-    lead = mat.shape[:-2]
-    tensor = mat.reshape(lead + (2,) * (2 * n_qubits))
-    traced = np.trace(tensor, axis1=len(lead) + qubit, axis2=len(lead) + n_qubits + qubit)
-    half = 2 ** (n_qubits - 1)
-    return traced.reshape(lead + (half, half))
-
-
 def replace_qubit_marginal(
     state: DenseState, qubit: int, ground_population: float | np.ndarray
 ) -> DenseState:
@@ -258,21 +239,19 @@ def replace_qubit_marginal(
     n = state.n_qubits
     if not 0 <= qubit < n:
         raise DomainError(f"qubit index {qubit} out of range for {n} qubits")
-    rest = _partial_trace(state.matrix, n, qubit)
+    lead = state.matrix.shape[:-2]
+    row, col = len(lead) + qubit, len(lead) + n + qubit
+    tensor = state.matrix.reshape(lead + (2,) * (2 * n))
+    rest = np.expand_dims(np.trace(tensor, axis1=row, axis2=col), (row, col))
     pop = np.asarray(ground_population, dtype=float)
     tau = np.zeros(pop.shape + (2, 2), dtype=complex)
     tau[..., 0, 0] = pop
     tau[..., 1, 1] = 1.0 - pop
-    full = _kron(rest, tau)
-    lead = full.shape[:-2]
-    full = full.reshape(lead + (2,) * (2 * n))
-    # kron left the fresh qubit in the least significant slot; move it home.
-    remaining = [q for q in range(n) if q != qubit]
-    src_axis = {q: a for a, q in enumerate(remaining)}
-    src_axis[qubit] = n - 1
-    perm = [len(lead) + src_axis[q] for q in range(n)]
-    full = np.transpose(full, list(range(len(lead))) + perm + [n + p for p in perm])
-    return DenseState(full.reshape(lead + (state.dim, state.dim)))
+    # The fresh marginal broadcasts into exactly the qubit's row and column axes.
+    axes = [1] * (2 * n)
+    axes[qubit] = axes[n + qubit] = 2
+    full = rest * tau.reshape(pop.shape + tuple(axes))
+    return DenseState(full.reshape(full.shape[: -2 * n] + (state.dim, state.dim)))
 
 
 def rethermalize(
@@ -378,10 +357,8 @@ def simulate_coherent_single(specs: Machines, mu: float | Sequence[float]) -> tu
     w_ab = np.where(through_b, mus, np.maximum(2.0 * mus - 1.0, 0.0))
     w_ac = np.where(through_b, 0.0, np.minimum(2.0 * mus, 1.0))
     unit = (
-        partial_swap_unitary(8, 2, 4, w_ab).matrix
-        @ partial_swap_unitary(8, 3, 5, w_ab).matrix
-        @ partial_swap_unitary(8, 1, 4, w_ac).matrix
-        @ partial_swap_unitary(8, 3, 6, w_ac).matrix
+        partial_swap_unitary(8, (2, 3), (4, 5), w_ab).matrix
+        @ partial_swap_unitary(8, (1, 3), (4, 6), w_ac).matrix
     )
     r_final, work, _ = apply_and_measure(state, UnitaryOp(unit), h)
     return _results(one, r_final, work)

@@ -897,6 +897,32 @@ class TestLadderCommand:
         assert captured.out == ""
         assert "target gap" in captured.err
 
+    @pytest.mark.parametrize(
+        "command, fault",
+        [
+            (["ladder", "--e", "1e308", "--t-r", "2", "--t-c", "1", "--n", "3"], "overflows"),
+            (
+                ["curve", "ladder-coh", "--e", "1e308", "--t-r", "1e308", "--t-c", "700",
+                 "--grid", "2"],
+                "overflows",
+            ),
+            (
+                ["curve", "ladder-coh", "--e", "5e-324", "--t-r", "1e300", "--t-c", "1e300",
+                 "--grid", "5"],
+                "underflows",
+            ),
+        ],
+    )
+    def test_target_gap_out_of_float_range_is_usage_error_naming_it(
+        self, command, fault, capsys
+    ):
+        # These printed NaN or inf rows, or raised ZeroDivisionError.
+        rc = main(command)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: target gap")
+        assert fault in captured.err
 
     @pytest.mark.parametrize(
         "command",

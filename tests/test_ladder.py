@@ -274,11 +274,54 @@ class TestSpecGuards:
         spec = LadderSpec(4, 0.75, t_room, t_hot=t_hot, e_ground_offset=3.0)
         assert embedded_ladder_preheat(spec) == 0.0
 
+    @pytest.mark.parametrize(
+        "t_cold,t_room,target_gap", [(1.0, 2.0, 1e308), (700.0, 1e308, 1e308)]
+    )
+    def test_target_gap_that_overflows_the_last_stage_gap_rejected(
+        self, t_cold, t_room, target_gap
+    ):
+        # E/t_cold and t_room/t_cold are finite, E t_room/t_cold is not.
+        with pytest.raises(DomainError, match="target gap .* overflows the largest stage gap"):
+            LadderSpec(3, t_cold, t_room, target_gap=target_gap)
+
+    def test_target_gap_that_underflows_against_the_room_temperature_rejected(self):
+        # E/t_room == 0 would put every stage at x = 0 and its temperature at E/0.
+        with pytest.raises(DomainError, match="target gap 5e-324 underflows"):
+            LadderSpec(5, 1e300, 1e300, target_gap=5e-324)
+
     @pytest.mark.parametrize("offset", [None, 3.0])
     def test_overflowing_stage_gap_rejected(self, offset):
         spec = LadderSpec(4, 0.5, 1.0, t_hot=1.0 + 1e-15, e_ground_offset=offset, target_gap=1e300)
         with pytest.raises(DomainError, match="largest stage gap"):
             incoherent_ladder(spec)
+
+
+def _powers_of_two(low, high):
+    return st.floats(math.log2(low), math.log2(high)).map(lambda k: 2.0**k)
+
+
+@seed(20261019)
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 64),
+    target_gap=st.one_of(
+        st.sampled_from([5e-324, 2.2250738585072014e-308, 1.0, 1e308]),
+        _powers_of_two(5e-324, 1e308),
+    ),
+    temps=st.lists(
+        st.one_of(st.sampled_from([1e-300, 1.0, 1e300]), _powers_of_two(1e-300, 1e300)),
+        min_size=2,
+        max_size=2,
+    ),
+)
+def test_every_ladder_spec_is_rejected_or_finite(n, target_gap, temps):
+    t_cold, t_room = sorted(temps)
+    try:
+        out = coherent_ladder(LadderSpec(n, t_cold, t_room, target_gap=target_gap))
+    except DomainError:
+        return
+    assert all(math.isfinite(x) for x in (out.w_total, out.df_target, out.gap))
+    assert all(math.isfinite(x) for x in out.per_step[-1])
 
 
 def _bit_identity_specs():

@@ -409,18 +409,61 @@ class TestThermalizationGradients:
         assert abs(slope_c) < 1e-10
 
 
-class TestKron:
+def _random_states(rng, n_qubits, count=None):
+    # Full-rank complex states: every entry of the matrix is nonzero.
+    dim = 2**n_qubits
+    shape = (dim, dim) if count is None else (count, dim, dim)
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    mats = a @ np.swapaxes(a.conj(), -1, -2)
+    return mats / np.trace(mats, axis1=-2, axis2=-1)[..., None, None]
+
+
+class TestBuildingBlocksMatchTheReference:
+    """The broadcast marginal reset and the pair-list rotations, bit for bit."""
+
     @pytest.mark.parametrize(
-        "shape_a, shape_b", [((1, 1), (2, 2)), ((2, 2), (2, 2)), ((4, 4), (2, 2)), ((4, 4), (4, 4))]
+        "n_qubits, qubit", [(n, q) for n in (1, 2, 3) for q in range(n)]
     )
-    def test_entries_equal_numpy_kron(self, shape_a, shape_b):
-        rng = np.random.default_rng(3)
-        a_real = rng.standard_normal(shape_a)
-        b_real = rng.standard_normal(shape_b)
-        a_cplx = a_real + 1j * rng.standard_normal(shape_a)
-        b_cplx = b_real + 1j * rng.standard_normal(shape_b)
-        for a, b in ((a_real, b_real), (a_cplx, b_cplx), (a_real, b_cplx)):
-            assert np.array_equal(oracle._kron(a, b), np.kron(a, b))
+    def test_replace_qubit_marginal(self, n_qubits, qubit):
+        rng = np.random.default_rng(17 + 3 * n_qubits + qubit)
+        mat = _random_states(rng, n_qubits)
+        got = replace_qubit_marginal(DenseState(mat), qubit, 0.37).matrix
+        want = ref.replace_qubit_marginal(ref.DenseState(mat), qubit, 0.37).matrix
+        assert np.array_equal(got, want)
+        mats, pops = _random_states(rng, n_qubits, 5), rng.uniform(0.0, 1.0, 5)
+        stacked = replace_qubit_marginal(DenseState(mats), qubit, pops).matrix
+        assert stacked.shape == mats.shape
+        for mat_i, pop_i, got_i in zip(mats, pops, stacked):
+            want_i = ref.replace_qubit_marginal(ref.DenseState(mat_i), qubit, pop_i).matrix
+            assert np.array_equal(got_i, want_i)
+
+    @pytest.mark.parametrize(
+        "n_qubits, qa, qb",
+        [(n, a, b) for n in (2, 3) for a in range(n) for b in range(n) if a != b],
+    )
+    def test_qubit_swap_unitary(self, n_qubits, qa, qb):
+        got = oracle.qubit_swap_unitary(n_qubits, qa, qb).matrix
+        assert np.array_equal(got, ref.qubit_swap_unitary(n_qubits, qa, qb).matrix)
+
+    @pytest.mark.parametrize("weight", [0.0, 0.3, 1.0])
+    def test_two_pairs_rotate_as_the_product_of_their_one_pair_rotations(self, weight):
+        both = partial_swap_unitary(8, (1, 3), (4, 6), weight).matrix
+        singles = (
+            ref.partial_swap_unitary(8, 1, 4, weight).matrix
+            @ ref.partial_swap_unitary(8, 3, 6, weight).matrix
+        )
+        assert np.array_equal(both, singles)
+
+    def test_stacked_pairs_rotate_one_weight_per_matrix(self):
+        weights = np.array([0.0, 0.25, 1.0])
+        stacked = partial_swap_unitary(8, [2, 3], [4, 5], weights).matrix
+        for weight, got in zip(weights, stacked):
+            assert np.array_equal(got, partial_swap_unitary(8, (2, 3), (4, 5), weight).matrix)
+
+    @pytest.mark.parametrize("weight", [0.3, 1.0])
+    def test_overlapping_pairs_fail_the_unitarity_check(self, weight):
+        with pytest.raises(DomainError, match="not unitary"):
+            partial_swap_unitary(4, (1, 2), (2, 3), weight)
 
 
 def test_oracle_never_imports_the_closed_forms():
