@@ -479,8 +479,23 @@ def _integer(name: str, value: float | int | str) -> int:
 def _default_seed(args: argparse.Namespace, config: dict) -> int:
     from . import oracle
 
-    seed = _resolved(args, "seed", config, os.environ.get("FRIDGE_SEED"))
-    return oracle.DEFAULT_SEED if seed is None else _integer("seed", seed)
+    # The flag, else the config key, else FRIDGE_SEED, else the fixed default.
+    sources = (
+        ("--seed", args.seed),
+        (f"the seed key of {getattr(args, 'config', None)}", config.get("seed")),
+        ("FRIDGE_SEED", os.environ.get("FRIDGE_SEED")),
+    )
+    for source, value in sources:
+        if value is None:
+            continue
+        try:
+            seed = _integer("seed", value)
+        except ValueError:
+            seed = None
+        if seed is None or seed < 0:
+            raise DomainError(f"seed must be an integer >= 0, got {value!r} from {source}")
+        return seed
+    return oracle.DEFAULT_SEED
 
 
 def _format_value(value: float, full: bool) -> str:

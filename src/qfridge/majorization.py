@@ -225,14 +225,17 @@ def solve_two_qubit(
 
 
 @lru_cache(maxsize=4)
-def _permutation_indices(n: int) -> np.ndarray:
-    # Lexicographic order (itertools' contract): each run of (n-k)! rows
-    # shares its first k entries.  Stored as intp so fancy indexing does not
-    # convert it on every call; read-only because the cache shares it.
+def _slab_indices(n: int) -> np.ndarray:
+    # The (n-1)! permutations of range(n) that begin with 0, in lexicographic
+    # order (itertools' contract): each run of (n-k)! rows shares its first k
+    # entries.  Stored as intp so fancy indexing does not convert it on every
+    # call; read-only because the cache shares it.
     perms = np.fromiter(
-        itertools.chain.from_iterable(itertools.permutations(range(n))),
+        itertools.chain.from_iterable(
+            (0, *rest) for rest in itertools.permutations(range(1, n))
+        ),
         dtype=np.intp,
-        count=n * math.factorial(n),
+        count=n * math.factorial(n - 1),
     ).reshape(-1, n)
     perms.flags.writeable = False
     return perms
@@ -256,14 +259,14 @@ def _lower_envelope_at(f: np.ndarray, obj: np.ndarray, x: float) -> float:
     obj_sorted = np.minimum.reduceat(obj_sorted, start_idx)
 
     hull: list[tuple[float, float]] = []
-    for px, py in zip(f_sorted, obj_sorted):
+    for px, py in zip(f_sorted.tolist(), obj_sorted.tolist()):
         while len(hull) >= 2:
             (ax, ay), (bx, by) = hull[-2], hull[-1]
             if (bx - ax) * (py - ay) - (by - ay) * (px - ax) <= 0.0:
                 hull.pop()
             else:
                 break
-        hull.append((float(px), float(py)))
+        hull.append((px, py))
 
     xs = np.array([p[0] for p in hull])
     ys = np.array([p[1] for p in hull])
@@ -307,8 +310,19 @@ def vertex_oracle_min(
     # Vertices that share their first k entries share their ground sum, and
     # at a shared abscissa only the lowest objective can touch the envelope,
     # so each lexicographic block of (n-k)! vertices is reduced to its best.
+    # The vertices are gathered one slab of (n-1)! at a time: row i of
+    # `fronts` is rho[i] followed by the other entries in order, and indexing
+    # it with the table gives the slab of vertices that begin with rho[i].
+    # The slabs in turn are the lexicographic enumeration, and all n!
+    # vertices are never held at once.
+    others = np.broadcast_to(rho, (n, n))[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+    fronts = np.column_stack((rho, others))
+    table = _slab_indices(n)
     block = math.factorial(n - k)
-    perms = rho[_permutation_indices(n)]
-    obj = (perms @ h_arr).reshape(-1, block).min(axis=1)
-    f = perms[::block, :k].sum(axis=1)
-    return _lower_envelope_at(f, obj, r_target)
+    objs, fs = [], []
+    for front in fronts:
+        slab = front[table]
+        objs.append((slab @ h_arr).reshape(-1, block).min(axis=1))
+        fs.append(slab[::block, :k].sum(axis=1))
+        del slab  # before the next slab is gathered
+    return _lower_envelope_at(np.concatenate(fs), np.concatenate(objs), r_target)

@@ -34,13 +34,15 @@ ENERGY_ATOL = 1e-10
 
 # Unitaries per haar_unitary_chunks call in haar_pareto_sweep.  A batch
 # draws all its real parts before its imaginary parts, so this size fixes
-# which unitaries a seed draws; the sweep holds one (batch, dim) table of
-# final populations, never a batch of unitaries.
+# which unitaries a seed draws.  It costs no memory: the sweep scores each
+# chunk as it is drawn and never holds a batch of anything.
 HAAR_BATCH = 10_000
-# Matrices drawn, factored and yielded at a time by haar_unitary_chunks: the
-# sweep's only unitaries.  It bounds memory only, since LAPACK factors each
-# matrix on its own and the chunked draws continue one stream.
-_QR_CHUNK = 512
+# Matrices drawn, factored, scored and dropped at a time: all the sweep
+# holds.  It bounds memory only, since LAPACK factors each matrix on its own
+# and the chunked draws continue one stream.  QR costs the same per matrix
+# from 64 to 512 matrices a call and more at 1024, so 128 keeps the chunk
+# small at no cost in speed.
+_QR_CHUNK = 128
 
 
 def _dagger(mat: np.ndarray) -> np.ndarray:
@@ -564,7 +566,13 @@ def dominates_curve(
     reaches a curve population at strictly lower cost than claimed (both
     beyond ``slack``).  Returns the mask and the claimed cost at each ``r``.
     """
-    curve_f, curve_r = _curve_arrays(curve)
+    return _dominance(r, delta_f, *_curve_arrays(curve), slack)
+
+
+def _dominance(
+    r: np.ndarray, delta_f: np.ndarray, curve_f: np.ndarray, curve_r: np.ndarray, slack: float
+) -> tuple[np.ndarray, np.ndarray]:
+    # dominates_curve's rule on a curve already split by _curve_arrays.
     needed = np.interp(r, curve_r, curve_f)
     mask = (r > curve_r[-1] + slack) | ((r > curve_r[0] + slack) & (delta_f < needed - slack))
     return mask, needed
@@ -587,11 +595,12 @@ def haar_pareto_sweep(
     ``slack`` (see :func:`dominates_curve`).  The expected report is empty.
 
     Each chunk of unitaries is scored as it is drawn, so the sweep holds one
-    chunk of unitaries and one (batch, dim) table of final populations.
+    chunk of unitaries and its final populations, whatever the sample count.
     """
     if samples < 0:
         raise DomainError("sample count must be >= 0")
-    r_max = float(_curve_arrays(analytic_curve)[1][-1])
+    curve_f, curve_r = _curve_arrays(analytic_curve)
+    r_max = float(curve_r[-1])
 
     pops = thermal_populations(spec.gaps, (spec.t_room,) * spec.n_qubits)
     h = hamiltonian_diagonal(spec.gaps)
@@ -602,32 +611,27 @@ def haar_pareto_sweep(
     dominating: list[DominatingPoint] = []
     done = 0
     while done < samples:
-        count = min(HAAR_BATCH, samples - done)
-        final_pops = np.empty((count, dim))
-        lo = 0
-        for units in haar_unitary_chunks(dim, count, rng):
+        for units in haar_unitary_chunks(dim, min(HAAR_BATCH, samples - done), rng):
             weights = np.abs(units)
             weights **= 2
-            final_pops[lo : lo + len(units)] = weights @ pops
-            lo += len(units)
-        r_s = final_pops[:, : dim // 2].sum(axis=1)
-        f_s = final_pops @ h - base_energy
-        bad, needed = dominates_curve(r_s, f_s, analytic_curve, slack)
-        for local_idx in np.nonzero(bad)[0]:
-            excess = max(
-                float(needed[local_idx] - f_s[local_idx]),
-                float(r_s[local_idx] - r_max),
-            )
-            dominating.append(
-                DominatingPoint(
-                    index=done + int(local_idx),
-                    r=float(r_s[local_idx]),
-                    delta_f=float(f_s[local_idx]),
-                    excess=excess,
+            final_pops = weights @ pops
+            r_s = final_pops[:, : dim // 2].sum(axis=1)
+            f_s = final_pops @ h - base_energy
+            bad, needed = _dominance(r_s, f_s, curve_f, curve_r, slack)
+            for local_idx in np.nonzero(bad)[0]:
+                excess = max(
+                    float(needed[local_idx] - f_s[local_idx]),
+                    float(r_s[local_idx] - r_max),
                 )
-            )
-        done += count
-        del final_pops, r_s, f_s, bad, needed  # before the next batch is drawn
+                dominating.append(
+                    DominatingPoint(
+                        index=done + int(local_idx),
+                        r=float(r_s[local_idx]),
+                        delta_f=float(f_s[local_idx]),
+                        excess=excess,
+                    )
+                )
+            done += len(units)
     return DominanceReport(
         samples=samples, seed=seed, slack=slack, dominating=tuple(dominating)
     )

@@ -286,11 +286,23 @@ def check_thermalization_gradients(seed: int, cases: int = 25) -> CheckResult:
     )
 
 
+def _ladder_named(spec: ladder.LadderSpec) -> str:
+    return (
+        f"N={spec.n_steps}, T_C={spec.t_cold!r}, T_R={spec.t_room!r}, "
+        f"T_H={spec.t_hot!r}, offset={spec.e_ground_offset!r}"
+    )
+
+
 def check_ladder_gap_rate() -> CheckResult:
-    """O(1/N) halving of the second-law gap plus the embedded-preheat bound."""
+    """O(1/N) halving of the second-law gap plus the embedded-preheat bound.
+
+    A failure says which gate failed, the ratio window or the preheat
+    offset, and names the ladder it failed on.
+    """
     worst_ratio_error = 0.0
-    gaps = [ladder.coherent_ladder(ladder.LadderSpec(n, 0.5, 1.0)).gap for n in (16, 32, 64, 128)]
-    for n, gap_n, gap_2n in zip((16, 32, 64), gaps, gaps[1:]):
+    specs = [ladder.LadderSpec(n, 0.5, 1.0) for n in (16, 32, 64, 128)]
+    gaps = [ladder.coherent_ladder(spec).gap for spec in specs]
+    for spec, gap_n, gap_2n in zip(specs, gaps, gaps[1:]):
         ratio = gap_2n / gap_n
         if not 0.4 <= ratio <= 0.6:
             return CheckResult(
@@ -298,7 +310,8 @@ def check_ladder_gap_rate() -> CheckResult:
                 passed=False,
                 residual=ratio,
                 tolerance=0.6,
-                detail=f"gap(2N)/gap(N) outside [0.4, 0.6] at N={n}",
+                detail=f"ratio window failed: gap(2N)/gap(N) = {ratio!r} outside "
+                f"[0.4, 0.6] at {_ladder_named(spec)}",
             )
         worst_ratio_error = max(worst_ratio_error, abs(ratio - 0.5))
     t_hot = 10.0
@@ -309,13 +322,15 @@ def check_ladder_gap_rate() -> CheckResult:
     coh = ladder.coherent_ladder(spec)
     offset = abs(ladder.incoherent_twin(spec, coh).w_total - coh.w_total)
     passed = offset < 1e-9
+    detail = f"gap ratios at N in {{16, 32, 64}}; embedded preheat offset {offset:.3e}"
+    if not passed:
+        detail += f"; preheat offset failed: not below 1e-9 at {_ladder_named(spec)}"
     return CheckResult(
         name="ladder_gap_rate",
         passed=passed,
         residual=max(worst_ratio_error, offset),
         tolerance=0.1,
-        detail="gap ratios at N in {16, 32, 64}; embedded preheat offset "
-        f"{offset:.3e}",
+        detail=detail,
     )
 
 

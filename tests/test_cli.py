@@ -1045,6 +1045,28 @@ class TestConfigFile:
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["seed"] == 123
 
+    def test_negative_seed_flag_is_named(self, capsys):
+        rc = main(["verify", "--seed", "-3", "--samples", "0"])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, "")
+        assert err == "error: seed must be an integer >= 0, got -3 from --seed\n"
+
+    def test_negative_config_seed_is_named(self, tmp_path, capsys):
+        config = tmp_path / "machine.cfg"
+        config.write_text("seed = -3\n")
+        rc = main(["verify", "--config", str(config), "--samples", "0"])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, "")
+        assert err == f"error: seed must be an integer >= 0, got -3 from the seed key of {config}\n"
+
+    @pytest.mark.parametrize("value", ["abc", "-3", "1.5"])
+    def test_bad_environment_seed_is_named(self, value, monkeypatch, capsys):
+        monkeypatch.setenv("FRIDGE_SEED", value)
+        rc = main(["verify", "--samples", "0"])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, "")
+        assert err == f"error: seed must be an integer >= 0, got {value!r} from FRIDGE_SEED\n"
+
     def test_integer_seed_keeps_every_digit(self, tmp_path):
         config = tmp_path / "machine.cfg"
         config.write_text("seed = 9007199254740993\n")

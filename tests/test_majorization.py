@@ -1,4 +1,6 @@
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from qfridge.majorization import (
     InfeasibleTargetError,
     TTransform,
-    _permutation_indices,
+    _slab_indices,
     apply_transforms,
     majorizes,
     solve_one_qubit,
@@ -300,8 +302,21 @@ def _lexsort_vertex_oracle_min(rho, h, k, r_target):
     # The vertex oracle as it was before its blocks were reduced: every one of
     # the n! vertices goes through the coalescing lexsort and the hull.
     perms = rho[_ALL_PERMUTATIONS[rho.size]]
-    f = perms[:, :k].sum(axis=1)
-    obj = perms @ h
+    return _reference_envelope_at(perms[:, :k].sum(axis=1), perms @ h, r_target)
+
+
+def _one_table_vertex_oracle_min(rho, h, k, r_target):
+    # The vertex oracle as it was before it built its vertices a slab at a
+    # time: one gather of all n! vertices, reduced block by block.
+    block = math.factorial(rho.size - k)
+    perms = rho[_ALL_PERMUTATIONS[rho.size].astype(np.intp)]
+    obj = (perms @ h).reshape(-1, block).min(axis=1)
+    return _reference_envelope_at(perms[::block, :k].sum(axis=1), obj, r_target)
+
+
+def _reference_envelope_at(f, obj, x):
+    # The lower envelope of the points (f, obj) at x, with the hull walked on
+    # numpy scalars as it first was.
     order = np.lexsort((obj, f))
     f_sorted, obj_sorted = f[order], obj[order]
     starts = np.concatenate(([True], np.diff(f_sorted) > 1e-12))
@@ -318,7 +333,7 @@ def _lexsort_vertex_oracle_min(rho, h, k, r_target):
         hull.append((float(px), float(py)))
     xs = np.array([p[0] for p in hull])
     ys = np.array([p[1] for p in hull])
-    x = min(max(r_target, xs[0]), xs[-1])
+    x = min(max(x, xs[0]), xs[-1])
     pos = int(np.searchsorted(xs, x))
     if pos < xs.size and xs[pos] == x:
         return float(ys[pos])
@@ -375,11 +390,51 @@ class TestVertexOracleBlockReduction:
         assert abs(new - old) <= 1e-15
 
 
+class TestVertexOracleSlabs:
+    """Built one slab at a time, the oracle gives the one-table result bit for bit."""
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_same_bits_as_the_one_table_form(self, n):
+        rng = np.random.default_rng(20261019)
+        for case in range(24):
+            if case % 2:
+                raw = rng.uniform(0.01, 1.0, n)
+                rho, h = raw / raw.sum(), rng.uniform(0.0, 3.0, n)
+            else:
+                # The verify suite's instances: thermal one- and two-qubit machines.
+                t = float(rng.uniform(0.2, 5.0))
+                spec = MachineSpec.two_qubit(float(rng.uniform(0.05, 5.0)), t)
+                if n == 4:
+                    spec = MachineSpec.one_qubit(spec.e_b, t, e=spec.e)
+                rho = thermal_populations(spec.gaps, (t,) * spec.n_qubits)
+                h = hamiltonian_diagonal(spec.gaps)
+            for k in range(1, n):
+                r_target = _reachable_target(rho, k, float(rng.uniform()))
+                new = vertex_oracle_min(rho, h, k, r_target)
+                assert new == _one_table_vertex_oracle_min(rho, h, k, r_target)
+
+    def test_dimension_eight_never_holds_all_vertices(self):
+        # All 8! vertices as floats are 2.6 MB, and their intp index table
+        # as much again; one slab of 7! is an eighth of either.
+        _, rho, h = _two_qubit_inputs()
+        r_target = _reachable_target(rho, 4, 0.5)
+        _slab_indices.cache_clear()
+        tracemalloc.start()
+        try:
+            vertex_oracle_min(rho, h, 4, r_target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5e6
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_permutation_table_is_itertools_order_and_read_only(n):
-    table = _permutation_indices(n)
+    # The slab table is the first (n-1)! rows of the lexicographic enumeration.
+    table = _slab_indices(n)
     assert table.dtype == np.intp and not table.flags.writeable
-    assert table.tolist() == [list(p) for p in itertools.permutations(range(n))]
+    first_slab = itertools.islice(itertools.permutations(range(n)), math.factorial(n - 1))
+    assert table.tolist() == [list(p) for p in first_slab]
 
 
 def test_every_public_name_resolves_from_the_package():

@@ -1,15 +1,17 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
 
-from qfridge import majorization, oracle, protocols
+from qfridge import ladder, majorization, oracle, protocols
 from qfridge.cli import main
 from qfridge.thermal import DomainError
 from qfridge.verify import (
     check_formula_dense_equivalence,
+    check_ladder_gap_rate,
     check_pareto_sweep,
     check_thermalization_gradients,
     check_vertex_oracle,
@@ -199,3 +201,58 @@ class TestFormulaDenseReport:
         machine = 1 if route == "dense" else 0
         assert f"coherent single cycle on machine {machine}, " in result.detail
         assert ", mu=" in result.detail
+
+
+class TestLadderGapRateReport:
+    def test_passing_report_is_unchanged(self):
+        result = check_ladder_gap_rate()
+        assert result.passed
+        assert result.residual == 0.0015834285828311145
+        assert result.tolerance == 0.1
+        assert result.detail == "gap ratios at N in {16, 32, 64}; embedded preheat offset 0.000e+00"
+
+    def test_broken_preheat_names_the_gate_and_the_ladder(self, monkeypatch):
+        twin = ladder.incoherent_twin
+
+        def broken(spec, coh):
+            return SimpleNamespace(w_total=twin(spec, coh).w_total + 1e-3)
+
+        monkeypatch.setattr(ladder, "incoherent_twin", broken)
+        result = check_ladder_gap_rate()
+        assert not result.passed
+        assert result.detail == (
+            "gap ratios at N in {16, 32, 64}; embedded preheat offset 1.000e-03; "
+            "preheat offset failed: not below 1e-9 at "
+            "N=8, T_C=0.5, T_R=1.0, T_H=10.0, offset=4500.0"
+        )
+
+    def test_broken_ratio_names_the_gate_and_the_ladder(self, monkeypatch):
+        # A gap that stops shrinking with N: every ratio is 2.
+        coherent = ladder.coherent_ladder
+        monkeypatch.setattr(
+            ladder,
+            "coherent_ladder",
+            lambda spec: SimpleNamespace(gap=coherent(spec).gap * spec.n_steps**2),
+        )
+        result = check_ladder_gap_rate()
+        assert not result.passed
+        assert result.residual == pytest.approx(2.0, rel=1e-2)
+        assert result.detail.startswith("ratio window failed: gap(2N)/gap(N) = ")
+        assert result.detail.endswith(
+            " outside [0.4, 0.6] at N=16, T_C=0.5, T_R=1.0, T_H=None, offset=None"
+        )
+
+
+def test_verification_at_the_bench_size_holds_no_batch_tables():
+    # The bench's `verify --samples 100000 --machines 200 --instances 200`.
+    # All 8! vertices alone are 2.6 MB.  The small run first loads what the
+    # first call imports and caches.
+    run_verification(seed=1, samples=10, machines=2, instances=2)
+    tracemalloc.start()
+    try:
+        report = run_verification(seed=7, samples=100_000, machines=200, instances=200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak <= 2e6
