@@ -11,8 +11,11 @@ thermalization-gradient finite-difference check.
 
 from __future__ import annotations
 
+import collections
 import copy
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -32,17 +35,25 @@ UNITARITY_ATOL = 1e-10
 TRACE_ATOL = 1e-12
 ENERGY_ATOL = 1e-10
 
-# Unitaries per haar_unitary_chunks call in haar_pareto_sweep.  A batch
-# draws all its real parts before its imaginary parts, so this size fixes
-# which unitaries a seed draws.  It costs no memory: the sweep scores each
-# chunk as it is drawn and never holds a batch of anything.
+# Samples per _gaussian_chunks call in haar_pareto_sweep.  A batch draws
+# all its real parts before its imaginary parts, so this size fixes which
+# unitaries a seed draws.  It costs no memory: the sweep scores each chunk
+# as it is drawn and never holds a batch of anything.
 HAAR_BATCH = 10_000
-# Matrices drawn, factored, scored and dropped at a time: all the sweep
-# holds.  It bounds memory only, since LAPACK factors each matrix on its own
-# and the chunked draws continue one stream.  QR costs the same per matrix
+# Matrices drawn, factored, scored and dropped at a time; the sweep holds at
+# most one chunk per worker thread and the one the main thread is drawing.
+# It bounds memory only, since LAPACK factors each matrix on its own and the
+# chunked draws continue one stream in order.  QR costs the same per matrix
 # from 64 to 512 matrices a call and more at 1024, so 128 keeps the chunk
 # small at no cost in speed.
 _QR_CHUNK = 128
+# Most threads that factor and score the sweep's chunks.  Each worker holds
+# one more chunk in flight (its Gaussians, Q, R and weights, ~0.4 MB traced
+# at dim 8) plus its thread's stack and LAPACK workspace, all counted in peak
+# RSS.  The draws stay on the main thread and take a quarter to a third of
+# the sweep's time, so past three or four workers the draws set the pace
+# and a further worker adds memory but no speed.
+_MAX_SWEEP_WORKERS = 4
 
 
 def _dagger(mat: np.ndarray) -> np.ndarray:
@@ -508,27 +519,13 @@ class DominanceReport:
         return not self.dominating
 
 
-def haar_unitary_chunks(
-    dim: int, count: int, rng: np.random.Generator
-) -> Iterator[np.ndarray]:
-    """Haar-distributed unitaries via QR with phase-fixed diagonal, by chunks.
-
-    Yields ``count`` unitaries as stacks of at most ``_QR_CHUNK``, the same
-    unitaries as drawing all ``count`` Gaussian matrices first (real parts,
-    then imaginary parts), so the batch size alone fixes which unitaries
-    ``rng`` yields.  A copy of ``rng`` taken at the batch start supplies each
-    chunk's real parts; ``rng`` draws the batch's real parts a second time,
-    a chunk at a time, discards them and supplies the imaginary parts, so
-    once the chunks are consumed it is where the whole-batch draw leaves it.
-    Consume them before drawing from ``rng`` again.  Bad sizes raise here, at
-    the call.
-    """
-    if dim < 1 or count < 0:
-        raise DomainError(f"need dim >= 1 and count >= 0, got dim={dim}, count={count}")
-    return _haar_chunks(dim, count, rng)
-
-
-def _haar_chunks(dim: int, count: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
+def _gaussian_chunks(dim: int, count: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
+    # The complex Gaussian matrices of a batch of ``count``, _QR_CHUNK at a
+    # time: the same numbers as drawing all real parts, then all imaginary
+    # parts, at once.  A copy of ``rng`` taken at the batch start supplies
+    # each chunk's real parts; ``rng`` draws the batch's real parts a second
+    # time, discards them and supplies the imaginary parts, so once the
+    # chunks are consumed it is where the whole-batch draw leaves it.
     real_rng = copy.deepcopy(rng)
     shapes = [(min(_QR_CHUNK, count - lo), dim, dim) for lo in range(0, count, _QR_CHUNK)]
     for shape in shapes:
@@ -538,10 +535,16 @@ def _haar_chunks(dim: int, count: int, rng: np.random.Generator) -> Iterator[np.
         z.real = real_rng.standard_normal(shape)
         z.imag = rng.standard_normal(shape)
         z /= math.sqrt(2.0)
-        q, r = np.linalg.qr(z)
-        d = np.diagonal(r, axis1=1, axis2=2)
-        q *= (d / np.abs(d))[:, None, :]
-        yield q
+        yield z
+
+
+def _haar_from_gaussians(z: np.ndarray) -> np.ndarray:
+    # Haar-distributed unitaries: QR of each Gaussian matrix, with the
+    # phases of R's diagonal moved into Q.
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=1, axis2=2)
+    q *= (d / np.abs(d))[:, None, :]
+    return q
 
 
 def _curve_arrays(curve: Sequence[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
@@ -594,13 +597,16 @@ def haar_pareto_sweep(
     a higher population at strictly lower cost than the curve, beyond
     ``slack`` (see :func:`dominates_curve`).  The expected report is empty.
 
-    Each chunk of unitaries is scored as it is drawn, so the sweep holds one
-    chunk of unitaries and its final populations, whatever the sample count.
+    The main thread draws the Gaussian matrices in stream order, a chunk at
+    a time, and a pool of threads (one per usable CPU, at most
+    ``_MAX_SWEEP_WORKERS``) factors and scores them.  Results are collected
+    in submission order, so the report does not depend on the thread count,
+    and the sweep holds at most one chunk per worker plus the one being
+    drawn, whatever the sample count.
     """
     if samples < 0:
         raise DomainError("sample count must be >= 0")
     curve_f, curve_r = _curve_arrays(analytic_curve)
-    r_max = float(curve_r[-1])
 
     pops = thermal_populations(spec.gaps, (spec.t_room,) * spec.n_qubits)
     h = hamiltonian_diagonal(spec.gaps)
@@ -608,33 +614,69 @@ def haar_pareto_sweep(
     base_energy = float(pops @ h)
 
     rng = np.random.default_rng(seed)
-    dominating: list[DominatingPoint] = []
-    done = 0
-    while done < samples:
-        for units in haar_unitary_chunks(dim, min(HAAR_BATCH, samples - done), rng):
-            weights = np.abs(units)
-            weights **= 2
-            final_pops = weights @ pops
-            r_s = final_pops[:, : dim // 2].sum(axis=1)
-            f_s = final_pops @ h - base_energy
-            bad, needed = _dominance(r_s, f_s, curve_f, curve_r, slack)
-            for local_idx in np.nonzero(bad)[0]:
-                excess = max(
-                    float(needed[local_idx] - f_s[local_idx]),
-                    float(r_s[local_idx] - r_max),
-                )
-                dominating.append(
-                    DominatingPoint(
-                        index=done + int(local_idx),
-                        r=float(r_s[local_idx]),
-                        delta_f=float(f_s[local_idx]),
-                        excess=excess,
+    workers = min(_MAX_SWEEP_WORKERS, _usable_cpus())
+    points: list[tuple[int, float, float, float]] = []
+    pending: collections.deque = collections.deque()  # futures, oldest first
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        done = 0
+        while done < samples:
+            for z in _gaussian_chunks(dim, min(HAAR_BATCH, samples - done), rng):
+                pending.append(
+                    pool.submit(
+                        _score_haar_chunk, done, z, pops, h, base_energy, curve_f, curve_r, slack
                     )
                 )
-            done += len(units)
+                done += len(z)
+                if len(pending) > workers:
+                    points += pending.popleft().result()
+        for future in pending:
+            points += future.result()
     return DominanceReport(
-        samples=samples, seed=seed, slack=slack, dominating=tuple(dominating)
+        samples=samples,
+        seed=seed,
+        slack=slack,
+        dominating=tuple(DominatingPoint(*point) for point in points),
     )
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on macOS and Windows
+        return os.cpu_count() or 1
+
+
+def _score_haar_chunk(
+    start: int,
+    z: np.ndarray,
+    pops: np.ndarray,
+    h: np.ndarray,
+    base_energy: float,
+    curve_f: np.ndarray,
+    curve_r: np.ndarray,
+    slack: float,
+) -> list[tuple[int, float, float, float]]:
+    # A worker thread's job: the (index, r, delta_f, excess) of each sample
+    # of the chunk that beats the curve, the chunk's first sample being
+    # ``start``.  It reads only numpy and private helpers, never a public
+    # name that a tracer wrapping the package's functions would time,
+    # because such a tracer keeps one call stack for the whole process.
+    units = _haar_from_gaussians(z)
+    weights = np.abs(units)
+    weights **= 2
+    final_pops = weights @ pops
+    r_s = final_pops[:, : pops.size // 2].sum(axis=1)
+    f_s = final_pops @ h - base_energy
+    bad, needed = _dominance(r_s, f_s, curve_f, curve_r, slack)
+    return [
+        (
+            start + int(i),
+            float(r_s[i]),
+            float(f_s[i]),
+            max(float(needed[i] - f_s[i]), float(r_s[i] - curve_r[-1])),
+        )
+        for i in np.nonzero(bad)[0]
+    ]
 
 
 # ---------------------------------------------------------------------------

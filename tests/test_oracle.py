@@ -1,5 +1,7 @@
 import ast
+import builtins
 import math
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -17,7 +19,6 @@ from qfridge.oracle import (
     degenerate_subspace_sweep,
     dominates_curve,
     haar_pareto_sweep,
-    haar_unitary_chunks,
     partial_swap_unitary,
     replace_qubit_marginal,
     rethermalize,
@@ -177,8 +178,19 @@ def _whole_batch_sweep(spec, samples, curve, seed, slack=1e-9):
     return points
 
 
+def _wrong_frontier_sweep():
+    # A deliberately wrong frontier (r lowered by 0.25, cost x3 + 0.5) that
+    # samples beat thousands of times, on both sides of a batch boundary.
+    spec = MachineSpec.two_qubit(0.4, 1.0)
+    curve = [
+        (3.0 * f + 0.5, r - 0.25) for f, r in coherent_single_cycle_curve(spec, grid=101)
+    ]
+    return spec, oracle.HAAR_BATCH + 1000, curve
+
+
 def _haar_unitaries(dim, count, rng):
-    return np.concatenate(list(haar_unitary_chunks(dim, count, rng)))
+    chunks = oracle._gaussian_chunks(dim, count, rng)
+    return np.concatenate([oracle._haar_from_gaussians(z) for z in chunks])
 
 
 def _traced_peak(sweep):
@@ -200,9 +212,9 @@ class TestHaarSweep:
     def test_chunks_cover_the_batch(self):
         rng = np.random.default_rng(7)
         count = 2 * oracle._QR_CHUNK + 3
-        sizes = [len(units) for units in haar_unitary_chunks(2, count, rng)]
+        sizes = [len(z) for z in oracle._gaussian_chunks(2, count, rng)]
         assert sizes == [oracle._QR_CHUNK, oracle._QR_CHUNK, 3]
-        assert list(haar_unitary_chunks(2, 0, rng)) == []
+        assert list(oracle._gaussian_chunks(2, 0, rng)) == []
 
     @pytest.mark.parametrize(
         "dim, count", [(8, 1), (8, 300), (4, 50), (2, 9), (8, 1100)]
@@ -221,20 +233,8 @@ class TestHaarSweep:
                     _whole_batch_haar(dim, count, rng_old),
                 )
 
-    @pytest.mark.parametrize("dim, count", [(0, 3), (-1, 3), (8, -1)])
-    def test_bad_sizes_rejected(self, dim, count):
-        with pytest.raises(DomainError):
-            haar_unitary_chunks(dim, count, np.random.default_rng(0))
-
     def test_sweep_across_a_batch_boundary_matches_whole_batch_factoring(self):
-        # A deliberately wrong frontier (r lowered by 0.25, cost x3 + 0.5)
-        # is beaten thousands of times, in both batches.
-        spec = MachineSpec.two_qubit(0.4, 1.0)
-        curve = [
-            (3.0 * f + 0.5, r - 0.25)
-            for f, r in coherent_single_cycle_curve(spec, grid=101)
-        ]
-        samples = oracle.HAAR_BATCH + 1000
+        spec, samples, curve = _wrong_frontier_sweep()
         report = haar_pareto_sweep(spec, samples, curve, seed=DEFAULT_SEED)
         expected = _whole_batch_sweep(spec, samples, curve, DEFAULT_SEED)
         got = [(p.index, p.r, p.delta_f, p.excess) for p in report.dominating]
@@ -242,10 +242,30 @@ class TestHaarSweep:
         assert len(got) > 1000
         assert got[0][0] < oracle.HAAR_BATCH <= got[-1][0]
 
-    def test_sweep_holds_one_chunk_of_unitaries(self, monkeypatch):
+    def test_thread_count_cannot_change_the_report(self, monkeypatch):
+        # Up to four workers whatever the CPU count, and thread switches far
+        # more often than by default, so chunks finish out of order.
+        spec, samples, curve = _wrong_frontier_sweep()
+        expected = _whole_batch_sweep(spec, samples, curve, DEFAULT_SEED)
+        monkeypatch.setattr(oracle, "_usable_cpus", lambda: 8)
+        interval = sys.getswitchinterval()
+        reports = []
+        try:
+            sys.setswitchinterval(1e-5)
+            for cap in (1, 2, 4):
+                monkeypatch.setattr(oracle, "_MAX_SWEEP_WORKERS", cap)
+                reports.append(haar_pareto_sweep(spec, samples, curve, seed=DEFAULT_SEED))
+        finally:
+            sys.setswitchinterval(interval)
+        assert reports[0] == reports[1] == reports[2]
+        got = [(p.index, p.r, p.delta_f, p.excess) for p in reports[0].dominating]
+        assert got == expected
+
+    def test_sweep_holds_workers_plus_one_chunks(self, monkeypatch):
         # Complex 8x8 unitaries are 1 KiB each.  Three batches stay under
-        # half a batch of them: the sweep holds one chunk at a time.  The
-        # small sweep first loads what the first call imports and caches.
+        # half a batch of them: the sweep holds a chunk per worker and the
+        # one being drawn.  The small sweep first loads what the first call
+        # imports and caches.
         spec = MachineSpec.two_qubit(0.4, 1.0)
         curve = coherent_single_cycle_curve(spec, grid=101)
         haar_pareto_sweep(spec, 10, curve)
@@ -253,16 +273,32 @@ class TestHaarSweep:
         peak = _traced_peak(lambda: haar_pareto_sweep(spec, 2 * batch + 1, curve))
         assert peak <= batch * 64 * 16 // 2
         # Each chunk is scored as it is drawn, so a 4x batch adds no
-        # (batch, 8) population table, not even an eighth of one.
+        # (batch, 8) population table, not even an eighth of one.  One
+        # worker, so that thread timing cannot change how many chunks are
+        # in flight at the peak.
+        monkeypatch.setattr(oracle, "_MAX_SWEEP_WORKERS", 1)
+        peak_1 = _traced_peak(lambda: haar_pareto_sweep(spec, 2 * batch + 1, curve))
         monkeypatch.setattr(oracle, "HAAR_BATCH", 4 * batch)
         peak_4x = _traced_peak(lambda: haar_pareto_sweep(spec, 8 * batch + 1, curve))
-        assert peak_4x - peak <= batch * 8
+        assert peak_4x - peak_1 <= batch * 8
 
     def test_zero_samples_gives_empty_report(self):
         spec = MachineSpec.two_qubit(0.4, 1.0)
         curve = coherent_single_cycle_curve(spec, grid=21)
         report = haar_pareto_sweep(spec, 0, curve)
         assert report.passed and report.samples == 0
+
+    @pytest.mark.parametrize(
+        "samples, curve, match",
+        [(-1, None, ">= 0"), (10, [(0.0, 0.5)], "two")],
+        ids=["negative-samples", "one-point-curve"],
+    )
+    def test_bad_sweep_inputs_rejected(self, samples, curve, match):
+        spec = MachineSpec.two_qubit(0.4, 1.0)
+        if curve is None:
+            curve = coherent_single_cycle_curve(spec, grid=21)
+        with pytest.raises(DomainError, match=match):
+            haar_pareto_sweep(spec, samples, curve)
 
     def test_seed_reproducibility(self):
         spec = MachineSpec.two_qubit(0.4, 1.0)
@@ -467,6 +503,38 @@ class TestBuildingBlocksMatchTheReference:
     def test_overlapping_pairs_fail_the_unitarity_check(self, weight):
         with pytest.raises(DomainError, match="not unitary"):
             partial_swap_unitary(4, (1, 2), (2, 3), weight)
+
+
+def test_haar_sweep_worker_reads_no_public_name():
+    # A tracer that wraps the package's public functions keeps one call
+    # stack for the whole process, so a public call from a worker thread
+    # would interleave with the main thread's calls on it.  The worker and
+    # the private helpers it reaches read only numpy, builtins and other
+    # private names.
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    seen, todo = set(), ["_score_haar_chunk"]
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        fn = functions[name]
+        local = {arg.arg for arg in ast.walk(fn.args) if isinstance(arg, ast.arg)}
+        local |= {
+            node.id
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+        }
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Name) or not isinstance(node.ctx, ast.Load):
+                continue
+            if node.id in local or hasattr(builtins, node.id):
+                continue
+            assert node.id == "np" or node.id.startswith("_"), (name, node.id)
+            if node.id in functions:
+                todo.append(node.id)
+    assert {"_haar_from_gaussians", "_dominance"} <= seen
 
 
 def test_oracle_never_imports_the_closed_forms():
