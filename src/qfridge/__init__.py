@@ -13,6 +13,7 @@ from .protocols import (
     ProtocolOutcome,
     algorithmic_cooling,
     autonomous_steady_state,
+    boxed_limits,
     degeneracy_classifier,
     internal_resource,
     one_qubit_coherent,
@@ -89,6 +90,7 @@ __all__ = [
     "autonomous_steady_state",
     "binary_entropy",
     "boltzmann_population",
+    "boxed_limits",
     "coherent_ladder",
     "degeneracy_classifier",
     "embedded_ladder_preheat",

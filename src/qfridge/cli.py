@@ -32,9 +32,8 @@ from .ladder import LadderSpec, coherent_ladder, incoherent_ladder, incoherent_t
 from .protocols import (  # both inversions are re-exported from here
     coherent_temperature_of_work,
     incoherent_temperature_of_work,
-    single_cycle_coherent_cost,
 )
-from .thermal import DomainError, INFINITE, InfeasibleTargetError, MachineSpec, boltzmann_population
+from .thermal import DomainError, INFINITE, InfeasibleTargetError, MachineSpec
 
 CSV_HEADER = "control,delta_f,temperature,r"
 
@@ -202,7 +201,7 @@ def crossing_report(spec: MachineSpec, tolerance: float) -> CrossingReport:
     """
     if not tolerance > 0.0:
         raise DomainError(f"tolerance must be > 0, got {tolerance}")
-    f_max = single_cycle_coherent_cost(spec)
+    f_max = protocols.single_cycle_coherent_cost(spec)
     if f_max <= 0.0:
         return CrossingReport(None, None, None, 0)
     sign = protocols.frontier_gap_sign(spec)
@@ -238,65 +237,6 @@ def crossing_report(spec: MachineSpec, tolerance: float) -> CrossingReport:
     t_inc = protocols.incoherent_temperature_of_work(spec, zeros[0])
     t_crit = 0.5 * (t_inc + protocols.coherent_temperature_of_work(spec, zeros[0]))
     return CrossingReport(zeros[0], t_crit, zeros[-1], 1 + len(zeros))
-
-
-# ---------------------------------------------------------------------------
-# Summary.
-# ---------------------------------------------------------------------------
-
-
-def summary_quantities(spec: MachineSpec) -> dict:
-    """Every boxed limit quantity for the one- and two-qubit machines.
-
-    The two-qubit entries come from the protocol evaluators: the incoherent
-    ones at an infinite hot bath, the repeated ones at n = inf.
-    """
-    e, e_b, e_c, t = spec.e, spec.e_b, spec.e_c, spec.t_room
-    if e == 0.0:
-        # No temperature reads off a gapless target, and E = E_C = 0 leaves
-        # T_R E/E_B as 0/0.
-        raise DomainError(f"summary needs a target gap > 0, got {e}")
-    r = boltzmann_population(e, t)
-    r_b = boltzmann_population(e_b, t)
-    r_c = boltzmann_population(e_c, t)
-    t_coh_star = t * e / e_b
-    hot = replace(spec, t_hot=INFINITE)
-    inc = protocols.two_qubit_incoherent_single(hot)
-    auto = protocols.autonomous_steady_state(hot)
-    coh_inf = protocols.repeated_coherent(spec, INFINITE)
-    algo_inf = protocols.algorithmic_cooling(spec, INFINITE)
-    # The optimal_sequence cost at t_algo_inf (algo_inf.work_cost overcharges):
-    # the repeated-coherent asymptote, then the full-precooling tail.
-    df_algo_inf = coh_inf.work_cost + e * (r_b - r_c) + (2.0 * e_c + e) * (
-        algo_inf.r_final - coh_inf.r_final
-    )
-    return {
-        "machine": {"e": e, "e_b": e_b, "e_c": e_c, "t_room": t, "t_hot": spec.t_hot},
-        "one_qubit": {
-            "t_coh_star": t_coh_star,
-            "r_coh_star": r_b,
-            "delta_f_coh_star": (r_b - r) * (e_b - e),
-        },
-        "two_qubit": {
-            "t_inc_star": inc.t_final,
-            "r_inc_star": inc.r_final,
-            "delta_f_inc_star": inc.work_cost,
-            "t_auto_star": auto.t_final,
-            "r_auto_star": auto.r_final,
-            "delta_f_auto_star": auto.work_cost,
-            "t_coh_star": t_coh_star,
-            "r_coh_star": r_b,
-            "delta_f_coh_star": single_cycle_coherent_cost(spec),
-            "delta_f_coh_star_ab_swap": protocols.swap_route_cost(spec, False),
-            "delta_f_coh_star_two_swap": protocols.swap_route_cost(spec, True),
-            "t_coh_inf": coh_inf.t_final,
-            "r_coh_inf": coh_inf.r_final,
-            "delta_f_coh_inf": coh_inf.work_cost,
-            "t_algo_inf": algo_inf.t_final,
-            "r_algo_inf": algo_inf.r_final,
-            "delta_f_algo_inf": df_algo_inf,
-        },
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +490,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "crossing":
             payload = asdict(crossing_report(_machine_from(args, config), args.tolerance))
         elif args.command == "summary":
-            payload = summary_quantities(_machine_from(args, config))
+            payload = protocols.boxed_limits(_machine_from(args, config))
         elif args.command == "verify":
             from . import verify
 

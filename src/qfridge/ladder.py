@@ -134,8 +134,11 @@ def coherent_ladder(spec: LadderSpec) -> LadderOutcome:
 
 
 def _incoherent_max_gap(spec: LadderSpec, t_hot: float) -> float:
-    e_max = spec.target_gap * (1.0 / spec.t_cold - 1.0 / t_hot) / (1.0 / spec.t_room - 1.0 / t_hot)
-    if e_max == math.inf:
+    # E (1/T_C - 1/T_H)/(1/T_R - 1/T_H), written as E plus a term >= 0 so that
+    # the spacing e_max - E is never negative and is exactly 0 at T_C = T_R.
+    e = spec.target_gap
+    e_max = e + e * (1.0 / spec.t_cold - 1.0 / spec.t_room) / (1.0 / spec.t_room - 1.0 / t_hot)
+    if not e_max < math.inf:  # also NaN, once 1/T_C and 1/T_R both overflow
         raise DomainError(f"the incoherent ladder's largest stage gap overflows at t_hot = {t_hot}")
     return e_max
 

@@ -6,10 +6,10 @@ heat drawn (incoherent scenarios only), and the per-step trajectory.  The
 evaluators are purely closed-form; the dense density-matrix route lives in
 :mod:`qfridge.oracle` so that formula/oracle independence is architectural.
 
-Every two-qubit evaluator starts from one validated record of its machine:
-it checks the resonance e_b = e + e_c, then a target gap e > 0, then the hot
-bath where the protocol needs one, each with an error naming the input at
-fault; its room ground populations r, r_B and r_C are computed on first read.
+Every two-qubit evaluator starts from _resonant(spec), the one builder of a
+machine record: it checks the resonance e_b = e + e_c, a target gap e > 0
+and the hot bath where one is read, each error naming its input.  One that
+another reuses is f(spec) = _f(_resonant(spec)); internal calls take _f.
 
 Infinite repetition counts and infinite hot-bath temperatures are exact limit
 branches, never large-number approximations.
@@ -18,7 +18,7 @@ branches, never large-number approximations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, NamedTuple
 
@@ -116,10 +116,13 @@ def _final_temperature(spec: MachineSpec, r_final: float) -> float:
 
 def point_temperature(spec: MachineSpec, point: TrajectoryPoint) -> float:
     """Temperature of a two-qubit trajectory point, machine checked; step 0 at r is t_room."""
-    m = _resonant(spec)
+    return _point_temperature(_resonant(spec), point)
+
+
+def _point_temperature(m: _Machine, point: TrajectoryPoint) -> float:
     if point.step == 0 and point.r == m.r:
-        return spec.t_room
-    return _final_temperature(spec, point.r)
+        return m.spec.t_room
+    return _final_temperature(m.spec, point.r)
 
 
 def _single_cycle(
@@ -153,11 +156,14 @@ def _degenerate_swap_population(r: float, r_b: float, c_pop: float) -> float:
 
 def two_qubit_incoherent_single(spec: MachineSpec) -> ProtocolOutcome:
     """Heat qubit C, swap the degenerate pair |010>, |101> once."""
-    m = _resonant(spec, hot_bath=True)
+    return _incoherent_single(_resonant(spec, hot_bath=True))
+
+
+def _incoherent_single(m: _Machine) -> ProtocolOutcome:
     r_final = _degenerate_swap_population(m.r, m.r_b, m.r_ch)
-    heat = spec.e_c * (m.r_c - m.r_ch)
-    work = resource_free_energy(heat, spec.t_hot, spec.t_room)
-    return _single_cycle(spec, m.r, r_final, work, heat)
+    heat = m.spec.e_c * (m.r_c - m.r_ch)
+    work = resource_free_energy(heat, m.spec.t_hot, m.spec.t_room)
+    return _single_cycle(m.spec, m.r, r_final, work, heat)
 
 
 def _origin_temperature(t_room: float, delta_f: float) -> float:
@@ -257,17 +263,15 @@ def _phase_work(r: float, phases: list[tuple[float, float]], r_target: float) ->
     return work
 
 
-def swap_route_cost(spec: MachineSpec, via_c: bool) -> float:
-    """Work of swapping the target up to r_B, through C first when ``via_c``."""
-    m = _resonant(spec)
-    phases = _swap_phases(m, via_c)
-    return _phase_work(m.r, phases, phases[-1][0])
-
-
 def single_cycle_coherent_cost(spec: MachineSpec) -> float:
     """Optimal work of maximal single-cycle coherent cooling (r_target = r_B)."""
-    _resonant(spec)
-    return swap_route_cost(spec, spec.e_c > spec.e)
+    return _swap_cost(_resonant(spec))
+
+
+def _swap_cost(m: _Machine, via_c: bool | None = None) -> float:
+    # Work of swapping the target up to r_B, through C first when via_c (None: optimal).
+    phases = _swap_phases(m, via_c)
+    return _phase_work(m.r, phases, phases[-1][0])
 
 
 def coherent_single_population(spec: MachineSpec, mu: float) -> float:
@@ -396,7 +400,7 @@ def _virtual_qubit(m: _Machine, c_pop: float, coherent: bool) -> virtual.Virtual
 
 
 def _reset_and_swap(
-    spec: MachineSpec,
+    m: _Machine,
     n: float,
     start: tuple[float, float],
     virtual_qubit: Callable[[], virtual.VirtualQubit],
@@ -428,7 +432,7 @@ def _reset_and_swap(
             TrajectoryPoint(k, rs[k], cost(rs[k], rs[k - 1])) for k in range(1, len(rs))
         )
         r_prev = rs[-2] if n else r0
-        t_final = point_temperature(spec, trajectory[-1])
+        t_final = _point_temperature(m, trajectory[-1])
     last = trajectory[-1]
     heat_drawn = None if heat is None else heat(r_prev)
     return ProtocolOutcome(last.r, t_final, last.delta_f, heat_drawn, trajectory)
@@ -450,7 +454,7 @@ def repeated_incoherent(spec: MachineSpec, n: float) -> ProtocolOutcome:
         return preheat + spec.e_c * (r_prev - m.r)
 
     return _reset_and_swap(
-        spec,
+        m,
         n,
         (m.r, resource_free_energy(preheat, spec.t_hot, spec.t_room)),
         lambda: _virtual_qubit(m, m.r_ch, False),
@@ -476,10 +480,6 @@ def _swap_limit(m: _Machine, pair_gap: float) -> tuple[float, float]:
     return boltzmann_population(m.spec.e, t), t
 
 
-def _coherent_limit(m: _Machine) -> tuple[float, float]:
-    return _swap_limit(m, m.spec.e_b + m.spec.e_c)
-
-
 def _algorithmic_limit(m: _Machine) -> tuple[float, float]:
     return _swap_limit(m, 2.0 * m.spec.e_b)
 
@@ -491,10 +491,13 @@ def autonomous_steady_state(spec: MachineSpec) -> ProtocolOutcome:
     incoherent operations; only the steady-state formulas are implemented,
     not the open-system dynamics reaching them.
     """
-    m = _resonant(spec, hot_bath=True)
-    r_auto, t_auto = _incoherent_limit(spec)
-    heat = spec.e_c * (m.r_c - m.r_ch + r_auto - m.r)
-    work = resource_free_energy(heat, spec.t_hot, spec.t_room)
+    return _autonomous(_resonant(spec, hot_bath=True))
+
+
+def _autonomous(m: _Machine) -> ProtocolOutcome:
+    r_auto, t_auto = _incoherent_limit(m.spec)
+    heat = m.spec.e_c * (m.r_c - m.r_ch + r_auto - m.r)
+    work = resource_free_energy(heat, m.spec.t_hot, m.spec.t_room)
     return ProtocolOutcome(
         r_final=r_auto,
         t_final=t_auto,
@@ -512,22 +515,28 @@ def repeated_coherent(spec: MachineSpec, n: float) -> ProtocolOutcome:
     lower cost); each later cycle swaps |100> with |011> after the machine is
     rethermalized, moving population at gradient e_b + e_c - e = 2 e_c.
     """
-    m = _resonant(spec)
+    return _repeated_coherent(_resonant(spec), n)
+
+
+def _repeated_coherent(m: _Machine, n: float) -> ProtocolOutcome:
     _require_repetition_count(n)
-    first_cost = single_cycle_coherent_cost(spec)
+    first_cost = _swap_cost(m)
     return _reset_and_swap(
-        spec,
+        m,
         n,
         (m.r, 0.0),
         lambda: _virtual_qubit(m, m.r_c, True),
-        lambda: _coherent_limit(m),
-        lambda r_k, _: first_cost + 2.0 * spec.e_c * (r_k - m.r_b),
+        lambda: _swap_limit(m, m.spec.e_b + m.spec.e_c),
+        lambda r_k, _: first_cost + 2.0 * m.spec.e_c * (r_k - m.r_b),
     )
 
 
 def precooled_population(spec: MachineSpec, nu: float) -> float:
     """Qubit C ground population after a nu-partial precooling swap with B."""
-    m = _resonant(spec)
+    return _precooled(_resonant(spec), nu)
+
+
+def _precooled(m: _Machine, nu: float) -> float:
     if not 0.0 <= nu <= 1.0:
         raise DomainError(f"nu must lie in [0, 1], got {nu}")
     return m.r_c + nu * (m.r_b - m.r_c)
@@ -564,12 +573,16 @@ def algorithmic_cooling(
     per cycle: 2 e_c per unit of population cooled plus e per unit of
     precooling restored.
     """
-    m = _resonant(spec)
+    return _algorithmic_cooling(_resonant(spec), n, nu, r0)
+
+
+def _algorithmic_cooling(m: _Machine, n: float, nu: float, r0: float | None) -> ProtocolOutcome:
+    spec = m.spec
     _require_repetition_count(n)
     r0 = m.r if r0 is None else r0
     if not m.r - 1e-12 <= r0 <= 1.0:
         raise DomainError(f"starting population {r0} must lie in [{m.r}, 1]")
-    c_pop = precooled_population(spec, nu)
+    c_pop = _precooled(m, nu)
     precool_cost = spec.e * (c_pop - m.r_c)
 
     def virtual_qubit() -> virtual.VirtualQubit:
@@ -582,7 +595,7 @@ def algorithmic_cooling(
         return r_v, _final_temperature(spec, r_v)
 
     return _reset_and_swap(
-        spec,
+        m,
         n,
         (r0, 0.0),
         virtual_qubit,
@@ -612,7 +625,7 @@ def optimal_sequence(spec: MachineSpec, t_target: float) -> ProtocolOutcome:
     if r_t <= m.r:
         return ProtocolOutcome(m.r, spec.t_room, 0.0)
 
-    r_coh_inf, t_coh_inf = _coherent_limit(m)
+    r_coh_inf, t_coh_inf = _swap_limit(m, spec.e_b + spec.e_c)
     # (population endpoint, gradient): the single cycle, then {00,11} swaps.
     phases = _swap_phases(m) + [(r_coh_inf, 2.0 * spec.e_c)]
 
@@ -640,6 +653,53 @@ def optimal_sequence(spec: MachineSpec, t_target: float) -> ProtocolOutcome:
         trajectory=tuple(trajectory),
         flag=f"precool mixing nu={nu!r}",
     )
+
+
+def boxed_limits(spec: MachineSpec) -> dict:
+    """Every boxed limit quantity of the one- and two-qubit machines, as ``summary`` prints it.
+
+    One record of the machine with its hot bath at infinity gives them all,
+    the repeated ones at n = inf; ``machine`` echoes ``spec``, t_hot included.
+    """
+    m = _resonant(replace(spec, t_hot=INFINITE), hot_bath=True)
+    e, e_b, e_c, t = spec.e, spec.e_b, spec.e_c, spec.t_room
+    t_coh_star = t * e / e_b
+    inc = _incoherent_single(m)
+    auto = _autonomous(m)
+    coh_inf = _repeated_coherent(m, INFINITE)
+    algo_inf = _algorithmic_cooling(m, INFINITE, 1.0, None)
+    # The optimal_sequence cost at t_algo_inf (algo_inf.work_cost overcharges):
+    # the repeated-coherent asymptote, then the full-precooling tail.
+    df_algo_inf = coh_inf.work_cost + e * (m.r_b - m.r_c) + (2.0 * e_c + e) * (
+        algo_inf.r_final - coh_inf.r_final
+    )
+    return {
+        "machine": {"e": e, "e_b": e_b, "e_c": e_c, "t_room": t, "t_hot": spec.t_hot},
+        "one_qubit": {
+            "t_coh_star": t_coh_star,
+            "r_coh_star": m.r_b,
+            "delta_f_coh_star": (m.r_b - m.r) * (e_b - e),
+        },
+        "two_qubit": {
+            "t_inc_star": inc.t_final,
+            "r_inc_star": inc.r_final,
+            "delta_f_inc_star": inc.work_cost,
+            "t_auto_star": auto.t_final,
+            "r_auto_star": auto.r_final,
+            "delta_f_auto_star": auto.work_cost,
+            "t_coh_star": t_coh_star,
+            "r_coh_star": m.r_b,
+            "delta_f_coh_star": _swap_cost(m),
+            "delta_f_coh_star_ab_swap": _swap_cost(m, False),
+            "delta_f_coh_star_two_swap": _swap_cost(m, True),
+            "t_coh_inf": coh_inf.t_final,
+            "r_coh_inf": coh_inf.r_final,
+            "delta_f_coh_inf": coh_inf.work_cost,
+            "t_algo_inf": algo_inf.t_final,
+            "r_algo_inf": algo_inf.r_final,
+            "delta_f_algo_inf": df_algo_inf,
+        },
+    }
 
 
 def internal_resource(

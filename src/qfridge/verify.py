@@ -249,40 +249,54 @@ def check_vertex_oracle(
 
 
 def check_thermalization_gradients(seed: int, cases: int = 25) -> CheckResult:
-    """Finite-difference bias slopes: signs and agreement with the closed form."""
+    """Finite-difference bias slopes: signs and agreement with the closed form.
+
+    A failure names the machine and the slope at fault: a slope of the wrong
+    sign at once, else the worst relative error; a NaN slope fails with an
+    infinite residual.
+    """
     tol = 1e-6  # relative slope error
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(cases):
+    worst, worst_at = 0.0, ""
+    for index in range(cases):
         spec = _draw_machine(rng, allow_infinite=False)
         t_hot = spec.t_hot
         t_b = float(rng.uniform(spec.t_room, t_hot))
         t_c = float(rng.uniform(spec.t_room, t_hot))
         slope_b, slope_c = oracle.thermalization_gradient_check(spec, t_b, t_c)
-        if not (slope_b < 0.0 < slope_c):
-            wrong, label = (slope_b, "B") if not slope_b < 0.0 else (slope_c, "C")
+        machine = (
+            f"e_c={spec.e_c!r}, t_room={spec.t_room!r}, t_hot={t_hot!r}, t_b={t_b!r}, t_c={t_c!r}"
+        )
+        if slope_b >= 0.0 or slope_c <= 0.0:
+            wrong, label = (slope_b, "B") if slope_b >= 0.0 else (slope_c, "C")
             return CheckResult(
                 name="thermalization_gradients",
                 passed=False,
                 residual=wrong,
                 tolerance=tol,
-                detail=f"wrong sign of d/dT_{label} = {wrong!r} at e_c={spec.e_c!r}, "
-                f"t_room={spec.t_room!r}, t_hot={t_hot!r}, t_b={t_b!r}, t_c={t_c!r}",
+                detail=f"wrong sign of d/dT_{label} = {wrong!r} at {machine}",
             )
         r = boltzmann_population(spec.e, spec.t_room)
         r_b = boltzmann_population(spec.e_b, t_b)
         r_c = boltzmann_population(spec.e_c, t_c)
         ref_b = -spec.e_b * r_b * (1 - r_b) / t_b**2 * (r * r_c + (1 - r) * (1 - r_c))
         ref_c = spec.e_c * r_c * (1 - r_c) / t_c**2 * (r * (1 - r_b) + (1 - r) * r_b)
-        worst = max(
-            worst, abs(slope_b - ref_b) / abs(ref_b), abs(slope_c - ref_c) / abs(ref_c)
-        )
+        for label, slope, ref in (("B", slope_b, ref_b), ("C", slope_c, ref_c)):
+            error = abs(slope - ref) / abs(ref)
+            error = math.inf if math.isnan(error) else error
+            if error > worst:
+                worst = error
+                worst_at = (
+                    f"; worst: machine {index}, d/dT_{label} = {slope!r} against "
+                    f"{ref!r}, {machine}"
+                )
+    detail = f"{cases} machines, central differences vs closed-form slopes"
     return CheckResult(
         name="thermalization_gradients",
         passed=worst <= tol,
         residual=worst,
         tolerance=tol,
-        detail=f"{cases} machines, central differences vs closed-form slopes",
+        detail=detail if worst <= tol else detail + worst_at,
     )
 
 

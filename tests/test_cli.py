@@ -24,7 +24,6 @@ from qfridge.cli import (
     incoherent_temperature_of_work,
     load_config,
     main,
-    summary_quantities,
 )
 from qfridge.ladder import LadderSpec, coherent_ladder, incoherent_ladder
 from qfridge.oracle import DEFAULT_SEED
@@ -136,7 +135,7 @@ class TestCurveCommand:
 
     def test_curve_endpoints_match_summary(self, tmp_path):
         spec = MachineSpec.two_qubit(0.4, 1.0)
-        quantities = summary_quantities(spec)["two_qubit"]
+        quantities = protocols.boxed_limits(spec)["two_qubit"]
 
         coh = curve_points("coh-single", spec, 51)[-1]
         assert abs(coh.delta_f - quantities["delta_f_coh_star"]) <= 1e-12
@@ -564,7 +563,7 @@ class TestSummaryCommand:
         captured = capsys.readouterr()
         assert rc == 2
         assert captured.out == ""
-        assert captured.err == "error: summary needs a target gap > 0, got 0.0\n"
+        assert captured.err == "error: the two-qubit protocols need a target gap > 0, got 0.0\n"
 
     @seed(20261019)
     @settings(max_examples=150, deadline=None)
@@ -636,10 +635,25 @@ class TestSummaryCommand:
         # unsaturated machines: below r_coh_inf == 1.0 the sequence keeps its
         # full-precooling tail
         spec = MachineSpec.two_qubit(e_c, t_room)
-        two = summary_quantities(spec)["two_qubit"]
+        two = protocols.boxed_limits(spec)["two_qubit"]
         assert two["r_coh_inf"] < 1.0
         floor = protocols.optimal_sequence(spec, two["t_algo_inf"])
         assert floor.work_cost == pytest.approx(two["delta_f_algo_inf"], rel=1e-12)
+
+    @pytest.mark.parametrize("t_hot", [[], ["--t-h", "3"]], ids=["no-hot-bath", "hot-bath"])
+    def test_one_machine_record_per_call(self, t_hot, monkeypatch, capsys):
+        # 11 records when summary re-entered the public evaluators.
+        records = []
+        real = protocols._Machine
+
+        def counted(spec):
+            records.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(protocols, "_Machine", counted)
+        assert main(["summary", *STANDARD, *t_hot]) == 0
+        assert json.loads(capsys.readouterr().out)["two_qubit"]["t_coh_star"] > 0.0
+        assert len(records) == 1
 
     def test_missing_machine_gap_is_usage_error(self):
         result = _run(["summary"])
@@ -651,7 +665,7 @@ class TestSummaryCommand:
 
         spec = MachineSpec.two_qubit(1.0, 1.0)
         hot = MachineSpec.two_qubit(1.0, 1.0, INFINITE)
-        two = summary_quantities(spec)["two_qubit"]
+        two = protocols.boxed_limits(spec)["two_qubit"]
 
         r_inc, heat_inc, work_inc = oracle.simulate_incoherent_single(hot)
         assert two["r_inc_star"] == pytest.approx(r_inc, abs=1e-14)
@@ -680,7 +694,7 @@ class TestSummaryCommand:
     def test_optimal_sequence_floor_keeps_its_tail_once_populations_saturate(self):
         # r_coh_inf and the floor population both round to 1.0 here
         spec = MachineSpec.two_qubit(4.474630967944784, 0.20440071400440712)
-        two = summary_quantities(spec)["two_qubit"]
+        two = protocols.boxed_limits(spec)["two_qubit"]
         assert two["r_coh_inf"] == two["r_algo_inf"] == 1.0
         floor = protocols.optimal_sequence(spec, spec.t_room * spec.e / (2.0 * spec.e_b))
         assert floor.flag == "precool mixing nu=1.0"
@@ -966,6 +980,18 @@ class TestLadderCommand:
         if e_g is not None:
             argv += ["--e-g", repr(e_g)]
         _clean_exit_payload(argv)
+
+    @pytest.mark.parametrize("e_g", [[], ["--e-g", "0"]], ids=["real-qubits", "embedded"])
+    def test_cold_target_at_room_temperature_preheats_nothing(self, e_g, capsys):
+        # The largest stage gap rounded one ulp below E at T_C = T_R, and the
+        # negative spacing overflowed exp(-e_ci/T_R) with a traceback.
+        rc = main(
+            ["ladder", "--n", "13", "--t-c", "1e-300", "--t-r", "1e-300",
+             "--t-h", "8.399427804489325e+270", "--e", "3.800660451864983e-87", *e_g]
+        )
+        payload = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert payload["incoherent"]["q_init"] == 0.0
 
     def test_hot_bath_whose_reciprocal_rounds_to_the_room_one_is_usage_error(self):
         # 1/t_hot == 1/t_room although t_hot > t_room.

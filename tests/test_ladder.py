@@ -324,6 +324,34 @@ def test_every_ladder_spec_is_rejected_or_finite(n, target_gap, temps):
     assert all(math.isfinite(x) for x in out.per_step[-1])
 
 
+@seed(20261020)
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 64),
+    target_gap=st.one_of(
+        st.sampled_from([5e-324, 2.2250738585072014e-308, 1.0, 1e308]),
+        _powers_of_two(5e-324, 1e308),
+    ),
+    t_room=st.one_of(st.sampled_from([1e-300, 1.0, 1e300]), _powers_of_two(1e-300, 1e300)),
+    cold_share=st.one_of(st.just(1.0), _powers_of_two(1e-300, 1.0)),
+    hot_share=st.one_of(st.sampled_from([1.0, INFINITE]), _powers_of_two(1.0, 1e300)),
+    offset=st.one_of(st.sampled_from([None, 0.0]), _powers_of_two(5e-324, 1e308)),
+)
+def test_every_incoherent_ladder_spec_is_rejected_or_finite(
+    n, target_gap, t_room, cold_share, hot_share, offset
+):
+    # cold_share = 1 is T_C = T_R, where the largest stage gap rounded below E.
+    try:
+        spec = LadderSpec(
+            n, t_room * cold_share, t_room, t_hot=t_room * hot_share, e_ground_offset=offset,
+            target_gap=target_gap,
+        )
+        out = incoherent_ladder(spec)
+    except DomainError:
+        return
+    assert all(math.isfinite(x) for x in (out.w_total, out.df_target, out.gap, out.q_init))
+
+
 def _bit_identity_specs():
     for n in (1, 2, 3, 256, 1000):
         yield LadderSpec(n, 0.5, 1.0, t_hot=10.0)

@@ -329,10 +329,10 @@ class TestCoherentFrontier:
     @pytest.mark.parametrize("e_c", [0.4, 1.7])
     def test_route_costs_bracket_the_frontier(self, e_c):
         spec = MachineSpec.two_qubit(e_c, 1.0)
-        direct = protocols.swap_route_cost(spec, False)
-        via_c = protocols.swap_route_cost(spec, True)
+        two = protocols.boxed_limits(spec)["two_qubit"]
+        direct, via_c = two["delta_f_coh_star_ab_swap"], two["delta_f_coh_star_two_swap"]
         cost = protocols.single_cycle_coherent_cost(spec)
-        assert cost == min(direct, via_c)
+        assert cost == two["delta_f_coh_star"] == min(direct, via_c)
         assert cost == (via_c if e_c > 1.0 else direct)
 
 
@@ -340,7 +340,7 @@ class TestCoherentFrontier:
 _TWO_QUBIT_CALLS = {
     "incoherent_single": lambda spec: protocols.two_qubit_incoherent_single(_hot(spec)),
     "coherent_single": lambda spec: protocols.two_qubit_coherent_single(spec, 0.8),
-    "swap_route": lambda spec: protocols.swap_route_cost(spec, False),
+    "boxed_limits": protocols.boxed_limits,
     "single_cycle_cost": protocols.single_cycle_coherent_cost,
     "coherent_population": lambda spec: protocols.coherent_single_population(spec, 0.5),
     "incoherent_of_work": lambda spec: protocols.incoherent_temperature_of_work(spec, 0.01),

@@ -19,6 +19,7 @@ KEEP = {
     "degenerate_subspace_sweep": "acceptance criterion 7",
     "swap_update": "acceptance criterion 8",
     "optimal_sequence": "README figure recipe and the summary tie test",
+    "autonomous_steady_state": "acceptance criterion 5",
 }
 
 # Defaulted parameters that no source call sets, and why each stays.

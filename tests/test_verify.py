@@ -49,6 +49,40 @@ class TestThermalizationGradientReport:
             for name in ("e_c=", "t_room=", "t_hot=", "t_b=", "t_c="):
                 assert name in result.detail
 
+    @pytest.mark.parametrize("label", ["B", "C"])
+    def test_slope_off_the_closed_form_names_the_worst_machine(self, label, monkeypatch):
+        real = oracle.thermalization_gradient_check
+        scale = {"B": (1.01, 1.0), "C": (1.0, 1.02)}[label]
+
+        def off(spec, t_b, t_c):
+            slope_b, slope_c = real(spec, t_b, t_c)
+            return slope_b * scale[0], slope_c * scale[1]
+
+        monkeypatch.setattr(oracle, "thermalization_gradient_check", off)
+        result = check_thermalization_gradients(seed=5, cases=3)
+        assert not result.passed
+        assert result.residual == pytest.approx(max(scale) - 1.0, rel=1e-3)
+        assert result.detail.startswith(
+            "3 machines, central differences vs closed-form slopes; worst: machine "
+        )
+        assert f", d/dT_{label} = " in result.detail
+        for name in ("e_c=", "t_room=", "t_hot=", "t_b=", "t_c="):
+            assert name in result.detail
+
+    @pytest.mark.parametrize("label", ["B", "C"])
+    def test_nan_slope_fails_with_an_infinite_residual(self, label, monkeypatch):
+        real = oracle.thermalization_gradient_check
+
+        def with_nan(spec, t_b, t_c):
+            slope_b, slope_c = real(spec, t_b, t_c)
+            return (math.nan, slope_c) if label == "B" else (slope_b, math.nan)
+
+        monkeypatch.setattr(oracle, "thermalization_gradient_check", with_nan)
+        result = check_thermalization_gradients(seed=5, cases=3)
+        assert not result.passed
+        assert result.residual == math.inf
+        assert f"; worst: machine 0, d/dT_{label} = nan against " in result.detail
+
     def test_passing_report_is_unchanged(self):
         result = check_thermalization_gradients(seed=5, cases=3)
         assert result.passed
