@@ -168,6 +168,11 @@ def embedded_ladder_preheat(spec: LadderSpec) -> float:
     if e_g is None:
         e_g = 50.0 * max(t_hot, spec.t_room) * (spec.n_steps + 1)
     spacing = _incoherent_max_gap(spec, t_hot) - spec.target_gap
+    if not e_g + spacing < math.inf:
+        raise DomainError(
+            f"e_ground_offset {e_g} overflows the embedded ladder's top level, "
+            f"e_ground_offset + spacing {spacing}"
+        )
     n = spec.n_steps
 
     def mean_energy(temp: float) -> float:

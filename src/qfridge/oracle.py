@@ -12,12 +12,10 @@ thermalization-gradient finite-difference check.
 from __future__ import annotations
 
 import collections
-import copy
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,24 +33,17 @@ UNITARITY_ATOL = 1e-10
 TRACE_ATOL = 1e-12
 ENERGY_ATOL = 1e-10
 
-# Samples per _gaussian_chunks call in haar_pareto_sweep.  A batch draws
-# all its real parts before its imaginary parts, so this size fixes which
-# unitaries a seed draws.  It costs no memory: the sweep scores each chunk
-# as it is drawn and never holds a batch of anything.
-HAAR_BATCH = 10_000
-# Matrices drawn, factored, scored and dropped at a time; the sweep holds at
-# most one chunk per worker thread and the one the main thread is drawing.
-# It bounds memory only, since LAPACK factors each matrix on its own and the
-# chunked draws continue one stream in order.  QR costs the same per matrix
-# from 64 to 512 matrices a call and more at 1024, so 128 keeps the chunk
-# small at no cost in speed.
+# Samples drawn, factored, scored and dropped at a time.  Chunk k of a
+# sweep draws from its own child stream of the seed, spawn key (k,), so this
+# size fixes which unitaries a seed draws; the sweep holds at most one chunk
+# per worker thread.  QR costs the same per matrix from 64 to 512 matrices a
+# call and more at 1024, so 128 keeps the chunk small at no cost in speed.
 _QR_CHUNK = 128
-# Most threads that factor and score the sweep's chunks.  Each worker holds
-# one more chunk in flight (its Gaussians, Q, R and weights, ~0.4 MB traced
-# at dim 8) plus its thread's stack and LAPACK workspace, all counted in peak
-# RSS.  The draws stay on the main thread and take a quarter to a third of
-# the sweep's time, so past three or four workers the draws set the pace
-# and a further worker adds memory but no speed.
+# Most threads that draw, factor and score the sweep's chunks.  Each worker
+# holds one chunk (its Gaussians, Q, R and weights, ~0.4 MB traced at dim 8)
+# plus its thread's stack and LAPACK workspace, all counted in peak RSS; a
+# chunk waiting for a worker holds only its start and size.  Past three or
+# four workers a further one adds memory but little speed.
 _MAX_SWEEP_WORKERS = 4
 
 
@@ -519,23 +510,16 @@ class DominanceReport:
         return not self.dominating
 
 
-def _gaussian_chunks(dim: int, count: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
-    # The complex Gaussian matrices of a batch of ``count``, _QR_CHUNK at a
-    # time: the same numbers as drawing all real parts, then all imaginary
-    # parts, at once.  A copy of ``rng`` taken at the batch start supplies
-    # each chunk's real parts; ``rng`` draws the batch's real parts a second
-    # time, discards them and supplies the imaginary parts, so once the
-    # chunks are consumed it is where the whole-batch draw leaves it.
-    real_rng = copy.deepcopy(rng)
-    shapes = [(min(_QR_CHUNK, count - lo), dim, dim) for lo in range(0, count, _QR_CHUNK)]
-    for shape in shapes:
-        rng.standard_normal(shape)
-    for shape in shapes:
-        z = np.empty(shape, dtype=complex)
-        z.real = real_rng.standard_normal(shape)
-        z.imag = rng.standard_normal(shape)
-        z /= math.sqrt(2.0)
-        yield z
+def _chunk_gaussians(seed: int, start: int, count: int, dim: int) -> np.ndarray:
+    # The complex Gaussian matrices of samples start .. start + count - 1,
+    # which begin chunk k = start // _QR_CHUNK of the sweep: drawn from the
+    # seed's child stream with spawn key (k,), each entry's real part just
+    # before its imaginary part, with E|z|^2 = 1.
+    stream = np.random.SeedSequence(seed, spawn_key=(start // _QR_CHUNK,))
+    pairs = np.random.default_rng(stream).standard_normal((count, dim, dim, 2))
+    z = pairs.view(complex)[..., 0]
+    z /= np.sqrt(2.0)
+    return z
 
 
 def _haar_from_gaussians(z: np.ndarray) -> np.ndarray:
@@ -597,12 +581,14 @@ def haar_pareto_sweep(
     a higher population at strictly lower cost than the curve, beyond
     ``slack`` (see :func:`dominates_curve`).  The expected report is empty.
 
-    The main thread draws the Gaussian matrices in stream order, a chunk at
-    a time, and a pool of threads (one per usable CPU, at most
-    ``_MAX_SWEEP_WORKERS``) factors and scores them.  Results are collected
-    in submission order, so the report does not depend on the thread count,
-    and the sweep holds at most one chunk per worker plus the one being
-    drawn, whatever the sample count.
+    Chunk k (samples k * ``_QR_CHUNK`` onward) draws from its own child
+    stream of ``seed``, so a sample's unitary depends only on the seed and
+    its index, and a shorter sweep is a prefix of a longer one.  A pool of
+    threads (one per usable CPU, at most ``_MAX_SWEEP_WORKERS``) draws,
+    factors and scores the chunks.  Results are collected in submission
+    order with at most one chunk per worker plus one queued, so the report
+    does not depend on the thread count and memory does not grow with the
+    sample count.
     """
     if samples < 0:
         raise DomainError("sample count must be >= 0")
@@ -610,25 +596,22 @@ def haar_pareto_sweep(
 
     pops = thermal_populations(spec.gaps, (spec.t_room,) * spec.n_qubits)
     h = hamiltonian_diagonal(spec.gaps)
-    dim = pops.size
     base_energy = float(pops @ h)
 
-    rng = np.random.default_rng(seed)
     workers = min(_MAX_SWEEP_WORKERS, _usable_cpus())
     points: list[tuple[int, float, float, float]] = []
     pending: collections.deque = collections.deque()  # futures, oldest first
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        done = 0
-        while done < samples:
-            for z in _gaussian_chunks(dim, min(HAAR_BATCH, samples - done), rng):
-                pending.append(
-                    pool.submit(
-                        _score_haar_chunk, done, z, pops, h, base_energy, curve_f, curve_r, slack
-                    )
+        for start in range(0, samples, _QR_CHUNK):
+            count = min(_QR_CHUNK, samples - start)
+            pending.append(
+                pool.submit(
+                    _score_haar_chunk,
+                    seed, start, count, pops, h, base_energy, curve_f, curve_r, slack,
                 )
-                done += len(z)
-                if len(pending) > workers:
-                    points += pending.popleft().result()
+            )
+            if len(pending) > workers:
+                points += pending.popleft().result()
         for future in pending:
             points += future.result()
     return DominanceReport(
@@ -647,8 +630,9 @@ def _usable_cpus() -> int:
 
 
 def _score_haar_chunk(
+    seed: int,
     start: int,
-    z: np.ndarray,
+    count: int,
     pops: np.ndarray,
     h: np.ndarray,
     base_energy: float,
@@ -656,12 +640,13 @@ def _score_haar_chunk(
     curve_r: np.ndarray,
     slack: float,
 ) -> list[tuple[int, float, float, float]]:
-    # A worker thread's job: the (index, r, delta_f, excess) of each sample
-    # of the chunk that beats the curve, the chunk's first sample being
-    # ``start``.  It reads only numpy and private helpers, never a public
-    # name that a tracer wrapping the package's functions would time,
-    # because such a tracer keeps one call stack for the whole process.
-    units = _haar_from_gaussians(z)
+    # A worker thread's job: draw the chunk of ``count`` samples that begins
+    # at sample ``start`` and return the (index, r, delta_f, excess) of each
+    # of its samples that beats the curve.  It reads only numpy and private
+    # helpers, never a public name that a tracer wrapping the package's
+    # functions would time, because such a tracer keeps one call stack for
+    # the whole process.
+    units = _haar_from_gaussians(_chunk_gaussians(seed, start, count, pops.size))
     weights = np.abs(units)
     weights **= 2
     final_pops = weights @ pops

@@ -901,6 +901,16 @@ class TestLadderCommand:
         assert captured.out == ""
         assert "e_ground_offset" in captured.err
 
+    def test_ground_offset_whose_top_level_overflows_is_usage_error(self, capsys):
+        rc = main(
+            ["ladder", "--n", "4", "--t-c", "0.5", "--t-r", "1", "--t-h", "10", "--e", "1e306"]
+            + ["--e-g", "1.79e308"]
+        )
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: e_ground_offset 1.79e+308 overflows")
+
     @pytest.mark.parametrize(
         "command", [["ladder", "--n", "4"], ["curve", "ladder-coh", "--grid", "3"]]
     )

@@ -295,6 +295,13 @@ class TestSpecGuards:
         with pytest.raises(DomainError, match="largest stage gap"):
             incoherent_ladder(spec)
 
+    def test_ground_offset_whose_top_level_overflows_rejected(self):
+        # offset + spacing = 1.79e308 + 1.1e306 overflows; the level sum went NaN.
+        spec = LadderSpec(4, 0.5, 1.0, t_hot=10.0, e_ground_offset=1.79e308, target_gap=1e306)
+        for price in (embedded_ladder_preheat, incoherent_ladder):
+            with pytest.raises(DomainError, match="e_ground_offset 1.79e"):
+                price(spec)
+
 
 def _powers_of_two(low, high):
     return st.floats(math.log2(low), math.log2(high)).map(lambda k: 2.0**k)

@@ -143,29 +143,37 @@ class TestRethermalize:
         assert out.diagonal()[[0, 2, 4, 6]].sum() == pytest.approx(0.9, abs=1e-14)
 
 
-def _whole_batch_haar(dim, count, rng):
-    # The out-of-place construction: one QR call over the whole batch.
-    z = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal(
-        (count, dim, dim)
-    )
-    q, r = np.linalg.qr(z / math.sqrt(2.0))
-    d = np.diagonal(r, axis1=1, axis2=2)
-    return q * (d / np.abs(d))[:, None, :]
+def _reference_unitaries(seed, dim, count):
+    # From scratch: the k-th child of the seed's SeedSequence draws chunk k
+    # whole, each entry's real part before its imaginary part, then QR and
+    # the phases of R's diagonal moved into Q.
+    chunk = oracle._QR_CHUNK
+    children = np.random.SeedSequence(seed).spawn(-(-count // chunk))
+    units = []
+    for k, child in enumerate(children):
+        pairs = np.random.default_rng(child).standard_normal(
+            (min(chunk, count - k * chunk), dim, dim, 2)
+        )
+        z = np.empty(pairs.shape[:-1], dtype=complex)
+        z.real, z.imag = pairs[..., 0], pairs[..., 1]
+        q, r = np.linalg.qr(z / math.sqrt(2.0))
+        d = np.diagonal(r, axis1=1, axis2=2)
+        units.append(q * (d / np.abs(d))[:, None, :])
+    return np.concatenate(units)
 
 
-def _whole_batch_sweep(spec, samples, curve, seed, slack=1e-9):
-    # The sweep's dominance test on whole-batch unitaries, as (index, r,
+def _reference_sweep(spec, samples, curve, seed, slack=1e-9):
+    # The sweep's dominance test on the reference unitaries, as (index, r,
     # delta_f, excess) tuples; the curve must be ordered by increasing r.
     curve_f = np.array([f for f, _ in curve])
     curve_r = np.array([r for _, r in curve])
     pops = build_thermal_state(spec, (spec.t_room,) * spec.n_qubits).diagonal()
     h = hamiltonian_diagonal(spec.gaps)
     dim = pops.size
-    rng = np.random.default_rng(seed)
+    units = _reference_unitaries(seed, dim, samples)
     points = []
-    for start in range(0, samples, oracle.HAAR_BATCH):
-        count = min(oracle.HAAR_BATCH, samples - start)
-        final_pops = np.abs(_whole_batch_haar(dim, count, rng)) ** 2 @ pops
+    for start in range(0, samples, oracle._QR_CHUNK):
+        final_pops = np.abs(units[start : start + oracle._QR_CHUNK]) ** 2 @ pops
         r_s = final_pops[:, : dim // 2].sum(axis=1)
         f_s = final_pops @ h - float(pops @ h)
         needed = np.interp(r_s, curve_r, curve_f)
@@ -180,17 +188,28 @@ def _whole_batch_sweep(spec, samples, curve, seed, slack=1e-9):
 
 def _wrong_frontier_sweep():
     # A deliberately wrong frontier (r lowered by 0.25, cost x3 + 0.5) that
-    # samples beat thousands of times, on both sides of a batch boundary.
+    # samples beat thousands of times, in every chunk.
     spec = MachineSpec.two_qubit(0.4, 1.0)
     curve = [
         (3.0 * f + 0.5, r - 0.25) for f, r in coherent_single_cycle_curve(spec, grid=101)
     ]
-    return spec, oracle.HAAR_BATCH + 1000, curve
+    return spec, 11_000, curve
 
 
-def _haar_unitaries(dim, count, rng):
-    chunks = oracle._gaussian_chunks(dim, count, rng)
-    return np.concatenate([oracle._haar_from_gaussians(z) for z in chunks])
+def _haar_unitaries(seed, dim, count):
+    # The first ``count`` unitaries of a sweep, chunk by chunk as it draws them.
+    return np.concatenate(
+        [
+            oracle._haar_from_gaussians(
+                oracle._chunk_gaussians(seed, start, min(oracle._QR_CHUNK, count - start), dim)
+            )
+            for start in range(0, count, oracle._QR_CHUNK)
+        ]
+    )
+
+
+def _points(report):
+    return [(p.index, p.r, p.delta_f, p.excess) for p in report.dominating]
 
 
 def _traced_peak(sweep):
@@ -204,49 +223,58 @@ def _traced_peak(sweep):
 
 class TestHaarSweep:
     def test_unitaries_are_unitary(self):
-        rng = np.random.default_rng(7)
-        units = _haar_unitaries(8, 16, rng)
-        for u in units:
+        for u in _haar_unitaries(7, 8, 16):
             assert np.abs(u @ u.conj().T - np.eye(8)).max() < 1e-12
 
-    def test_chunks_cover_the_batch(self):
-        rng = np.random.default_rng(7)
-        count = 2 * oracle._QR_CHUNK + 3
-        sizes = [len(z) for z in oracle._gaussian_chunks(2, count, rng)]
-        assert sizes == [oracle._QR_CHUNK, oracle._QR_CHUNK, 3]
-        assert list(oracle._gaussian_chunks(2, 0, rng)) == []
+    def test_chunks_cover_the_samples(self, monkeypatch):
+        chunks = []
+
+        def record(seed, start, count, *args):
+            chunks.append((seed, start, count))
+            return []
+
+        monkeypatch.setattr(oracle, "_score_haar_chunk", record)
+        spec = MachineSpec.two_qubit(0.4, 1.0)
+        curve = coherent_single_cycle_curve(spec, grid=21)
+        size = oracle._QR_CHUNK
+        haar_pareto_sweep(spec, 2 * size + 3, curve, seed=7)
+        assert chunks == [(7, 0, size), (7, size, size), (7, 2 * size, 3)]
+        chunks.clear()
+        haar_pareto_sweep(spec, 0, curve, seed=7)
+        assert chunks == []
 
     @pytest.mark.parametrize(
         "dim, count", [(8, 1), (8, 300), (4, 50), (2, 9), (8, 1100)]
     )
-    @pytest.mark.parametrize(
-        "generator",
-        [np.random.default_rng, lambda seed: np.random.Generator(np.random.Philox(seed))],
-        ids=["pcg64", "philox"],
-    )
-    def test_same_stream_as_the_out_of_place_construction(self, dim, count, generator):
+    def test_same_stream_as_the_from_scratch_reference(self, dim, count):
         for seed in (0, 7, DEFAULT_SEED):
-            rng_new, rng_old = generator(seed), generator(seed)
-            for _ in range(2):
-                assert np.array_equal(
-                    _haar_unitaries(dim, count, rng_new),
-                    _whole_batch_haar(dim, count, rng_old),
-                )
+            assert np.array_equal(
+                _haar_unitaries(seed, dim, count), _reference_unitaries(seed, dim, count)
+            )
 
-    def test_sweep_across_a_batch_boundary_matches_whole_batch_factoring(self):
+    def test_sweep_matches_the_reference(self):
         spec, samples, curve = _wrong_frontier_sweep()
-        report = haar_pareto_sweep(spec, samples, curve, seed=DEFAULT_SEED)
-        expected = _whole_batch_sweep(spec, samples, curve, DEFAULT_SEED)
-        got = [(p.index, p.r, p.delta_f, p.excess) for p in report.dominating]
-        assert got == expected
+        got = _points(haar_pareto_sweep(spec, samples, curve, seed=DEFAULT_SEED))
+        assert got == _reference_sweep(spec, samples, curve, DEFAULT_SEED)
         assert len(got) > 1000
-        assert got[0][0] < oracle.HAAR_BATCH <= got[-1][0]
+        assert got[-1][0] >= samples - oracle._QR_CHUNK
+
+    def test_a_shorter_sweep_is_a_prefix_of_a_longer_one(self):
+        # Each sample's unitary depends on the seed and its index alone, so a
+        # sweep that stops inside a chunk finds what the longer one found
+        # before that index.
+        spec, samples, curve = _wrong_frontier_sweep()
+        longer = _points(haar_pareto_sweep(spec, samples, curve, seed=DEFAULT_SEED))
+        for short in (1, oracle._QR_CHUNK, 3 * oracle._QR_CHUNK + 37):
+            shorter = _points(haar_pareto_sweep(spec, short, curve, seed=DEFAULT_SEED))
+            assert shorter == [p for p in longer if p[0] < short]
+        assert len(shorter) > 50 and shorter[-1][0] >= 3 * oracle._QR_CHUNK
 
     def test_thread_count_cannot_change_the_report(self, monkeypatch):
         # Up to four workers whatever the CPU count, and thread switches far
         # more often than by default, so chunks finish out of order.
         spec, samples, curve = _wrong_frontier_sweep()
-        expected = _whole_batch_sweep(spec, samples, curve, DEFAULT_SEED)
+        expected = _reference_sweep(spec, samples, curve, DEFAULT_SEED)
         monkeypatch.setattr(oracle, "_usable_cpus", lambda: 8)
         interval = sys.getswitchinterval()
         reports = []
@@ -258,29 +286,26 @@ class TestHaarSweep:
         finally:
             sys.setswitchinterval(interval)
         assert reports[0] == reports[1] == reports[2]
-        got = [(p.index, p.r, p.delta_f, p.excess) for p in reports[0].dominating]
-        assert got == expected
+        assert _points(reports[0]) == expected
 
     def test_sweep_holds_workers_plus_one_chunks(self, monkeypatch):
-        # Complex 8x8 unitaries are 1 KiB each.  Three batches stay under
-        # half a batch of them: the sweep holds a chunk per worker and the
-        # one being drawn.  The small sweep first loads what the first call
-        # imports and caches.
+        # Complex 8x8 unitaries are 1 KiB each.  A 20 001-sample sweep stays
+        # under 5 120 000 bytes, half of 10 000 of them: it holds a chunk per
+        # worker and one queued chunk's arguments.  The small sweep first
+        # loads what the first call imports and caches.
         spec = MachineSpec.two_qubit(0.4, 1.0)
         curve = coherent_single_cycle_curve(spec, grid=101)
         haar_pareto_sweep(spec, 10, curve)
-        batch = oracle.HAAR_BATCH
-        peak = _traced_peak(lambda: haar_pareto_sweep(spec, 2 * batch + 1, curve))
-        assert peak <= batch * 64 * 16 // 2
-        # Each chunk is scored as it is drawn, so a 4x batch adds no
-        # (batch, 8) population table, not even an eighth of one.  One
-        # worker, so that thread timing cannot change how many chunks are
-        # in flight at the peak.
+        peak = _traced_peak(lambda: haar_pareto_sweep(spec, 20_001, curve))
+        assert peak <= 5_120_000
+        # Each chunk is scored as it is drawn, so a 4x longer sweep adds no
+        # population table, not even an eighth (80 000 bytes) of a
+        # (10 000, 8) one.  With one worker the chunk waiting for it holds
+        # only its start and size, so thread timing cannot change the peak.
         monkeypatch.setattr(oracle, "_MAX_SWEEP_WORKERS", 1)
-        peak_1 = _traced_peak(lambda: haar_pareto_sweep(spec, 2 * batch + 1, curve))
-        monkeypatch.setattr(oracle, "HAAR_BATCH", 4 * batch)
-        peak_4x = _traced_peak(lambda: haar_pareto_sweep(spec, 8 * batch + 1, curve))
-        assert peak_4x - peak_1 <= batch * 8
+        peak_1 = _traced_peak(lambda: haar_pareto_sweep(spec, 20_001, curve))
+        peak_4x = _traced_peak(lambda: haar_pareto_sweep(spec, 80_001, curve))
+        assert peak_4x - peak_1 <= 80_000
 
     def test_zero_samples_gives_empty_report(self):
         spec = MachineSpec.two_qubit(0.4, 1.0)
@@ -534,7 +559,7 @@ def test_haar_sweep_worker_reads_no_public_name():
             assert node.id == "np" or node.id.startswith("_"), (name, node.id)
             if node.id in functions:
                 todo.append(node.id)
-    assert {"_haar_from_gaussians", "_dominance"} <= seen
+    assert {"_chunk_gaussians", "_haar_from_gaussians", "_dominance"} <= seen
 
 
 def test_oracle_never_imports_the_closed_forms():
@@ -698,12 +723,11 @@ class TestStackChecks:
 
     def test_stacked_blocks_equal_their_per_matrix_results(self):
         spec = MachineSpec.two_qubit(0.7, 1.3)
-        rng = np.random.default_rng(11)
-        local = _haar_unitaries(8, 4, rng)
+        local = _haar_unitaries(11, 8, 4)
         base = build_thermal_state(spec, (1.3,) * 3).matrix
         mats = local @ base @ np.swapaxes(local.conj(), -1, -2)
         h = hamiltonian_diagonal(spec.gaps)
-        u = UnitaryOp(_haar_unitaries(8, 4, rng))
+        u = UnitaryOp(_haar_unitaries(12, 8, 4))
         r, delta, final = apply_and_measure(DenseState(mats), u, np.array([h] * 4))
         pops = np.array([0.9, 0.8, 0.7, 0.6])
         marginal = replace_qubit_marginal(final, 1, pops)
