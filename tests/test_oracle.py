@@ -1,5 +1,6 @@
 import ast
 import builtins
+import itertools
 import math
 import sys
 import tracemalloc
@@ -244,13 +245,27 @@ class TestHaarSweep:
         assert chunks == []
 
     @pytest.mark.parametrize(
-        "dim, count", [(8, 1), (8, 300), (4, 50), (2, 9), (8, 1100)]
+        "dim, count",
+        [(8, 1), (8, 300), (4, 50), (2, 9), (8, 1100), (2, 128), (4, 256)],
     )
     def test_same_stream_as_the_from_scratch_reference(self, dim, count):
         for seed in (0, 7, DEFAULT_SEED):
             assert np.array_equal(
                 _haar_unitaries(seed, dim, count), _reference_unitaries(seed, dim, count)
             )
+
+    def test_each_chunk_redraws_its_own_stream(self):
+        # The same seed and chunk draw the same matrices on every call, and no
+        # two chunks of a seed, nor one chunk of two seeds, share a draw.
+        size = oracle._QR_CHUNK
+        draws = {}
+        for seed in (0, 7, DEFAULT_SEED):
+            for start in (0, size, 2 * size, 7 * size):
+                z = oracle._chunk_gaussians(seed, start, 3, 2)
+                assert np.array_equal(z, oracle._chunk_gaussians(seed, start, 3, 2))
+                draws[seed, start] = z
+        for (key_a, a), (key_b, b) in itertools.combinations(draws.items(), 2):
+            assert not np.any(a == b), (key_a, key_b)
 
     def test_sweep_matches_the_reference(self):
         spec, samples, curve = _wrong_frontier_sweep()
