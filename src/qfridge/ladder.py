@@ -189,7 +189,14 @@ def embedded_ladder_preheat(spec: LadderSpec) -> float:
             moment += level * weight
         return moment / (1.0 + partition)
 
-    return mean_energy(t_hot) - mean_energy(spec.t_room)
+    heat = mean_energy(t_hot) - mean_energy(spec.t_room)
+    # Every weight is at most 1, so only the energy moment can overflow.
+    if not abs(heat) < math.inf:
+        raise DomainError(
+            f"e_ground_offset {e_g} overflows the embedded ladder's energy sum "
+            f"over its {n + 1} levels at t_hot = {t_hot}"
+        )
+    return heat
 
 
 def _real_qubit_preheat(spec: LadderSpec, t_hot: float) -> float:

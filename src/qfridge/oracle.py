@@ -274,9 +274,8 @@ def rethermalize(
 # ---------------------------------------------------------------------------
 # Step-by-step protocol simulators (dense route only).
 #
-# Each takes one MachineSpec or a sequence of them.  A sequence is simulated
-# as one stack of states with a leading machine axis and gives arrays with
-# that axis; one spec is a stack of one and gives floats and lists.
+# Each takes a sequence of MachineSpec, simulates it as one stack of states
+# with a leading machine axis, and gives arrays with that axis.
 # ---------------------------------------------------------------------------
 
 
@@ -290,16 +289,6 @@ def simulate_one_qubit_partial_swap(
     u = partial_swap_unitary(4, 1, 2, mu)
     r_final, delta_energy, _ = apply_and_measure(state, u, h)
     return r_final, delta_energy
-
-
-Machines = MachineSpec | Sequence[MachineSpec]
-
-
-def _machines(specs: Machines) -> tuple[list[MachineSpec], bool]:
-    """The machines of a call as a list, and whether it named just one spec."""
-    if isinstance(specs, MachineSpec):
-        return [specs], True
-    return list(specs), False
 
 
 def _column(values: Sequence[float]) -> np.ndarray:
@@ -316,16 +305,8 @@ def _stack(
     return DenseState(pops.reshape(k, 8)[:, :, None] * np.eye(8)), h.reshape(k, 8)
 
 
-def _results(one: bool, *per_machine: np.ndarray) -> tuple:
-    """Arrays for a stack; for one spec, its floats and lists of floats."""
-    if one:
-        return tuple(values[0].tolist() for values in per_machine)
-    return per_machine
-
-
-def simulate_incoherent_single(specs: Machines) -> tuple:
+def simulate_incoherent_single(machines: Sequence[MachineSpec]) -> tuple:
     """Heat C, apply the |010><101| swap; returns (r, heat, work)."""
-    machines, one = _machines(specs)
     t_hot = _column([s.require_hot_bath() for s in machines])
     t_room = _column([s.t_room for s in machines])
     state, h = _stack(machines, [(s.t_room, s.t_room, s.t_hot) for s in machines])
@@ -339,19 +320,16 @@ def simulate_incoherent_single(specs: Machines) -> tuple:
     u = swap_unitary(8, 2, 5, tag="energy_conserving")
     r_final, _, _ = apply_and_measure(state, u, h)
     work = heat * (1.0 - t_room / t_hot)
-    return _results(one, r_final, heat, work)
+    return r_final, heat, work
 
 
-def simulate_coherent_single(specs: Machines, mu: float | Sequence[float]) -> tuple:
+def simulate_coherent_single(machines: Sequence[MachineSpec], mu: Sequence[float]) -> tuple:
     """Apply the mu-parametrized work-optimal single-cycle unitary; (r, work).
 
-    ``mu`` is a float for one spec and holds one value per machine for a
-    sequence of specs.
+    ``mu`` holds one value per machine.
     """
-    machines, one = _machines(specs)
     mus = np.asarray(mu, dtype=float)
     _require((0.0 <= mus) & (mus <= 1.0), f"mu must lie in [0, 1], got {mu}")
-    mus = np.atleast_1d(mus)
     if mus.shape != (len(machines),):
         raise DomainError(f"need one mu per machine: {len(machines)} machines, mu {mu}")
     state, h = _stack(machines, [(s.t_room,) * 3 for s in machines])
@@ -365,7 +343,7 @@ def simulate_coherent_single(specs: Machines, mu: float | Sequence[float]) -> tu
         @ partial_swap_unitary(8, (1, 3), (4, 6), w_ac).matrix
     )
     r_final, work, _ = apply_and_measure(state, UnitaryOp(unit), h)
-    return _results(one, r_final, work)
+    return r_final, work
 
 
 def _c_ground_population(state: DenseState) -> np.ndarray:
@@ -373,14 +351,13 @@ def _c_ground_population(state: DenseState) -> np.ndarray:
 
 
 def simulate_repeated_incoherent(
-    specs: Machines, n: int, r0: float | np.ndarray | None = None
+    machines: Sequence[MachineSpec], n: int, r0: float | np.ndarray | None = None
 ) -> tuple:
     """n reset-and-swap incoherent cycles; returns (r after k, heat after k).
 
     ``r0`` overrides the target's starting population (default: thermal at
     t_room), which lets ladder stages be chained.
     """
-    machines, one = _machines(specs)
     t_hot = _column([s.require_hot_bath() for s in machines])
     e_b, e_c = _column([s.e_b for s in machines]), _column([s.e_c for s in machines])
     t_room = _column([s.t_room for s in machines])
@@ -401,12 +378,11 @@ def simulate_repeated_incoherent(
         r_new, _, state = apply_and_measure(state, swap, h)
         rs.append(r_new)
         heats.append(heat)
-    return _results(one, np.stack(rs, axis=-1), np.stack(heats, axis=-1))
+    return np.stack(rs, axis=-1), np.stack(heats, axis=-1)
 
 
-def simulate_repeated_coherent(specs: Machines, n: int) -> tuple:
+def simulate_repeated_coherent(machines: Sequence[MachineSpec], n: int) -> tuple:
     """Optimal first cycle, then reset-and-|100><011|-swap cycles; (r_k, work_k)."""
-    machines, one = _machines(specs)
     e_b, e_c = _column([s.e_b for s in machines]), _column([s.e_c for s in machines])
     t_room = _column([s.t_room for s in machines])
     state, h = _stack(machines, [(s.t_room,) * 3 for s in machines])
@@ -431,11 +407,11 @@ def simulate_repeated_coherent(specs: Machines, n: int) -> tuple:
         work = work + delta_e
         rs.append(r_new)
         works.append(work)
-    return _results(one, np.stack(rs, axis=-1), np.stack(works, axis=-1))
+    return np.stack(rs, axis=-1), np.stack(works, axis=-1)
 
 
 def simulate_algorithmic(
-    specs: Machines, n: int, nu: float = 1.0, r0: float | np.ndarray | None = None
+    machines: Sequence[MachineSpec], n: int, nu: float = 1.0, r0: float | np.ndarray | None = None
 ) -> tuple:
     """Precool-and-swap cycles; returns (r after k, work after k).
 
@@ -451,7 +427,6 @@ def simulate_algorithmic(
     """
     if not 0.0 <= nu <= 1.0:
         raise DomainError(f"nu must lie in [0, 1], got {nu}")
-    machines, one = _machines(specs)
     e_b, e_c = _column([s.e_b for s in machines]), _column([s.e_c for s in machines])
     t_room = _column([s.t_room for s in machines])
     state, h = _stack(machines, [(s.t_room,) * 3 for s in machines])
@@ -480,7 +455,7 @@ def simulate_algorithmic(
         work = work + delta_e
         rs.append(r_new)
         works.append(work)
-    return _results(one, np.stack(rs, axis=-1), np.stack(works, axis=-1))
+    return np.stack(rs, axis=-1), np.stack(works, axis=-1)
 
 
 # ---------------------------------------------------------------------------

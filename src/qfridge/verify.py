@@ -63,7 +63,7 @@ def _draw_machine(rng: np.random.Generator, allow_infinite: bool = True) -> Mach
 
 
 def check_formula_dense_equivalence(
-    seed: int, machines: int, tol: float = 1e-12, mutate: str | None = None
+    seed: int, machines: int, mutate: str | None = None
 ) -> CheckResult:
     """Closed-form populations vs dense step-by-step simulation.
 
@@ -73,6 +73,7 @@ def check_formula_dense_equivalence(
     points.  A failure names the worst instance; a NaN from either route
     fails with an infinite residual.
     """
+    tol = 1e-12  # absolute population error
     rng = np.random.default_rng(seed)
     specs, ns, mus = [], [], []
     for _ in range(machines):
@@ -132,14 +133,15 @@ def check_formula_dense_equivalence(
     )
 
 
-def coherent_single_cycle_curve(
-    spec: MachineSpec, grid: int = 201
-) -> list[tuple[float, float]]:
-    """(delta_f, r) points of the optimal single-cycle frontier, kink included."""
-    mus = sorted(set(np.linspace(0.0, 1.0, grid)) | {0.5})
+def coherent_single_cycle_curve(spec: MachineSpec) -> list[tuple[float, float]]:
+    """(delta_f, r) of the optimal single-cycle frontier at mu = 0, 1/2 and 1.
+
+    The frontier is linear in mu between these points, its ends and its one
+    possible kink, so their linear interpolation is the whole frontier.
+    """
     points = []
-    for mu in mus:
-        r_target = protocols.coherent_single_population(spec, float(mu))
+    for mu in (0.0, 0.5, 1.0):
+        r_target = protocols.coherent_single_population(spec, mu)
         out = protocols.two_qubit_coherent_single(spec, r_target)
         points.append((out.work_cost, out.r_final))
     return points
@@ -192,15 +194,14 @@ def check_pareto_sweep(seed: int, samples: int, *, mutate: str | None = None) ->
     )
 
 
-def check_vertex_oracle(
-    seed: int, instances: int, tol: float = 1e-10, mutate: str | None = None
-) -> CheckResult:
+def check_vertex_oracle(seed: int, instances: int, mutate: str | None = None) -> CheckResult:
     """Solver objective and closed-form cost vs the exhaustive vertex oracle.
 
     Both are compared on every instance; the worse residual is gated.  A
     failure names the worst instance and which route missed; a NaN from
     either route fails with an infinite residual.
     """
+    tol = 1e-10  # absolute work error
     rng = np.random.default_rng(seed)
     worst, worst_at = 0.0, ""
     for index in range(instances):
@@ -248,7 +249,7 @@ def check_vertex_oracle(
     )
 
 
-def check_thermalization_gradients(seed: int, cases: int = 25) -> CheckResult:
+def check_thermalization_gradients(seed: int) -> CheckResult:
     """Finite-difference bias slopes: signs and agreement with the closed form.
 
     A failure names the machine and the slope at fault: a slope of the wrong
@@ -256,6 +257,7 @@ def check_thermalization_gradients(seed: int, cases: int = 25) -> CheckResult:
     infinite residual.
     """
     tol = 1e-6  # relative slope error
+    cases = 25
     rng = np.random.default_rng(seed)
     worst, worst_at = 0.0, ""
     for index in range(cases):

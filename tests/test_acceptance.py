@@ -34,8 +34,9 @@ SEED = oracle.DEFAULT_SEED
 def test_criterion_1_formula_oracle_equivalence(criterion):
     with criterion(1, "closed forms match dense simulation to 1e-12 on 500 machines"):
         start = time.monotonic()
-        result = check_formula_dense_equivalence(SEED, machines=500, tol=1e-12)
+        result = check_formula_dense_equivalence(SEED, machines=500)
         elapsed = time.monotonic() - start
+        assert result.tolerance == 1e-12
         assert result.passed, f"residual {result.residual}"
         assert result.residual <= 1e-12
         assert elapsed <= 10.0, f"took {elapsed:.1f} s"
@@ -45,7 +46,7 @@ def test_criterion_2_pareto_optimality(criterion):
     with criterion(2, "1e5 seeded Haar unitaries never dominate the coherent frontier"):
         start = time.monotonic()
         spec = MachineSpec.two_qubit(0.4, 1.0)
-        curve = coherent_single_cycle_curve(spec, grid=201)
+        curve = coherent_single_cycle_curve(spec)
         report = oracle.haar_pareto_sweep(
             spec, 100_000, curve, seed=SEED, slack=1e-9
         )
@@ -57,7 +58,8 @@ def test_criterion_2_pareto_optimality(criterion):
 
 def test_criterion_3_majorization_solver_vs_vertex_oracle(criterion):
     with criterion(3, "analytic minimizer equals the permutation-edge oracle to 1e-10"):
-        result = check_vertex_oracle(SEED + 1, instances=200, tol=1e-10)
+        result = check_vertex_oracle(SEED + 1, instances=200)
+        assert result.tolerance == 1e-10
         assert result.passed, f"residual {result.residual}"
 
 

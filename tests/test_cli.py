@@ -667,25 +667,23 @@ class TestSummaryCommand:
         hot = MachineSpec.two_qubit(1.0, 1.0, INFINITE)
         two = protocols.boxed_limits(spec)["two_qubit"]
 
-        r_inc, heat_inc, work_inc = oracle.simulate_incoherent_single(hot)
+        (r_inc,), (heat_inc,), (work_inc,) = oracle.simulate_incoherent_single([hot])
         assert two["r_inc_star"] == pytest.approx(r_inc, abs=1e-14)
         assert two["delta_f_inc_star"] == pytest.approx(work_inc, abs=1e-14)
 
-        r_coh, work_coh = oracle.simulate_coherent_single(spec, 1.0)
+        (r_coh,), (work_coh,) = oracle.simulate_coherent_single([spec], [1.0])
         assert two["r_coh_star"] == pytest.approx(r_coh, abs=1e-14)
         assert two["delta_f_coh_star"] == pytest.approx(work_coh, abs=1e-14)
 
-        rs, heats = oracle.simulate_repeated_incoherent(hot, 120)
+        (rs,), (heats,) = oracle.simulate_repeated_incoherent([hot], 120)
         assert two["r_auto_star"] == pytest.approx(rs[-1], abs=1e-13)
         assert two["delta_f_auto_star"] == pytest.approx(heats[-1], abs=1e-13)
 
-        rs, works = oracle.simulate_repeated_coherent(spec, 120)
+        (rs,), (works,) = oracle.simulate_repeated_coherent([spec], 120)
         assert two["r_coh_inf"] == pytest.approx(rs[-1], abs=1e-13)
         assert two["delta_f_coh_inf"] == pytest.approx(works[-1], abs=1e-13)
 
-        rs, works = oracle.simulate_algorithmic(
-            spec, 120, nu=1.0, r0=two["r_coh_inf"]
-        )
+        (rs,), (works,) = oracle.simulate_algorithmic([spec], 120, nu=1.0, r0=two["r_coh_inf"])
         assert two["r_algo_inf"] == pytest.approx(rs[-1], abs=1e-13)
         assert two["delta_f_algo_inf"] == pytest.approx(
             two["delta_f_coh_inf"] + works[-1], abs=1e-13
@@ -910,6 +908,19 @@ class TestLadderCommand:
         assert rc == 2
         assert captured.out == ""
         assert captured.err.startswith("error: e_ground_offset 1.79e+308 overflows")
+
+    def test_ground_offset_whose_level_sum_overflows_is_usage_error(self, capsys):
+        # Each level is finite, but five of them near 1e308 at weight ~0.3
+        # sum past the float range at T_H.
+        rc = main(
+            ["ladder", "--n", "4", "--t-c", "0.5", "--t-r", "1e307", "--t-h", "1e308"]
+            + ["--e", "1", "--e-g", "1e308"]
+        )
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: e_ground_offset 1e+308 overflows")
+        assert "t_hot = 1e+308" in captured.err
 
     @pytest.mark.parametrize(
         "command", [["ladder", "--n", "4"], ["curve", "ladder-coh", "--grid", "3"]]

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import ladder_reference
@@ -166,7 +167,7 @@ class TestIncoherentLadder:
         for stage in inc.per_step:
             e_ci = (stage.index / n_steps) * (e_max - 1.0)
             stage_machine = MachineSpec.two_qubit(e_ci, 1.0, t_hot, e=1.0)
-            rs, heats = simulate_repeated_incoherent(stage_machine, 400, r0=r_prev)
+            (rs,), (heats,) = simulate_repeated_incoherent([stage_machine], 400, r0=r_prev)
             preheat = e_ci * (
                 boltzmann_population(e_ci, 1.0) - boltzmann_population(e_ci, t_hot)
             )
@@ -339,22 +340,29 @@ def test_every_ladder_spec_is_rejected_or_finite(n, target_gap, temps):
         st.sampled_from([5e-324, 2.2250738585072014e-308, 1.0, 1e308]),
         _powers_of_two(5e-324, 1e308),
     ),
-    t_room=st.one_of(st.sampled_from([1e-300, 1.0, 1e300]), _powers_of_two(1e-300, 1e300)),
+    t_room=st.one_of(
+        st.sampled_from([1e-300, 1.0, 1e300, 1e307]), _powers_of_two(1e-300, 1e300)
+    ),
     cold_share=st.one_of(st.just(1.0), _powers_of_two(1e-300, 1.0)),
-    hot_share=st.one_of(st.sampled_from([1.0, INFINITE]), _powers_of_two(1.0, 1e300)),
-    offset=st.one_of(st.sampled_from([None, 0.0]), _powers_of_two(5e-324, 1e308)),
+    hot_share=st.one_of(st.sampled_from([1.0, 10.0, INFINITE]), _powers_of_two(1.0, 1e300)),
+    offset=st.one_of(st.sampled_from([None, 0.0, 1e308]), _powers_of_two(5e-324, 1e308)),
 )
+# Finite levels near 1e308 whose energy sum at T_H overflows.
+@example(n=4, target_gap=1.0, t_room=1e307, cold_share=5e-308, hot_share=10.0, offset=1e308)
 def test_every_incoherent_ladder_spec_is_rejected_or_finite(
     n, target_gap, t_room, cold_share, hot_share, offset
 ):
     # cold_share = 1 is T_C = T_R, where the largest stage gap rounded below E.
+    # A rejection names the spec field at fault, as a field name or in words.
     try:
         spec = LadderSpec(
             n, t_room * cold_share, t_room, t_hot=t_room * hot_share, e_ground_offset=offset,
             target_gap=target_gap,
         )
         out = incoherent_ladder(spec)
-    except DomainError:
+    except DomainError as exc:
+        fields = [f.name for f in dataclasses.fields(LadderSpec)]
+        assert any(f in str(exc) or f.replace("_", " ") in str(exc) for f in fields), exc
         return
     assert all(math.isfinite(x) for x in (out.w_total, out.df_target, out.gap, out.q_init))
 

@@ -191,9 +191,7 @@ def _wrong_frontier_sweep():
     # A deliberately wrong frontier (r lowered by 0.25, cost x3 + 0.5) that
     # samples beat thousands of times, in every chunk.
     spec = MachineSpec.two_qubit(0.4, 1.0)
-    curve = [
-        (3.0 * f + 0.5, r - 0.25) for f, r in coherent_single_cycle_curve(spec, grid=101)
-    ]
+    curve = [(3.0 * f + 0.5, r - 0.25) for f, r in coherent_single_cycle_curve(spec)]
     return spec, 11_000, curve
 
 
@@ -236,7 +234,7 @@ class TestHaarSweep:
 
         monkeypatch.setattr(oracle, "_score_haar_chunk", record)
         spec = MachineSpec.two_qubit(0.4, 1.0)
-        curve = coherent_single_cycle_curve(spec, grid=21)
+        curve = coherent_single_cycle_curve(spec)
         size = oracle._QR_CHUNK
         haar_pareto_sweep(spec, 2 * size + 3, curve, seed=7)
         assert chunks == [(7, 0, size), (7, size, size), (7, 2 * size, 3)]
@@ -309,7 +307,7 @@ class TestHaarSweep:
         # worker and one queued chunk's arguments.  The small sweep first
         # loads what the first call imports and caches.
         spec = MachineSpec.two_qubit(0.4, 1.0)
-        curve = coherent_single_cycle_curve(spec, grid=101)
+        curve = coherent_single_cycle_curve(spec)
         haar_pareto_sweep(spec, 10, curve)
         peak = _traced_peak(lambda: haar_pareto_sweep(spec, 20_001, curve))
         assert peak <= 5_120_000
@@ -324,7 +322,7 @@ class TestHaarSweep:
 
     def test_zero_samples_gives_empty_report(self):
         spec = MachineSpec.two_qubit(0.4, 1.0)
-        curve = coherent_single_cycle_curve(spec, grid=21)
+        curve = coherent_single_cycle_curve(spec)
         report = haar_pareto_sweep(spec, 0, curve)
         assert report.passed and report.samples == 0
 
@@ -336,13 +334,13 @@ class TestHaarSweep:
     def test_bad_sweep_inputs_rejected(self, samples, curve, match):
         spec = MachineSpec.two_qubit(0.4, 1.0)
         if curve is None:
-            curve = coherent_single_cycle_curve(spec, grid=21)
+            curve = coherent_single_cycle_curve(spec)
         with pytest.raises(DomainError, match=match):
             haar_pareto_sweep(spec, samples, curve)
 
     def test_seed_reproducibility(self):
         spec = MachineSpec.two_qubit(0.4, 1.0)
-        curve = coherent_single_cycle_curve(spec, grid=21)
+        curve = coherent_single_cycle_curve(spec)
         a = haar_pareto_sweep(spec, 500, curve, seed=99)
         b = haar_pareto_sweep(spec, 500, curve, seed=99)
         assert a == b
@@ -350,13 +348,13 @@ class TestHaarSweep:
 
     def test_small_sweep_finds_no_dominating_point(self):
         spec = MachineSpec.two_qubit(0.4, 1.0)
-        curve = coherent_single_cycle_curve(spec, grid=101)
+        curve = coherent_single_cycle_curve(spec)
         report = haar_pareto_sweep(spec, 2000, curve, seed=DEFAULT_SEED)
         assert report.passed
 
     def test_identity_never_dominates(self):
         spec = MachineSpec.two_qubit(0.4, 1.0)
-        curve = coherent_single_cycle_curve(spec, grid=101)
+        curve = coherent_single_cycle_curve(spec)
         state = build_thermal_state(spec, (1.0,) * 3)
         h = hamiltonian_diagonal(spec.gaps)
         r_id, f_id, _ = apply_and_measure(state, UnitaryOp(np.eye(8)), h)
@@ -365,25 +363,23 @@ class TestHaarSweep:
 
     def test_optimal_unitaries_sit_on_the_frontier(self):
         spec = MachineSpec.two_qubit(0.4, 1.0)
-        curve = coherent_single_cycle_curve(spec, grid=101)
+        curve = coherent_single_cycle_curve(spec)
         from qfridge.oracle import simulate_coherent_single
 
-        probes = [simulate_coherent_single(spec, mu) for mu in (0.1, 0.5, 0.9, 1.0)]
-        r_probe, f_probe = np.array(probes).T
+        r_probe, f_probe = simulate_coherent_single([spec] * 4, [0.1, 0.5, 0.9, 1.0])
         dominates, _ = dominates_curve(r_probe, f_probe, curve)
         assert not dominates.any()
 
     def test_sweep_on_the_kinked_frontier(self):
-        # e_c > e: the frontier has a slope kink at mu = 1/2; the curve grid
-        # includes it, so interpolation is exact and nothing dominates
+        # e_c > e: the frontier has a slope kink at mu = 1/2; the curve's
+        # points include it, so interpolation is exact and nothing dominates
         spec = MachineSpec.two_qubit(1.7, 1.0)
-        curve = coherent_single_cycle_curve(spec, grid=101)
+        curve = coherent_single_cycle_curve(spec)
         report = haar_pareto_sweep(spec, 5000, curve, seed=DEFAULT_SEED)
         assert report.passed
         from qfridge.oracle import simulate_coherent_single
 
-        probes = [simulate_coherent_single(spec, mu) for mu in (0.25, 0.5, 0.75, 1.0)]
-        r_probe, f_probe = np.array(probes).T
+        r_probe, f_probe = simulate_coherent_single([spec] * 4, [0.25, 0.5, 0.75, 1.0])
         dominates, _ = dominates_curve(r_probe, f_probe, curve)
         assert not dominates.any()
 
@@ -391,14 +387,12 @@ class TestHaarSweep:
         # falsifiability: overstate the frontier cost and the claimed-optimal
         # unitary beats it
         spec = MachineSpec.two_qubit(0.4, 1.0)
-        curve = [
-            (f * 1.5 + 1e-6, r) for (f, r) in coherent_single_cycle_curve(spec, 101)
-        ]
+        curve = [(f * 1.5 + 1e-6, r) for (f, r) in coherent_single_cycle_curve(spec)]
         from qfridge.oracle import simulate_coherent_single
 
-        r_probe, f_probe = simulate_coherent_single(spec, 0.5)
+        r_probe, f_probe = simulate_coherent_single([spec], [0.5])
         dominates, _ = dominates_curve(r_probe, f_probe, curve)
-        assert dominates
+        assert dominates.all()
 
 
 class TestDegenerateSubspaceSweep:
@@ -649,34 +643,6 @@ class TestStackedSimulatorsMatchTheReference:
         _assert_rows_match(
             stacked, [ref.simulate_algorithmic(s, n, nu=nu, r0=r0) for s in self.MACHINES]
         )
-
-    def test_one_spec_is_a_stack_of_one_with_the_old_return_types(self):
-        for spec in (self.MACHINES[0], self.MACHINES[-1], self.MACHINES[-3]):
-            assert oracle.simulate_incoherent_single(spec) == ref.simulate_incoherent_single(spec)
-            assert oracle.simulate_coherent_single(spec, 0.3) == ref.simulate_coherent_single(
-                spec, 0.3
-            )
-            for n in (0, 3):
-                for got, want in (
-                    (
-                        oracle.simulate_repeated_incoherent(spec, n, r0=0.8),
-                        ref.simulate_repeated_incoherent(spec, n, r0=0.8),
-                    ),
-                    (
-                        oracle.simulate_repeated_coherent(spec, n),
-                        ref.simulate_repeated_coherent(spec, n),
-                    ),
-                    (
-                        oracle.simulate_algorithmic(spec, n, nu=0.4),
-                        ref.simulate_algorithmic(spec, n, nu=0.4),
-                    ),
-                ):
-                    assert got == want
-                    assert all(type(x) is float for values in got for x in values)
-            stack_of_one = oracle.simulate_repeated_coherent([spec], 3)
-            assert [values[0].tolist() for values in stack_of_one] == list(
-                oracle.simulate_repeated_coherent(spec, 3)
-            )
 
     def test_an_empty_stack_gives_empty_arrays(self):
         rs, works = oracle.simulate_algorithmic([], 4)

@@ -88,7 +88,7 @@ class TestTwoQubitIncoherentSingle:
 
     def test_against_dense_simulation(self):
         spec = MachineSpec.two_qubit(0.4, 1.0, 2.0)
-        r_dense, heat_dense, work_dense = oracle.simulate_incoherent_single(spec)
+        (r_dense,), (heat_dense,), (work_dense,) = oracle.simulate_incoherent_single([spec])
         out = protocols.two_qubit_incoherent_single(spec)
         assert out.r_final == pytest.approx(r_dense, abs=1e-14)
         assert out.heat_drawn == pytest.approx(heat_dense, abs=1e-14)
@@ -495,7 +495,7 @@ class TestRepeatedIncoherent:
     def test_three_steps_against_dense_simulation(self):
         spec = MachineSpec.two_qubit(0.4, 1.0, 3.0)
         out = protocols.repeated_incoherent(spec, 3)
-        rs, heats = oracle.simulate_repeated_incoherent(spec, 3)
+        (rs,), (heats,) = oracle.simulate_repeated_incoherent([spec], 3)
         assert out.r_final == pytest.approx(rs[-1], abs=1e-14)
         assert out.heat_drawn == pytest.approx(heats[-1], abs=1e-14)
         for point, r_dense in zip(out.trajectory, rs):
@@ -547,7 +547,7 @@ class TestAutonomousSteadyState:
     def test_long_dense_run_converges_to_steady_state(self):
         spec = MachineSpec.two_qubit(0.8, 1.0, 5.0)
         auto = protocols.autonomous_steady_state(spec)
-        rs, heats = oracle.simulate_repeated_incoherent(spec, 120)
+        (rs,), (heats,) = oracle.simulate_repeated_incoherent([spec], 120)
         assert rs[-1] == pytest.approx(auto.r_final, abs=1e-12)
         assert heats[-1] == pytest.approx(auto.heat_drawn, abs=1e-12)
 
@@ -716,7 +716,7 @@ class TestRepeatedCoherent:
     def test_four_steps_against_dense_simulation(self):
         spec = MachineSpec.two_qubit(0.4, 1.0)
         out = protocols.repeated_coherent(spec, 4)
-        rs, works = oracle.simulate_repeated_coherent(spec, 4)
+        (rs,), (works,) = oracle.simulate_repeated_coherent([spec], 4)
         for point, r_dense, w_dense in zip(out.trajectory, rs, works):
             assert point.r == pytest.approx(r_dense, abs=1e-13)
             assert point.delta_f == pytest.approx(w_dense, abs=1e-13)
@@ -724,7 +724,7 @@ class TestRepeatedCoherent:
     def test_dense_simulation_large_ec_regime(self):
         spec = MachineSpec.two_qubit(1.6, 1.0)
         out = protocols.repeated_coherent(spec, 4)
-        rs, works = oracle.simulate_repeated_coherent(spec, 4)
+        (rs,), (works,) = oracle.simulate_repeated_coherent([spec], 4)
         assert out.r_final == pytest.approx(rs[-1], abs=1e-13)
         assert out.work_cost == pytest.approx(works[-1], abs=1e-13)
 
@@ -758,7 +758,7 @@ class TestAlgorithmicCooling:
     def test_two_cycles_against_dense_four_step_simulation(self):
         spec = MachineSpec.two_qubit(1.0, 1.0)
         out = protocols.algorithmic_cooling(spec, 2, nu=1.0)
-        rs, works = oracle.simulate_algorithmic(spec, 2, nu=1.0)
+        (rs,), (works,) = oracle.simulate_algorithmic([spec], 2, nu=1.0)
         for point, r_dense, w_dense in zip(out.trajectory, rs, works):
             assert point.r == pytest.approx(r_dense, abs=1e-13)
             assert point.delta_f == pytest.approx(w_dense, abs=1e-13)
@@ -767,7 +767,7 @@ class TestAlgorithmicCooling:
         spec = MachineSpec.two_qubit(0.9, 1.0)
         for nu in (0.0, 0.35, 0.75):
             out = protocols.algorithmic_cooling(spec, 6, nu=nu)
-            rs, works = oracle.simulate_algorithmic(spec, 6, nu=nu)
+            (rs,), (works,) = oracle.simulate_algorithmic([spec], 6, nu=nu)
             assert out.r_final == pytest.approx(rs[-1], abs=1e-13)
             assert out.work_cost == pytest.approx(works[-1], abs=1e-13)
 
@@ -775,7 +775,7 @@ class TestAlgorithmicCooling:
     def test_full_precool_trajectory_against_dense_simulation(self, e_c):
         spec = MachineSpec.two_qubit(e_c, 1.0)
         out = protocols.algorithmic_cooling(spec, 6, nu=1.0)
-        rs, works = oracle.simulate_algorithmic(spec, 6)
+        (rs,), (works,) = oracle.simulate_algorithmic([spec], 6)
         assert len(out.trajectory) == len(rs) == len(works) == 7
         for point, r_dense, w_dense in zip(out.trajectory, rs, works):
             assert point.r == pytest.approx(r_dense, abs=1e-13)
@@ -793,14 +793,14 @@ class TestAlgorithmicCooling:
         assert precool_de == pytest.approx(1.0 * (_r(1.4, 1.0) - _r(0.4, 1.0)), abs=1e-15)
         state = oracle.rethermalize(state, 1, spec.e_b, 1.0)
         _, cool_de, _ = oracle.apply_and_measure(state, oracle.swap_unitary(8, 3, 4), h)
-        _, works = oracle.simulate_algorithmic(spec, 1)
+        _, (works,) = oracle.simulate_algorithmic([spec], 1)
         assert works[1] == precool_de + cool_de
 
     def test_partial_precool_trajectory_from_custom_start(self):
         spec = MachineSpec.two_qubit(0.6, 1.0)
         for nu in (0.2, 0.6):
             out = protocols.algorithmic_cooling(spec, 5, nu=nu, r0=0.8)
-            rs, works = oracle.simulate_algorithmic(spec, 5, nu=nu, r0=0.8)
+            (rs,), (works,) = oracle.simulate_algorithmic([spec], 5, nu=nu, r0=0.8)
             for point, r_dense, w_dense in zip(out.trajectory, rs, works):
                 assert point.r == pytest.approx(r_dense, abs=1e-13)
                 assert point.delta_f == pytest.approx(w_dense, abs=1e-13)
@@ -822,7 +822,7 @@ class TestAlgorithmicCooling:
         spec = MachineSpec.two_qubit(0.4, 1.0)
         r0 = 0.85
         out = protocols.algorithmic_cooling(spec, 3, nu=1.0, r0=r0)
-        rs, works = oracle.simulate_algorithmic(spec, 3, nu=1.0, r0=r0)
+        (rs,), (works,) = oracle.simulate_algorithmic([spec], 3, nu=1.0, r0=r0)
         assert out.r_final == pytest.approx(rs[-1], abs=1e-13)
         assert out.work_cost == pytest.approx(works[-1], abs=1e-13)
 
@@ -921,7 +921,7 @@ class TestOptimalSequence:
         )
 
         # dense verification of the nu-cycle asymptote
-        rs, _ = oracle.simulate_algorithmic(spec, 400, nu=nu_closed)
+        (rs,), _ = oracle.simulate_algorithmic([spec], 400, nu=nu_closed)
         assert rs[-1] == pytest.approx(r_t, abs=1e-10)
 
     def test_unreachable_target_rejected(self):

@@ -25,10 +25,6 @@ KEEP = {
 # Defaulted parameters that no source call sets, and why each stays.
 KEEP_PARAMETERS = {
     "main.argv": "None reads sys.argv; the tests drive main in-process",
-    "check_formula_dense_equivalence.tol": "acceptance criterion 1 states its bound",
-    "check_vertex_oracle.tol": "acceptance criterion 3 states its bound",
-    "coherent_single_cycle_curve.grid": "the oracle tests sweep coarser frontiers",
-    "check_thermalization_gradients.cases": "the verify tests run a few machines",
     "simulate_repeated_incoherent.r0": "dense reference for chained ladder stages",
     "simulate_algorithmic.r0": "dense reference for algorithmic cooling from r0",
 }

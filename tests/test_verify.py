@@ -4,17 +4,19 @@ import math
 import tracemalloc
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from qfridge import ladder, majorization, oracle, protocols
 from qfridge.cli import main
-from qfridge.thermal import DomainError
+from qfridge.thermal import DomainError, MachineSpec
 from qfridge.verify import (
     check_formula_dense_equivalence,
     check_ladder_gap_rate,
     check_pareto_sweep,
     check_thermalization_gradients,
     check_vertex_oracle,
+    coherent_single_cycle_curve,
     run_verification,
 )
 
@@ -41,7 +43,7 @@ class TestThermalizationGradientReport:
             monkeypatch.setattr(
                 oracle, "thermalization_gradient_check", lambda spec, t_b, t_c: slopes
             )
-            result = check_thermalization_gradients(seed=5, cases=3)
+            result = check_thermalization_gradients(seed=5)
             assert not result.passed
             assert math.isfinite(result.residual)
             assert result.residual == wrong
@@ -59,11 +61,11 @@ class TestThermalizationGradientReport:
             return slope_b * scale[0], slope_c * scale[1]
 
         monkeypatch.setattr(oracle, "thermalization_gradient_check", off)
-        result = check_thermalization_gradients(seed=5, cases=3)
+        result = check_thermalization_gradients(seed=5)
         assert not result.passed
         assert result.residual == pytest.approx(max(scale) - 1.0, rel=1e-3)
         assert result.detail.startswith(
-            "3 machines, central differences vs closed-form slopes; worst: machine "
+            "25 machines, central differences vs closed-form slopes; worst: machine "
         )
         assert f", d/dT_{label} = " in result.detail
         for name in ("e_c=", "t_room=", "t_hot=", "t_b=", "t_c="):
@@ -78,16 +80,16 @@ class TestThermalizationGradientReport:
             return (math.nan, slope_c) if label == "B" else (slope_b, math.nan)
 
         monkeypatch.setattr(oracle, "thermalization_gradient_check", with_nan)
-        result = check_thermalization_gradients(seed=5, cases=3)
+        result = check_thermalization_gradients(seed=5)
         assert not result.passed
         assert result.residual == math.inf
         assert f"; worst: machine 0, d/dT_{label} = nan against " in result.detail
 
     def test_passing_report_is_unchanged(self):
-        result = check_thermalization_gradients(seed=5, cases=3)
+        result = check_thermalization_gradients(seed=5)
         assert result.passed
         assert 0.0 <= result.residual <= result.tolerance == 1e-6
-        assert result.detail == "3 machines, central differences vs closed-form slopes"
+        assert result.detail == "25 machines, central differences vs closed-form slopes"
 
 
 class TestVertexOracleGatesTheClosedForm:
@@ -138,6 +140,19 @@ class TestVertexOracleReport:
         assert result.residual == math.inf
         assert "; worst: instance 1, dimension 8, " in result.detail
         assert ", solver missed, " in result.detail
+
+
+@pytest.mark.parametrize("e_c", [0.4, 1.7], ids=["e_c<e", "e_c>e"])
+@pytest.mark.parametrize("t_room", [0.21, 1.0, 5.0])
+def test_three_point_frontier_interpolates_the_closed_form(e_c, t_room):
+    # The frontier is linear in mu between mu = 0, 1/2 and 1, so the kink
+    # points alone give the closed-form cost at every population between.
+    spec = MachineSpec.two_qubit(e_c, t_room)
+    f_kinks, r_kinks = np.array(coherent_single_cycle_curve(spec)).T
+    for mu in np.linspace(0.0, 1.0, 201):
+        r_target = protocols.coherent_single_population(spec, float(mu))
+        cost = protocols.two_qubit_coherent_single(spec, r_target).work_cost
+        assert abs(np.interp(r_target, r_kinks, f_kinks) - cost) <= 1e-15 * abs(cost), mu
 
 
 class TestParetoSweepReport:
