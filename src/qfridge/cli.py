@@ -201,10 +201,9 @@ def crossing_report(spec: MachineSpec, tolerance: float) -> CrossingReport:
     """
     if not tolerance > 0.0:
         raise DomainError(f"tolerance must be > 0, got {tolerance}")
-    f_max = protocols.single_cycle_coherent_cost(spec)
+    f_max, sign = protocols.frontier_gap_sign(spec)
     if f_max <= 0.0:
         return CrossingReport(None, None, None, 0)
-    sign = protocols.frontier_gap_sign(spec)
     probes = [f_max * u for u in _PROBE_SHARES]
     try:
         signs = [sign(f) for f in probes]

@@ -42,6 +42,24 @@ class TrajectoryPoint(NamedTuple):
     delta_f: float
 
 
+class _Kink(NamedTuple):
+    # A kink of a single-cycle coherent frontier: the gap of the qubit whose population the target
+    # has reached, that population, the cost so far, and the gradient of the phase ending here.
+    gap: float
+    r: float
+    work: float
+    gradient: float
+
+
+def _kinks(e: float, r: float, phases: list[tuple[float, float, float]]) -> tuple[_Kink, ...]:
+    # The frontier from the target (gap e, population r) through each (gap, r_end, gradient) phase.
+    rows = [_Kink(e, r, 0.0, 0.0)]
+    for gap, r_end, gradient in phases:
+        last = rows[-1]
+        rows.append(_Kink(gap, r_end, last.work + (r_end - last.r) * gradient, gradient))
+    return tuple(rows)
+
+
 @dataclass(frozen=True)
 class ProtocolOutcome:
     """Final state and cost of one protocol run."""
@@ -57,7 +75,8 @@ class ProtocolOutcome:
 @dataclass(frozen=True)
 class _Machine:
     # A resonant two-qubit machine with a target gap > 0, built only by
-    # _resonant.  Populations are computed on first read: the sign factory needs r_C alone.
+    # _resonant.  Each field is computed on first read, so a caller pays only
+    # for what it reads: the incoherent inversion never builds the frontier.
     spec: MachineSpec
 
     @cached_property
@@ -76,6 +95,14 @@ class _Machine:
     def r_ch(self) -> float:
         # C's ground population at the hot bath _resonant(spec, True) checked.
         return boltzmann_population(self.spec.e_c, self.spec.t_hot)
+
+    @cached_property
+    def frontier(self) -> tuple[_Kink, ...]:
+        # The optimal single cycle swaps the target up to r_B: with C first
+        # (to r_C at e_c - e) exactly when E_C > E, then with B (at e_b - e = e_c).
+        e, e_c = self.spec.e, self.spec.e_c
+        head = [(e_c, self.r_c, e_c - e)] if e_c > e else []
+        return _kinks(e, self.r, head + [(self.spec.e_b, self.r_b, e_c)])
 
     @property
     def w_half(self) -> float:
@@ -145,7 +172,8 @@ def one_qubit_coherent(spec: MachineSpec, r_target: float) -> ProtocolOutcome:
         raise DomainError(f"the one-qubit protocol needs a target gap > 0, got {spec.e}")
     r = boltzmann_population(spec.e, spec.t_room)
     r_b = boltzmann_population(spec.e_b, spec.t_room)
-    return _single_cycle(spec, r, r_target, _phase_work(r, [(r_b, spec.e_b - spec.e)], r_target))
+    frontier = _kinks(spec.e, r, [(spec.e_b, r_b, spec.e_b - spec.e)])
+    return _single_cycle(spec, r, r_target, _phase_work(frontier, r_target))
 
 
 def _degenerate_swap_population(r: float, r_b: float, c_pop: float) -> float:
@@ -230,96 +258,65 @@ def incoherent_temperature_of_work(spec: MachineSpec, delta_f: float) -> float:
     return _final_temperature(spec, _degenerate_swap_population(m.r, m.r_b, x))
 
 
-def _swap_phases(
-    m: _Machine, via_c: bool | None = None, ends: tuple[float, float] | None = None
-) -> list[tuple[float, float]]:
-    # (population endpoint, gradient) of each swap raising the target from r
-    # to r_B: with C first when via_c (to r_C at e_c - e), then with B (to r_B
-    # at e_b - e = e_c).  via_c = None takes the work-optimal single cycle,
-    # which goes through C exactly when e_c > e.  ends = (s_B, s_C) gives the
-    # endpoints as excited populations instead.
-    e, e_c = m.spec.e, m.spec.e_c
-    end_b, end_c = (m.r_b, m.r_c) if ends is None else ends
-    through_c = e_c > e if via_c is None else via_c
-    return ([(end_c, e_c - e)] if through_c else []) + [(end_b, e_c)]
-
-
-def _phase_work(r: float, phases: list[tuple[float, float]], r_target: float) -> float:
-    # Work of raising the target from r to r_target along the swap phases,
-    # each at its gradient.  Targets within 1e-12 of the range are clamped
+def _phase_work(frontier: tuple[_Kink, ...], r_target: float) -> float:
+    # Work of raising the target to r_target, from the kink that starts the
+    # phase r_target falls in.  Targets within 1e-12 of the range are clamped
     # into it, as the T-transform solver clamps its mixing weight.
-    r_top = phases[-1][0]
+    r, r_top = frontier[0].r, frontier[-1].r
     if not r - 1e-12 <= r_target <= r_top + 1e-12:
         raise InfeasibleTargetError(
             f"r_target={r_target} outside the reachable range [{r}, {r_top}]"
         )
     r_target = min(max(r_target, r), r_top)
-    work, r_now = 0.0, r
-    for r_end, gradient in phases:
-        work += (min(r_target, r_end) - r_now) * gradient
-        if r_target <= r_end:
-            break
-        r_now = r_end
-    return work
+    k = next(k for k in range(1, len(frontier)) if r_target <= frontier[k].r)
+    return frontier[k - 1].work + (r_target - frontier[k - 1].r) * frontier[k].gradient
 
 
 def single_cycle_coherent_cost(spec: MachineSpec) -> float:
     """Optimal work of maximal single-cycle coherent cooling (r_target = r_B)."""
-    return _swap_cost(_resonant(spec))
-
-
-def _swap_cost(m: _Machine, via_c: bool | None = None) -> float:
-    # Work of swapping the target up to r_B, through C first when via_c (None: optimal).
-    phases = _swap_phases(m, via_c)
-    return _phase_work(m.r, phases, phases[-1][0])
+    return _resonant(spec).frontier[-1].work
 
 
 def coherent_single_population(spec: MachineSpec, mu: float) -> float:
     """Target population of the optimal single-cycle frontier at mixing ``mu``.
 
     mu in [0, 1] walks the swap phases, an equal share each: r to r_B, or
-    (e_c > e) r to r_C by mu = 1/2, then on to r_B.
+    (through C) r to r_C by mu = 1/2, then on to r_B.
     """
-    m = _resonant(spec)
+    frontier = _resonant(spec).frontier
     if not 0.0 <= mu <= 1.0:
         raise DomainError(f"mu must lie in [0, 1], got {mu}")
-    phases = _swap_phases(m)
-    r_now, position = m.r, len(phases) * mu
-    for k, (r_end, _) in enumerate(phases):
-        if position <= k + 1:
-            break
-        r_now = r_end
-    return r_now + (position - k) * (r_end - r_now)
+    position = (len(frontier) - 1) * mu
+    k = max(math.ceil(position), 1)  # the kink that ends mu's phase
+    start, end = frontier[k - 1], frontier[k]
+    return start.r + (position - (k - 1)) * (end.r - start.r)
 
 
 def coherent_temperature_of_work(spec: MachineSpec, delta_f: float) -> float:
     """Inverse of the piecewise-linear single-cycle coherent frontier.
 
-    Walks the swap phases at their gradients up to the budget.  Budgets <= 0
+    Reads the budget's phase off the frontier's kinks.  Budgets <= 0
     return t_room before the machine is checked; budgets beyond
     :func:`single_cycle_coherent_cost` return r_B's temperature (0.0 once r_B
     saturates to 1 in double precision); NaN raises :class:`DomainError`.
     """
     if not delta_f > 0.0:
         return _origin_temperature(spec.t_room, delta_f)
-    m = _resonant(spec)
-    phases = _swap_phases(m)
-    if phases[-1][0] <= m.r:
+    frontier = _resonant(spec).frontier
+    if frontier[-1].r <= frontier[0].r:
         return spec.t_room
-    work, r_now = 0.0, m.r
-    for r_end, gradient in phases[:-1]:
-        cost = (r_end - r_now) * gradient
-        if delta_f - work <= cost:
-            return _final_temperature(spec, r_now + (delta_f - work) / gradient)
-        work, r_now = work + cost, r_end
-    r_end, gradient = phases[-1]
-    cost = (r_end - r_now) * gradient
-    share = 1.0 if delta_f - work >= cost else (delta_f - work) / cost
-    return _final_temperature(spec, r_now + share * (r_end - r_now))
+    last = len(frontier) - 1
+    k = next((k for k in range(1, last) if delta_f <= frontier[k].work), last)
+    start, end = frontier[k - 1], frontier[k]
+    if k < last:  # a head phase: the budget left over its gradient
+        return _final_temperature(spec, start.r + (delta_f - start.work) / end.gradient)
+    cost = (end.r - start.r) * end.gradient
+    share = 1.0 if delta_f - start.work >= cost else (delta_f - start.work) / cost
+    return _final_temperature(spec, start.r + share * (end.r - start.r))
 
 
-def frontier_gap_sign(spec: MachineSpec) -> Callable[[float], int]:
-    """Sign of T_inc(dF) - T_coh(dF) between the single-cycle frontiers.
+def frontier_gap_sign(spec: MachineSpec) -> tuple[float, Callable[[float], int]]:
+    """(f_max, sign): the coherent full cost and the sign of T_inc(dF) - T_coh(dF).
 
     T_inc(f) > T_coh(f) exactly when the incoherent frontier needs more than
     f to reach the coherent population at f.  The degenerate-pair swap is
@@ -333,25 +330,24 @@ def frontier_gap_sign(spec: MachineSpec) -> Callable[[float], int]:
     W(s_x) - f, with W in the complement form
     :func:`incoherent_temperature_of_work` evaluates.  Excited populations
     keep every term free of cancellation, also where r, r_B and r_C round
-    to 1.  The machine is checked and its constants are computed here
-    once; a sign costs one phase walk and one W evaluation.
+    to 1.  The machine is checked and its constants, f_max =
+    :func:`single_cycle_coherent_cost` among them, are computed here once
+    from one record; a sign costs one phase walk and one W evaluation.
     Budgets <= 0 give 0; budgets at or beyond W(1/2) raise
     :class:`InfeasibleTargetError`, as the incoherent inversion does; NaN
     raises :class:`DomainError`.
     """
     m = _resonant(spec)
     e_c, t_room = spec.e_c, spec.t_room
-    s = excited_population(spec.e, t_room)
-    s_b = excited_population(spec.e_b, t_room)
+    frontier = m.frontier
+    s_kinks = [excited_population(kink.gap, t_room) for kink in frontier]  # s, [s_C,] s_B
+    s, s_b = s_kinks[0], s_kinks[-1]
     s_c = excited_population(e_c, t_room)
     r_c, w_half = m.r_c, m.w_half
     denominator = s * (1.0 - s_b) + (1.0 - s) * s_b
     u_half = 0.5 * math.tanh(0.5 * e_c / t_room)
     # (span of s, gradient) of each coherent phase, in phase order.
-    spans, s_now = [], s
-    for s_end, gradient in _swap_phases(m, ends=(s_b, s_c)):
-        spans.append((s_now - s_end, gradient))
-        s_now = s_end
+    spans = [(a - b, kink.gradient) for a, b, kink in zip(s_kinks, s_kinks[1:], frontier[1:])]
     *head, (last_span, last_gradient) = spans
 
     def sign(delta_f: float) -> int:
@@ -380,13 +376,13 @@ def frontier_gap_sign(spec: MachineSpec) -> Callable[[float], int]:
         need = _incoherent_work(u, r_c - u, s_c, e_c, t_room)
         return (need > delta_f) - (need < delta_f)
 
-    return sign
+    return frontier[-1].work, sign
 
 
 def two_qubit_coherent_single(spec: MachineSpec, r_target: float) -> ProtocolOutcome:
     """Work-optimal single-cycle coherent cooling of the resonant machine."""
     m = _resonant(spec)
-    return _single_cycle(spec, m.r, r_target, _phase_work(m.r, _swap_phases(m), r_target))
+    return _single_cycle(spec, m.r, r_target, _phase_work(m.frontier, r_target))
 
 
 def _virtual_qubit(m: _Machine, c_pop: float, coherent: bool) -> virtual.VirtualQubit:
@@ -520,7 +516,7 @@ def repeated_coherent(spec: MachineSpec, n: float) -> ProtocolOutcome:
 
 def _repeated_coherent(m: _Machine, n: float) -> ProtocolOutcome:
     _require_repetition_count(n)
-    first_cost = _swap_cost(m)
+    first_cost = m.frontier[-1].work
     return _reset_and_swap(
         m,
         n,
@@ -548,7 +544,10 @@ def precool_mixing_for_population(spec: MachineSpec, r_target: float) -> float:
     At and beyond the full-precooling floor the mixing is exactly 1; the
     closed form would lose that to the cancellation in 1 - r_target.
     """
-    m = _resonant(spec)
+    return _precool_mixing(_resonant(spec), r_target)
+
+
+def _precool_mixing(m: _Machine, r_target: float) -> float:
     if not 0.0 <= r_target <= 1.0:
         raise DomainError(f"population must lie in [0, 1], got {r_target}")
     if r_target >= _algorithmic_limit(m)[0]:
@@ -608,9 +607,9 @@ def optimal_sequence(spec: MachineSpec, t_target: float) -> ProtocolOutcome:
     """Cheapest route to ``t_target``: swap chain, repeats, tuned precooling.
 
     Phases in order, each at its energy gradient, stopping at the phase that
-    reaches the target: (if e_c > e) target<->C swap, target<->B swap,
-    repeated {00,11} swaps down to their asymptote, then precooling tuned so
-    the asymptotic population matches the target exactly.
+    reaches the target: the single cycle's target<->C swap (if any) and
+    target<->B swap, repeated {00,11} swaps down to their asymptote, then
+    precooling tuned so the asymptotic population matches the target exactly.
     """
     m = _resonant(spec)
     if not t_target > 0.0:
@@ -627,7 +626,7 @@ def optimal_sequence(spec: MachineSpec, t_target: float) -> ProtocolOutcome:
 
     r_coh_inf, t_coh_inf = _swap_limit(m, spec.e_b + spec.e_c)
     # (population endpoint, gradient): the single cycle, then {00,11} swaps.
-    phases = _swap_phases(m) + [(r_coh_inf, 2.0 * spec.e_c)]
+    phases = [(kink.r, kink.gradient) for kink in m.frontier[1:]] + [(r_coh_inf, 2.0 * spec.e_c)]
 
     work, r_now = 0.0, m.r
     trajectory = [TrajectoryPoint(0, m.r, 0.0)]
@@ -642,8 +641,8 @@ def optimal_sequence(spec: MachineSpec, t_target: float) -> ProtocolOutcome:
             return ProtocolOutcome(r_t, t_target, work, trajectory=tuple(trajectory))
 
     # Tuned-precooling tail from the repeated-coherent asymptote to the target.
-    nu = precool_mixing_for_population(spec, r_t)
-    c_pop = precooled_population(spec, nu)
+    nu = _precool_mixing(m, r_t)
+    c_pop = _precooled(m, nu)
     work += spec.e * (c_pop - m.r_c) + (spec.e + 2.0 * spec.e_c) * (r_t - r_now)
     trajectory.append(TrajectoryPoint(len(phases) + 1, r_t, work))
     return ProtocolOutcome(
@@ -689,9 +688,9 @@ def boxed_limits(spec: MachineSpec) -> dict:
             "delta_f_auto_star": auto.work_cost,
             "t_coh_star": t_coh_star,
             "r_coh_star": m.r_b,
-            "delta_f_coh_star": _swap_cost(m),
-            "delta_f_coh_star_ab_swap": _swap_cost(m, False),
-            "delta_f_coh_star_two_swap": _swap_cost(m, True),
+            "delta_f_coh_star": m.frontier[-1].work,
+            "delta_f_coh_star_ab_swap": (m.r_b - m.r) * e_c,
+            "delta_f_coh_star_two_swap": (m.r_c - m.r) * (e_c - e) + (m.r_b - m.r_c) * e_c,
             "t_coh_inf": coh_inf.t_final,
             "r_coh_inf": coh_inf.r_final,
             "delta_f_coh_inf": coh_inf.work_cost,

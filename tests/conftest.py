@@ -1,6 +1,13 @@
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import settings
+
+# Every property test runs the same examples on every run (an explicit @seed
+# still picks its own), with no per-example time limit and no example
+# database carried from one run to the next.
+settings.register_profile("fixed", derandomize=True, deadline=None, database=None)
+settings.load_profile("fixed")
 
 
 @pytest.fixture

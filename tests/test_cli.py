@@ -338,7 +338,7 @@ def _assert_matches_the_decimal_reference(spec, tolerance):
         return
     probes = [f_max * u for u in cli._logspace(-9.0, -0.0001, 160)] + [f_max]
     signs = [machine.gap_sign(f) for f in probes]
-    sign = protocols.frontier_gap_sign(spec)
+    _, sign = protocols.frontier_gap_sign(spec)
     assert [sign(f) for f in probes] == signs
     count, zeros = decimal_reference.sign_changes(signs)
     assert report.sign_changes == count
@@ -424,7 +424,7 @@ class TestCrossingCommand:
         for spec in _crossing_machines():
             assert crossing_report(spec, tolerance) == _per_probe_crossing(spec, tolerance)
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(spec=_drawn_crossing_machines(), tolerance=st.sampled_from([1e-10, 1e-6]))
     def test_matches_the_decimal_reference_on_drawn_machines(self, spec, tolerance):
         _assert_matches_the_decimal_reference(spec, tolerance)
@@ -505,6 +505,22 @@ class TestCrossingCommand:
         assert report.sign_changes == 2
         assert len(calls) <= 10
 
+    @pytest.mark.parametrize("e_c", [0.4, 1.7])
+    def test_three_machine_records_per_crossing(self, e_c, monkeypatch):
+        # f_max and the signs share one record, and each frontier inversion at
+        # t_crit builds its own; 4 when f_max had a record of its own.
+        records = []
+        real = protocols._Machine
+
+        def counted(spec):
+            records.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(protocols, "_Machine", counted)
+        report = crossing_report(MachineSpec.two_qubit(e_c, 1.0), 1e-10)
+        assert report.sign_changes == 2
+        assert len(records) == 3
+
     @pytest.mark.parametrize(
         "args, scale",
         [
@@ -525,7 +541,7 @@ class TestCrossingCommand:
         assert payload["delta_f_crit"] == pytest.approx(scale * pinned, rel=1e-7)
 
     @seed(20261019)
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(
         e=_log_uniform(1e-6, 1e6),
         e_c=st.one_of(_log_uniform(1e-300, 1e-8), _log_uniform(1e-8, 1e6)),
@@ -566,7 +582,7 @@ class TestSummaryCommand:
         assert captured.err == "error: the two-qubit protocols need a target gap > 0, got 0.0\n"
 
     @seed(20261019)
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(
         e=st.one_of(st.just(0.0), _log_uniform(1e-6, 1e6)),
         e_c=st.one_of(st.just(0.0), _log_uniform(1e-300, 1e-8), _log_uniform(1e-8, 1e6)),
@@ -980,7 +996,7 @@ class TestLadderCommand:
         assert captured.err.startswith("error: t_cold")
 
     @seed(20261019)
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(
         n=st.integers(0, 8),
         e=st.one_of(st.just(0.0), _log_uniform(1e-6, 1e6)),
@@ -1199,7 +1215,7 @@ class TestOneParsePerCall:
     """main parses with the named subcommand's parser alone, as the full parser would."""
 
     @seed(20261019)
-    @settings(max_examples=600, deadline=None)
+    @settings(max_examples=600)
     @given(argv=_argv())
     def test_same_namespace_or_usage_error_as_the_full_parser(self, argv):
         full = _parse_outcome(cli._build_parser().parse_args, argv)

@@ -309,7 +309,7 @@ def _powers_of_two(low, high):
 
 
 @seed(20261019)
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     n=st.integers(1, 64),
     target_gap=st.one_of(
@@ -333,7 +333,7 @@ def test_every_ladder_spec_is_rejected_or_finite(n, target_gap, temps):
 
 
 @seed(20261020)
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     n=st.integers(1, 64),
     target_gap=st.one_of(
@@ -414,7 +414,7 @@ class TestSinglePassWalk:
             assert embedded_ladder_preheat(spec) == expected
 
     @seed(20261019)
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(
         n=st.integers(1, 300),
         t_room=st.floats(0.1, 10.0),

@@ -279,7 +279,7 @@ class TestVertexOracle:
     t=st.floats(0.3, 4.0),
     frac=st.floats(0.0, 1.0),
 )
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_solver_never_beaten_by_oracle(e_c, t, frac):
     spec = MachineSpec.two_qubit(e_c, t)
     rho = thermal_populations(spec.gaps, (t, t, t))
@@ -374,7 +374,7 @@ class TestVertexOracleBlockReduction:
         h_raw=st.lists(st.floats(0.0, 3.0), min_size=8, max_size=8),
         frac=st.floats(0.0, 1.0),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_matches_full_enumeration(self, data, dim, thermal, e_c, t, raw, h_raw, frac):
         k = data.draw(st.integers(1, dim - 1), label="k")
         if thermal:

@@ -20,6 +20,9 @@ KEEP = {
     "swap_update": "acceptance criterion 8",
     "optimal_sequence": "README figure recipe and the summary tie test",
     "autonomous_steady_state": "acceptance criterion 5",
+    "single_cycle_coherent_cost": "acceptance criterion 4",
+    "precooled_population": "the algorithmic-cooling tests price their expected cycles with it",
+    "precool_mixing_for_population": "the optimal-sequence tests check its mixing against bisection",
 }
 
 # Defaulted parameters that no source call sets, and why each stays.

@@ -94,7 +94,7 @@ class TestExcitedPopulation:
     # Temperatures are powers of two, so gap/temp is exact; otherwise its
     # rounding alone moves the population by up to gap/temp half-ulps.
     @given(ratio=_log_uniform(1e-12, 700.0), scale=st.integers(-10, 10))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_within_four_ulps_of_the_decimal_reference(self, ratio, scale):
         temp = 2.0**scale
         assert _ulps_from_reference(ratio * temp, temp) <= 4
