@@ -35,6 +35,7 @@ from .thermal import (
     binary_entropy,
     boltzmann_population,
     hamiltonian_diagonal,
+    relative_entropy,
     resource_free_energy,
     temperature_from_population,
     thermal_populations,
@@ -102,6 +103,7 @@ __all__ = [
     "n_swap_population",
     "one_qubit_coherent",
     "optimal_sequence",
+    "relative_entropy",
     "repeated_coherent",
     "repeated_incoherent",
     "resource_free_energy",

@@ -31,6 +31,7 @@ from .thermal import (
     RESONANCE_RTOL,
     boltzmann_population,
     excited_population,
+    relative_entropy,
     resource_free_energy,
     temperature_from_population,
 )
@@ -707,8 +708,9 @@ def internal_resource(
     """Single-cycle cooling with qubit C itself as the resource.
 
     ``scenario='incoherent'``: C is exchanged with a copy thermal at
-    ``control`` (= T_H >= t_room) and the free energy is charged from the
-    system state, entropy term included.  ``scenario='coherent'``: a local
+    ``control`` (= T_H >= t_room) and charged the free energy of that copy
+    over C at t_room, T_R·D, which stays positive and exact as T_H -> T_R.
+    ``scenario='coherent'``: a local
     unitary with mixing ``control`` (= mu in [0, 1]) is applied to C and the
     energy change of the state is charged.  Both end with the degenerate-pair
     swap.  The incoherent variant dominates the coherent one at any
@@ -723,9 +725,7 @@ def internal_resource(
         c_pop = boltzmann_population(spec.e_c, t_hot)
         work = 0.0  # an equilibrium copy is free, also at t_room = inf
         if t_hot > spec.t_room:
-            work = spec.e_c * (1.0 - spec.t_room / t_hot) * (1.0 - c_pop) + (
-                spec.t_room * math.log(c_pop / r_c)
-            )
+            work = spec.t_room * relative_entropy(spec.e_c, t_hot, spec.t_room)
     elif scenario == "coherent":
         mu = control
         if not 0.0 <= mu <= 1.0:

@@ -238,6 +238,58 @@ def binary_entropy(r: float) -> float:
     return -r * math.log(r) - (1.0 - r) * math.log1p(-r)
 
 
+# The positive nodes of 10-point Gauss-Legendre on [-1, 1] and their weights.
+_GAUSS_LEGENDRE_10 = (
+    (0.14887433898163122, 0.2955242247147528),
+    (0.4333953941292472, 0.2692667193099965),
+    (0.6794095682990244, 0.219086362515982),
+    (0.8650633666889845, 0.1494513491505804),
+    (0.9739065285171717, 0.06667134430868814),
+)
+# (t, w (1 - t)) on [0, 1], for the integral of (1 - t) f(t).
+_BREGMAN_NODES = tuple(
+    (t, 0.5 * weight * (1.0 - t))
+    for node, weight in _GAUSS_LEGENDRE_10
+    for t in (0.5 * (1.0 - node), 0.5 * (1.0 + node))
+)
+
+
+def relative_entropy(gap: float, temp: float, ref_temp: float) -> float:
+    """D(γ(temp) ‖ γ(ref_temp)) between two Gibbs states of one qubit.
+
+    ``ref_temp·D`` is the free energy, at ``ref_temp``, of a qubit at
+    ``temp`` above one at ``ref_temp``.  In the exponents x = gap/temp and
+    x + δ = gap/ref_temp, taking δ = x (temp - ref_temp)/ref_temp while the
+    temperatures are within a factor 2, where it is exact, D = sp(-x - δ) -
+    sp(-x) + s δ, with sp softplus and s the excited population at ``temp``.  For |δ| <= 0.5, where those terms
+    cancel, it is δ² ∫₀¹ (1 - t) s(1 - s)(x + tδ) dt by 10-point
+    Gauss-Legendre, within a few ulps.  Either temperature may be
+    ``math.inf``; D is inf only when gap/ref_temp overflows at a finite x.
+    """
+    _require_gap("gap", gap)
+    if not (temp > 0.0 and ref_temp > 0.0):
+        raise DomainError(f"temperatures must be > 0 or infinite, got {temp} and {ref_temp}")
+    if temp == ref_temp:
+        return 0.0
+    x = gap / temp
+    x_ref = gap / ref_temp
+    if 0.5 <= temp / ref_temp <= 2.0:  # temp - ref_temp is exact
+        delta = x * ((temp - ref_temp) / ref_temp)
+    else:
+        delta = x_ref - x
+    if abs(delta) <= 0.5:
+        total = 0.0
+        for t, weight in _BREGMAN_NODES:
+            q = math.exp(-(x + t * delta))
+            total += weight * q / ((1.0 + q) * (1.0 + q))
+        return delta * delta * total
+    q = math.exp(-x)
+    s = q / (1.0 + q)
+    q_ref = math.exp(-x_ref)
+    d = math.log1p(-s) - math.log1p(-q_ref / (1.0 + q_ref))
+    return max(0.0, d + s * delta if s else d)  # D >= 0; its terms may round below
+
+
 def thermal_populations(
     gaps: Sequence[float], temps: Sequence[float]
 ) -> np.ndarray:

@@ -5,24 +5,31 @@ formula is evaluated in 50 significant digits, so the reference resolves what
 double precision rounds away: populations within e^-700 of 1, differences of
 nearly equal populations, and gaps whose sign turns on the last bits.  The
 two-qubit machine is taken exactly resonant, E_B = E + E_C, as
-``MachineSpec.two_qubit`` describes it before E_B is rounded.
+``MachineSpec.two_qubit`` describes it before E_B is rounded.  Relative
+entropies and ladder gaps are written in excited populations, so that a
+cold qubit's e^-700 is not lost against 1.
 """
 
 from __future__ import annotations
 
 import decimal
 import functools
+import math
 from decimal import Decimal
+from fractions import Fraction
 
 CONTEXT = decimal.Context(prec=50, Emin=-999999, Emax=999999)
 HALF = Decimal("0.5")
 
 
 def _in_context(function):
-    # Every operator inside runs at 50 digits, whatever the caller's context.
+    # Every operator inside runs at 50 digits, whatever the caller's context,
+    # or at more where a reference function raised them for its callees.
     @functools.wraps(function)
     def wrapped(*args, **kwargs):
-        with decimal.localcontext(CONTEXT):
+        context = CONTEXT.copy()
+        context.prec = max(CONTEXT.prec, decimal.getcontext().prec)
+        with decimal.localcontext(context):
             return function(*args, **kwargs)
 
     return wrapped
@@ -43,6 +50,117 @@ def excited_population(gap: float | Decimal, temp: float | Decimal) -> Decimal:
     """q/(1 + q) with q = exp(-gap/temp); ``temp`` may be ``math.inf``."""
     q = exp(-Decimal(gap) / Decimal(temp))
     return q / (1 + q)
+
+
+@_in_context
+def log1p(x: Decimal) -> Decimal:
+    """ln(1 + x), by its series while 1 + x would round x away."""
+    if abs(x) >= Decimal("1e-10"):
+        return (1 + x).ln()
+    total, power, k = Decimal(0), x, 1
+    while power:
+        total += power / k
+        power, k = -power * x, k + 1
+        if abs(power) < abs(total) * Decimal("1e-55"):
+            break
+    return total
+
+
+@_in_context
+def _softplus_integral(x_a: Decimal, x_b: Decimal) -> Decimal:
+    """The integral of the excited population 1/(1 + e^x) from x_a to x_b."""
+    return log1p(exp(-x_a)) - log1p(exp(-x_b))
+
+
+@_in_context
+def relative_entropy(gap: float, temp: float, ref_temp: float) -> Decimal:
+    """D(γ(temp) ‖ γ(ref_temp)) = ∫ s from x_b to x_a, less (x_a - x_b) s(x_a).
+
+    x_a = gap/temp, x_b = gap/ref_temp; either temperature may be ``math.inf``.
+    The two terms cancel to about |δ| of their size, δ = x_a - x_b, so
+    they are taken with those digits on top of the 50.
+    """
+    delta = Decimal(gap) / Decimal(temp) - Decimal(gap) / Decimal(ref_temp)
+    extra = max(0, -delta.adjusted()) + 1 if delta else 0
+    with decimal.localcontext() as context:
+        context.prec += extra
+        x_a = Decimal(gap) / Decimal(temp)
+        x_b = Decimal(gap) / Decimal(ref_temp)
+        return _softplus_integral(x_b, x_a) - (x_a - x_b) * excited_population(x_a, 1)
+
+
+def _odd_derivatives(count: int) -> list[list[int]]:
+    """Q_1..Q_count, low order first: s^(2k-1) = -Q_k(s(1 - s)) for s = 1/(1 + e^x)."""
+    polys = [[0, 1]]
+    while len(polys) < count:
+        q = polys[-1]
+        d1 = [j * c for j, c in enumerate(q)][1:]
+        d2 = [j * c for j, c in enumerate(d1)][1:]
+        nxt = [0] * (len(q) + 1)
+        for j, c in enumerate(d2):  # Q'' u^2 (1 - 4u)
+            nxt[j + 2] += c
+            nxt[j + 3] -= 4 * c
+        for j, c in enumerate(d1):  # Q' (u - 6u^2)
+            nxt[j + 1] += c
+            nxt[j + 2] -= 6 * c
+        polys.append(nxt)
+    return polys
+
+
+def bernoulli_over_factorial(count: int) -> list[Fraction]:
+    """B_2k/(2k)! for k = 1..count, exactly."""
+    b = [Fraction(1)]
+    for m in range(1, 2 * count + 1):
+        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    return [b[2 * k] / math.factorial(2 * k) for k in range(1, count + 1)]
+
+
+# Terms of the reference's Euler-Maclaurin series: its h stays below 0.05.
+_EM_TERMS = 24
+ODD_DERIVATIVES = _odd_derivatives(_EM_TERMS)
+_EM_CONSTANTS = [CONTEXT.divide(b.numerator, b.denominator) for b in bernoulli_over_factorial(_EM_TERMS)]
+DIRECT_SUM_LIMIT = 1 << 14
+
+
+@_in_context
+def ladder_excess(e: float, t_cold: float, t_room: float, n: int, *, series: bool | None = None) -> Decimal:
+    """h·Σ_{i<n} s(x_R + i h) - ∫ s over [x_R, x_C], h = (x_C - x_R)/n.
+
+    T_R times this is the coherent ladder's gap.  The sum is taken term by
+    term (s_i from q_i = e^-x_i, q_i+1 = q_i e^-h) up to ``DIRECT_SUM_LIMIT``
+    terms, and as its Euler-Maclaurin series, to 24 terms at h < 0.05,
+    beyond; ``series`` forces one route.
+    """
+    x_r = Decimal(e) / Decimal(t_room)
+    x_c = Decimal(e) / Decimal(t_cold)
+    h = (x_c - x_r) / n
+    integral = _softplus_integral(x_r, x_c)
+    if series is None:
+        series = n > DIRECT_SUM_LIMIT
+    if not series:
+        q, ratio, total = exp(-x_r), exp(-h), Decimal(0)
+        for _ in range(n):
+            total += q / (1 + q)
+            q *= ratio
+        return h * total - integral
+    if not h < Decimal("0.05"):
+        raise ValueError(f"the reference's series needs h < 0.05, got {h}")
+    s_r, s_c = excited_population(x_r, 1), excited_population(x_c, 1)
+    u_r, u_c = s_r * (1 - s_r), s_c * (1 - s_c)
+    total = h / 2 * (s_r - s_c)
+    for constant, q in zip(_EM_CONSTANTS, ODD_DERIVATIVES):
+        at_r = at_c = Decimal(0)
+        for c in reversed(q):
+            at_r, at_c = at_r * u_r + c, at_c * u_c + c
+        total += constant * h ** (2 * len(q) - 2) * (at_r - at_c)
+    return total
+
+
+@_in_context
+def ladder_totals(e: float, t_cold: float, t_room: float, n: int) -> tuple[Decimal, Decimal]:
+    """(gap, df_target) of the n-stage coherent ladder: T_R times the excess and D."""
+    t_r = Decimal(t_room)
+    return t_r * ladder_excess(e, t_cold, t_room, n), t_r * relative_entropy(e, t_cold, t_room)
 
 
 class Machine:

@@ -1342,7 +1342,9 @@ class TestConsoleInterface:
 
     def test_closed_form_commands_never_load_numpy(self):
         # Only verify needs the dense oracle; everything else is scalar
-        # closed forms and must start without numpy's import cost.
+        # closed forms and must start without numpy's import cost.  The
+        # ladder's series constants are float literals, so neither
+        # fractions nor decimal is imported either.
         script = """
 import contextlib, io, sys
 import qfridge, qfridge.cli
@@ -1362,6 +1364,7 @@ for argv in ops:
         assert qfridge.cli.main(argv) == 0, argv
 print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
 print(sorted(m for m in ("qfridge.majorization", "qfridge.oracle", "qfridge.verify") if m in sys.modules))
+print(sorted(m for m in ("fractions", "decimal", "_pydecimal") if m in sys.modules))
 """
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
@@ -1369,4 +1372,4 @@ print(sorted(m for m in ("qfridge.majorization", "qfridge.oracle", "qfridge.veri
             [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines() == ["[]", "[]"]
+        assert result.stdout.splitlines() == ["[]", "[]", "[]"]

@@ -1,6 +1,9 @@
 import dataclasses
+import decimal
 import math
+import random
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
+import decimal_reference
 import ladder_reference
 from qfridge import ladder
 from qfridge.ladder import (
@@ -376,23 +380,38 @@ def _bit_identity_specs():
         yield LadderSpec(n, 0.21, 0.9, t_hot=3.0, e_ground_offset=1.5, target_gap=1.7)
 
 
+def _assert_totals_match_the_reference(out, spec, rel=1e-13):
+    gap, df_target = decimal_reference.ladder_totals(
+        spec.target_gap, spec.t_cold, spec.t_room, spec.n_steps
+    )
+    assert out.gap >= 0.0
+    assert out.gap == pytest.approx(float(gap), rel=rel, abs=0.0)
+    assert out.df_target == pytest.approx(float(df_target), rel=rel, abs=0.0)
+    assert out.w_total == pytest.approx(float(gap + df_target), rel=rel, abs=0.0)
+
+
 class TestSinglePassWalk:
     """The one-pass walks against the list-building loops they replaced."""
 
     @pytest.mark.parametrize("spec", list(_bit_identity_specs()), ids=repr)
     def test_bit_identical_to_the_list_building_loops(self, spec):
-        w_total, df_target, gap, stages = ladder_reference.coherent_ladder(spec)
+        # The stages and the preheats keep the loops' bits.  The totals are
+        # no longer a float sum over the stages; they are held to 1e-13 of
+        # the decimal reference (the loop's sum was off by up to 5.8e-11).
+        *_, stages = ladder_reference.coherent_ladder(spec)
         coh = coherent_ladder(spec)
-        assert (coh.w_total, coh.df_target, coh.gap) == (w_total, df_target, gap)
+        _assert_totals_match_the_reference(coh, spec)
         assert coh.per_step == stages
         if spec.e_ground_offset is None:
             q_init = ladder_reference.real_qubit_preheat(spec, spec.t_hot)
         else:
             q_init = embedded_ladder_preheat(spec)
-        w_inc = resource_free_energy(q_init, spec.t_hot, spec.t_room) + w_total
+        preheat = resource_free_energy(q_init, spec.t_hot, spec.t_room)
         inc = ladder.incoherent_twin(spec, coh)
         assert inc.q_init == q_init
-        assert (inc.w_total, inc.df_target, inc.gap) == (w_inc, df_target, w_inc - df_target)
+        assert (inc.w_total, inc.df_target, inc.gap) == (
+            preheat + coh.w_total, coh.df_target, coh.gap + preheat
+        )
         assert inc.per_step == stages
         assert incoherent_ladder(spec) == inc
 
@@ -426,10 +445,12 @@ class TestSinglePassWalk:
     ):
         spec = LadderSpec(n, cold_share * t_room, t_room, target_gap=target_gap)
         out = coherent_ladder(spec)
-        total = 0.0
-        for stage in out.per_step:  # in order, as the walk adds them
-            total += stage.work
-        assert total == out.w_total
+        # Each stage's float work is off by its exponent's rounding, up to
+        # (E/T_C) 2^-53 in r times the stage's gap excess; the total is not.
+        excess = target_gap * (t_room / spec.t_cold - 1.0)
+        slack = n * (2.0 + target_gap / spec.t_cold) * 2.0**-52 * excess
+        total = math.fsum(stage.work for stage in out.per_step)
+        assert abs(total - out.w_total) <= slack + 1e-13 * out.w_total
         assert all(stage.work >= 0.0 for stage in out.per_step)
         temperatures = [t_room] + [stage.temperature for stage in out.per_step]
         assert all(b < a for a, b in zip(temperatures, temperatures[1:]))
@@ -437,11 +458,8 @@ class TestSinglePassWalk:
         assert last.index == n
         assert last.temperature == pytest.approx(spec.t_cold, rel=1e-13)
         assert last.r == pytest.approx(boltzmann_population(target_gap, spec.t_cold), rel=1e-15)
-        r_0 = boltzmann_population(target_gap, t_room)
-        df_target = t_room * (binary_entropy(r_0) - binary_entropy(last.r)) - target_gap * (
-            last.r - r_0
-        )
-        assert out.df_target == df_target
+        d = decimal_reference.relative_entropy(target_gap, spec.t_cold, t_room)
+        assert out.df_target == pytest.approx(t_room * float(d), rel=1e-13, abs=0.0)
 
     def test_large_ladder_runs_in_constant_memory(self):
         for e_g in (None, 5.0):  # real-qubit and embedded preheat
@@ -475,3 +493,91 @@ class TestSinglePassWalk:
         assert coh.per_step == inc.per_step
         assert inc.per_step is inc.per_step  # built once per outcome
         assert len(built) == 128
+
+
+def _drawn_ladders(count=64, seed=20261020):
+    """Ladders with E/T_C up to 700, T_C/T_R near 1 and not, N from 1 to 2^20.
+
+    Every other far-from-1 ladder is drawn with h, the step in E/T, above
+    0.25, where the totals are a direct sum.
+    """
+    rng = random.Random(seed)
+    for k in range(count):
+        t_room = 10.0 ** rng.uniform(-2.0, 2.0)
+        x_cold = 10.0 ** rng.uniform(-2.0, math.log10(700.0))
+        near = k % 4 == 0
+        ratio = 1.0 - 10.0 ** rng.uniform(-15.0, -1.0) if near else rng.uniform(0.002, 0.99)
+        span = x_cold * (1.0 - ratio)
+        if k % 8 == 7:
+            n = 2**20
+        elif k % 2 and not near:
+            n = max(1, int(span / rng.uniform(0.25, 4.0)))
+        else:
+            n = max(1, round(2.0 ** rng.uniform(0.0, 20.0)))
+        t_cold = t_room * ratio
+        yield LadderSpec(n, t_cold, t_room, target_gap=x_cold * t_cold)
+
+
+def _stage_step(spec):
+    """h, the step in E/T between stages."""
+    return spec.target_gap * (1.0 / spec.t_cold - 1.0 / spec.t_room) / spec.n_steps
+
+
+class TestTotalsAgainstTheDecimalReference:
+    """The O(1) totals against the 50-digit sum, in excited populations."""
+
+    def test_the_drawn_set_covers_the_stated_ranges(self):
+        specs = list(_drawn_ladders())
+        steps = [_stage_step(spec) for spec in specs]
+        assert min(s.t_cold / s.t_room for s in specs) < 0.02
+        assert max(s.t_cold / s.t_room for s in specs) > 1.0 - 1e-12
+        assert max(s.target_gap / s.t_cold for s in specs) > 600.0
+        assert {1, 2**20} <= {s.n_steps for s in specs}
+        assert min(steps) < 1e-12 and max(steps) > 2.0
+        for threshold in (0.25, 0.5):
+            assert sum(h <= threshold for h in steps) > 8
+            assert sum(h > threshold for h in steps) > 8
+
+    @pytest.mark.parametrize("spec", list(_drawn_ladders()), ids=repr)
+    def test_gap_and_totals_within_1e_13(self, spec):
+        # E/T is rounded once in floats, which alone costs up to
+        # (E/T) 2^-53 relative in each population: 7.8e-14 at E/T = 700.
+        _assert_totals_match_the_reference(coherent_ladder(spec), spec)
+
+    def test_cold_ladder_gap_is_positive_and_exact(self):
+        # E/T = 35..44: the stage loop's sum of ground populations gave
+        # gap = -3.09e-17; the 60-digit value is +6.319e-17.
+        spec = LadderSpec(28, 0.6784928566147798, 0.8467483530249168, target_gap=29.915236147323846)
+        out = coherent_ladder(spec)
+        assert out.gap > 0.0
+        _assert_totals_match_the_reference(out, spec)
+        assert out.gap == pytest.approx(6.319e-17, rel=1e-3, abs=0.0)
+
+    def test_the_reference_sum_and_series_agree(self):
+        # As T_C -> T_R the direct sum cancels against the integral and
+        # keeps ~30 of its 50 digits: still 1e17 times what the tests need.
+        n = decimal_reference.DIRECT_SUM_LIMIT
+        for e, t_cold, t_room in ((1.0, 0.5, 1.0), (700.0, 1.0, 1.3), (0.3, 0.8, 0.8000001)):
+            direct = decimal_reference.ladder_excess(e, t_cold, t_room, n, series=False)
+            series = decimal_reference.ladder_excess(e, t_cold, t_room, n, series=True)
+            with decimal.localcontext(decimal_reference.CONTEXT):
+                assert abs(direct - series) <= abs(series) * decimal.Decimal("1e-28")
+
+    def test_a_million_stages_in_under_a_millisecond(self):
+        spec = LadderSpec(2**20, 0.5, 1.0)
+        best = math.inf
+        for _ in range(5):
+            start = time.perf_counter()
+            coherent_ladder(spec)
+            best = min(best, time.perf_counter() - start)
+        assert best < 1e-3
+
+    def test_series_constants_are_the_exact_ones(self):
+        # Float literals keep fractions out of the import; each is the
+        # correctly rounded exact value.
+        exact = decimal_reference.bernoulli_over_factorial(len(ladder._BERNOULLI_TERMS))
+        for (constant, coefficients), b, q in zip(
+            ladder._BERNOULLI_TERMS, exact, decimal_reference.ODD_DERIVATIVES
+        ):
+            assert constant == float(b)
+            assert coefficients == tuple(float(c) for c in reversed(q[1:]))

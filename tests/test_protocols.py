@@ -1067,6 +1067,19 @@ class TestInternalResource:
         with pytest.raises(DomainError):
             protocols.internal_resource(spec, "hybrid", 0.5)
 
+    @pytest.mark.parametrize("e_c, t_room", [(2.0, 0.5), (1.0 / 3.0, 1.0), (0.4, 1.0), (30.0, 0.7)])
+    @pytest.mark.parametrize("closeness", [10.0**-k for k in range(1, 16)] + [1.0, 9.0, INFINITE])
+    def test_incoherent_cost_is_t_room_times_d_near_the_reversible_limit(
+        self, e_c, t_room, closeness
+    ):
+        # e_c (1 - T_R/T_H)(1 - c) + T_R ln(c/r_C) cancelled as T_H -> T_R:
+        # -4.33e-17 at (2.0, 0.5) and T_H = 0.5 (1 + 1e-8), where T_R D is 7.07e-18.
+        t_hot = t_room * (1.0 + closeness)
+        out = protocols.internal_resource(MachineSpec.two_qubit(e_c, t_room), "incoherent", t_hot)
+        want = t_room * float(decimal_reference.relative_entropy(e_c, t_hot, t_room))
+        assert out.work_cost > 0.0
+        assert out.work_cost == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_incoherent_infinite_bath_limit(self):
         spec = MachineSpec.two_qubit(1.0 / 3.0, 1.0, INFINITE)
         out = protocols.internal_resource(spec, "incoherent", INFINITE)

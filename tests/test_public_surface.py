@@ -23,6 +23,7 @@ KEEP = {
     "single_cycle_coherent_cost": "acceptance criterion 4",
     "precooled_population": "the algorithmic-cooling tests price their expected cycles with it",
     "precool_mixing_for_population": "the optimal-sequence tests check its mixing against bisection",
+    "binary_entropy": "the ladder tests' entropy-bookkeeping route to T_R·D, independent of it",
 }
 
 # Defaulted parameters that no source call sets, and why each stays.

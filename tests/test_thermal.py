@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import decimal_reference
+from qfridge import thermal
 from qfridge.thermal import (
     DomainError,
     INFINITE,
@@ -17,6 +18,7 @@ from qfridge.thermal import (
     boltzmann_population,
     excited_population,
     hamiltonian_diagonal,
+    relative_entropy,
     resource_free_energy,
     temperature_from_population,
     thermal_populations,
@@ -305,3 +307,47 @@ def test_binary_entropy_endpoints_and_symmetry():
     assert binary_entropy(1.0) == 0.0
     assert binary_entropy(0.3) == pytest.approx(binary_entropy(0.7), abs=1e-15)
     assert binary_entropy(0.5) == pytest.approx(math.log(2.0), abs=1e-15)
+
+
+class TestRelativeEntropy:
+    def test_gauss_legendre_constants_are_numpys_nodes(self):
+        nodes, weights = np.polynomial.legendre.leggauss(10)
+        expected = [v for n, w in zip(nodes, weights) if n > 0 for v in (n, w)]
+        got = [v for pair in thermal._GAUSS_LEGENDRE_10 for v in pair]
+        assert got == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+    # Temperatures are powers of two, so gap/temp is exact; gap/ref_temp is
+    # rounded once, which alone costs up to (gap/ref_temp) 2^-53 relative.
+    @given(
+        ratio=_log_uniform(1e-12, 700.0),
+        scale=st.integers(-10, 10),
+        factor=st.one_of(
+            _log_uniform(1e-15, 1.0).map(lambda f: 1.0 + f),
+            _log_uniform(1e-15, 0.5).map(lambda f: 1.0 - f),
+            _log_uniform(1e-3, 1e3),
+        ),
+    )
+    @settings(max_examples=400)
+    def test_within_1e_12_of_the_decimal_reference(self, ratio, scale, factor):
+        temp = 2.0**scale
+        ref_temp = temp * factor
+        got = relative_entropy(ratio * temp, temp, ref_temp)
+        want = decimal_reference.relative_entropy(ratio * temp, temp, ref_temp)
+        assert got >= 0.0
+        assert got == pytest.approx(float(want), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("temp, ref_temp", [(INFINITE, 0.7), (0.7, INFINITE), (2.0, 2.0)])
+    def test_infinite_and_equal_temperatures(self, temp, ref_temp):
+        want = decimal_reference.relative_entropy(1.3, temp, ref_temp)
+        assert relative_entropy(1.3, temp, ref_temp) == pytest.approx(float(want), rel=1e-14, abs=0.0)
+
+    def test_equal_temperatures_give_exactly_zero(self):
+        assert relative_entropy(1.3, 0.7, 0.7) == 0.0
+        assert relative_entropy(1.3, INFINITE, INFINITE) == 0.0
+
+    @pytest.mark.parametrize(
+        "gap, temp, ref_temp", [(-1.0, 1.0, 1.0), (INFINITE, 1.0, 2.0), (1.0, 0.0, 1.0), (1.0, 1.0, -2.0)]
+    )
+    def test_outside_the_domain_rejected(self, gap, temp, ref_temp):
+        with pytest.raises(DomainError):
+            relative_entropy(gap, temp, ref_temp)

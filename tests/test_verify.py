@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import json
 import math
 import tracemalloc
@@ -7,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import decimal_reference
 from qfridge import ladder, majorization, oracle, protocols
 from qfridge.cli import main
 from qfridge.thermal import DomainError, MachineSpec
@@ -256,9 +258,18 @@ class TestLadderGapRateReport:
     def test_passing_report_is_unchanged(self):
         result = check_ladder_gap_rate()
         assert result.passed
-        assert result.residual == 0.0015834285828311145
+        # The decimal reference's max |gap(2N)/gap(N) - 1/2| is
+        # 0.00158342858282938089...; the stage loop's float gaps read
+        # 0.0015834285828311145, off by 1.1e-12 relative.
+        assert result.residual == 0.0015834285828294492
         assert result.tolerance == 0.1
         assert result.detail == "gap ratios at N in {16, 32, 64}; embedded preheat offset 0.000e+00"
+
+    def test_residual_matches_the_decimal_reference(self):
+        with decimal.localcontext(decimal_reference.CONTEXT):
+            gaps = [decimal_reference.ladder_totals(1.0, 0.5, 1.0, n)[0] for n in (16, 32, 64, 128)]
+            worst = max(abs(b / a - decimal.Decimal("0.5")) for a, b in zip(gaps, gaps[1:]))
+        assert check_ladder_gap_rate().residual == pytest.approx(float(worst), rel=1e-13, abs=0.0)
 
     def test_broken_preheat_names_the_gate_and_the_ladder(self, monkeypatch):
         twin = ladder.incoherent_twin
