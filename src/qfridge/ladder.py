@@ -21,7 +21,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .thermal import ConfigurationError, DomainError, relative_entropy, resource_free_energy
+from .thermal import (
+    _GAUSS_LEGENDRE_10,
+    ConfigurationError,
+    DomainError,
+    relative_entropy,
+    resource_free_energy,
+)
 
 
 class LadderStage(NamedTuple):
@@ -93,30 +99,25 @@ class LadderOutcome:
 
     @cached_property
     def per_step(self) -> tuple[LadderStage, ...]:
-        stages: list[LadderStage] = []
-        _walk(self.spec, stages)
-        return tuple(stages)
+        return _walk(self.spec)
 
 
-def _walk(spec: LadderSpec, stages: list[LadderStage] | None = None) -> tuple[float, float, float]:
-    """(w_total, r_0, r_N) of the stage loop; each stage goes to ``stages`` if given."""
+def _walk(spec: LadderSpec) -> tuple[LadderStage, ...]:
+    """The N coherent stages of ``spec``, walked once in plain floats."""
     e = spec.target_gap
     n = spec.n_steps
     excess = spec.t_room / spec.t_cold - 1.0
     x_room = e / spec.t_room
     span = e / spec.t_cold - x_room
-    r_0 = r_prev = 1.0 / (1.0 + math.exp(-x_room))
-    w_total = 0.0
+    r_prev = 1.0 / (1.0 + math.exp(-x_room))
+    stages = []
     for i in range(1, n + 1):
         f = i / n
         x = x_room + f * span
         r = 1.0 / (1.0 + math.exp(-x))
-        work = (r - r_prev) * (e * (1.0 + f * excess) - e)
-        w_total += work
-        if stages is not None:
-            stages.append(LadderStage(i, e / x, r, work))
+        stages.append(LadderStage(i, e / x, r, (r - r_prev) * (e * (1.0 + f * excess) - e)))
         r_prev = r
-    return w_total, r_0, r_prev
+    return tuple(stages)
 
 
 # B_2k/(2k)! for k = 1..8 and the odd derivatives of the excited population
@@ -270,44 +271,146 @@ def embedded_ladder_preheat(spec: LadderSpec) -> float:
             f"e_ground_offset + spacing {spacing}"
         )
     n = spec.n_steps
-
-    def mean_energy(temp: float) -> float:
-        # Shift by +e_g so the extra ground level sits at zero; the
-        # average-energy difference between two temperatures is shift
-        # invariant.  Both moments are summed left to right in one pass and
-        # the ground level's weight of 1 is added after, which keeps the bits
-        # of the list-building form in tests/ladder_reference.py.
-        partition = moment = 0.0
-        for i in range(n + 1):
-            level = e_g + (i / n) * spacing
-            weight = math.exp(-level / temp)
-            partition += weight
-            moment += level * weight
-        return moment / (1.0 + partition)
-
-    heat = mean_energy(t_hot) - mean_energy(spec.t_room)
+    t_room = spec.t_room
+    # With the extra ground level at zero, the mean energy at T is
+    # (e_g P + spacing M)/(1 + P) over the ladder's weights w_i, P = Σ w_i
+    # and M = Σ (i/N) w_i.  Its rise from T_R to T_H is written in the
+    # weights' rises w_i(T_H) - w_i(T_R) = w_i(T_H) (1 - e^-(level_i/T_R)
+    # (T_H - T_R)/T_H), each >= 0 and without cancellation, so the offset
+    # e_g never cancels against itself.
+    share = (t_hot - t_room) / t_hot
+    partition_hot = partition_room = moment_hot = moment_room = rise = moment_rise = 0.0
+    for i in range(n + 1):
+        f = i / n
+        level = e_g + f * spacing
+        x_room = level / t_room
+        w_hot = math.exp(-level / t_hot)
+        w_room = math.exp(-x_room)
+        dw = -w_hot * math.expm1(-x_room * share)
+        partition_hot += w_hot
+        partition_room += w_room
+        moment_hot += f * w_hot
+        moment_room += f * w_room
+        rise += dw
+        moment_rise += f * dw
     # Every weight is at most 1, so only the energy moment can overflow.
-    if not abs(heat) < math.inf:
+    if not e_g * partition_hot + spacing * moment_hot < math.inf:
         raise DomainError(
             f"e_ground_offset {e_g} overflows the embedded ladder's energy sum "
             f"over its {n + 1} levels at t_hot = {t_hot}"
         )
-    return heat
+    # The offset's share e_g ΔP and the spacing's share, spacing (ΔM (1 + P_R)
+    # - M_R ΔP), are each >= 0; both over (1 + P_H)(1 + P_R).
+    scale = 1.0 + partition_hot
+    rise_share = rise / scale / (1.0 + partition_room)
+    spread = moment_rise / scale - moment_room * rise_share
+    return e_g * rise_share + spacing * max(0.0, spread)
+
+
+# π²/12, the integral of y s(y) over y >= 0.
+_PI2_OVER_12 = 0.8224670334241132
+# (t, w t / 2) on [0, 1], for half the integral of t f(t).
+_MOMENT_NODES = tuple(
+    (t, 0.25 * weight * t)
+    for node, weight in _GAUSS_LEGENDRE_10
+    for t in (0.5 * (1.0 - node), 0.5 * (1.0 + node))
+)
+
+
+def _preheat_term(k: int) -> tuple[float, tuple[float, ...], tuple[float, ...], float, float]:
+    # B_2k/(2k)!, Q_k, (2k - 1) Q_k-1' for the even derivative
+    # s^(2k-2) = (1 - 2s) u Q_k-1'(u), and the bounds of |B_2k/(2k)!| Q_k(u)/u
+    # and |B_2k/(2k)!| (2k - 1) Q_k-1'(u) over 0 <= u <= 1/4.  Each
+    # polynomial is listed from its top power down, as Horner's rule reads it.
+    bernoulli, odd, odd_bound = _EULER_MACLAURIN[k - 1]
+    previous = _BERNOULLI_TERMS[k - 2][1]
+    even = tuple((2 * k - 1) * (len(previous) - j) * c for j, c in enumerate(previous))
+    even_bound = abs(bernoulli) * sum(abs(c) * 0.25**j for j, c in enumerate(reversed(even)))
+    return bernoulli, odd, even, odd_bound, even_bound
+
+
+_PREHEAT_TERMS = tuple(_preheat_term(k) for k in range(2, len(_BERNOULLI_TERMS) + 1))
+
+
+def _energy_sums(spacing: float, n: int, temp: float) -> tuple[float, float]:
+    """Σ e_i s(e_i/T) and Σ e_i (1/2 - s(e_i/T)) over e_i = (i/n) spacing, i = 1..n.
+
+    The two add up to spacing (n + 1)/4; each is computed without the other,
+    so neither cancels.  In y = e/T, with Y = spacing/T and step η = Y/n,
+    the first is T Σ φ(i η), φ(y) = y s(y).  For η <= 0.25 both are their
+    Euler-Maclaurin series: spacing times n J(Y)/Y², with J the integral of
+    φ over [0, Y], plus the endpoint term s(Y)/2 and up to eight Bernoulli
+    terms in φ^(2k-1) = y s^(2k-1) + (2k - 1) s^(2k-2), over n.  J comes
+    from 10-point Gauss-Legendre of its complement while Y <= 2 and from
+    π²/12 - Y ln(1 + e^-Y) + Li2(-e^-Y) beyond.  For η > 0.25 the first is
+    summed directly over the stages up to y = 746, past which every s
+    underflows to 0.
+    """
+    if math.isinf(temp):
+        return spacing * (0.25 * (n + 1)), 0.0
+    y = spacing / temp
+    eta = y / n
+    if eta > 0.25:
+        total = 0.0  # Σ i s(i η), fewer than 2984 terms
+        for i in range(1, n + 1 if y <= 746.0 else math.ceil(746.0 / eta) + 1):
+            q = math.exp(-i * eta)
+            total += i * (q / (1.0 + q))
+        excited = spacing * (total / n)
+        return excited, spacing * (0.25 * (n + 1)) - excited
+    q = math.exp(-y)
+    s = q / (1.0 + q)
+    u = s / (1.0 + q)
+    tanh = math.tanh(0.5 * y)  # 1 - 2s, exact also as y -> 0
+    if y <= 2.0:
+        deficit = 0.0  # ∫ t (1/2 - s(t Y)) dt over [0, 1]
+        for t, weight in _MOMENT_NODES:
+            deficit += weight * math.tanh(0.5 * t * y)
+        integral = 0.25 - deficit  # J(Y)/Y²
+    else:
+        dilog, power, k = 0.0, -q, 1
+        while abs(power) > 2.0**-56:
+            dilog += power / (k * k)
+            k += 1
+            power *= -q
+        integral = ((_PI2_OVER_12 - y * math.log1p(q) + dilog) / y) / y
+        deficit = 0.25 - integral
+    # B_2/2! (φ'(Y) - φ'(0)), with φ' = s - y u and φ'(0) = 1/2.
+    correction = -_BERNOULLI_TERMS[0][0] * (0.5 * tanh + y * u)
+    if u:
+        # φ^(2k-1)(0) = 0 for k >= 2.  The first term whose bound falls
+        # below 2^-55 of the smaller sum ends the series.
+        cutoff = 2.0**-55 * n * n * min(integral, deficit) / u
+        eta2 = eta * eta
+        power = eta2
+        for bernoulli, odd, even, odd_bound, even_bound in _PREHEAT_TERMS:
+            if power * (y * odd_bound + even_bound) <= cutoff:
+                break
+            p_odd = p_even = 0.0
+            for c in odd:
+                p_odd = p_odd * u + c
+            for c in even:
+                p_even = p_even * u + c
+            correction += bernoulli * power * u * (tanh * p_even - y * p_odd)
+            power *= eta2
+    return (
+        spacing * (n * integral + 0.5 * s + correction / n),
+        spacing * (n * deficit + 0.25 * tanh - correction / n),
+    )
 
 
 def _real_qubit_preheat(spec: LadderSpec, t_hot: float) -> float:
-    # boltzmann_population inline: the spec and a finite spacing give it
-    # 0 <= e_ci < inf and positive temperatures.
+    # Σ e_i (s(e_i/T_H) - s(e_i/T_R)) over the N hot-side gaps e_i: the
+    # difference of the excited-energy sums, or of their deficits from half
+    # filling, whichever is smaller at its larger end, so it loses the
+    # fewest digits.
     spacing = _incoherent_max_gap(spec, t_hot) - spec.target_gap
-    n = spec.n_steps
-    t_room = spec.t_room
-    total = 0.0
-    for i in range(1, n + 1):
-        e_ci = (i / n) * spacing
-        total += e_ci * (
-            1.0 / (1.0 + math.exp(-e_ci / t_room)) - 1.0 / (1.0 + math.exp(-e_ci / t_hot))
-        )
-    return total
+    if spacing == 0.0:
+        return 0.0
+    excited_hot, deficit_hot = _energy_sums(spacing, spec.n_steps, t_hot)
+    excited_room, deficit_room = _energy_sums(spacing, spec.n_steps, spec.t_room)
+    if excited_hot <= deficit_room:
+        return max(0.0, excited_hot - excited_room)
+    return max(0.0, deficit_room - deficit_hot)
 
 
 def incoherent_ladder(spec: LadderSpec) -> LadderOutcome:
@@ -340,7 +443,8 @@ def incoherent_twin(spec: LadderSpec, coherent: LadderOutcome) -> LadderOutcome:
     """:func:`incoherent_ladder` priced on ``coherent = coherent_ladder(spec)``.
 
     For callers that already hold the coherent outcome, so its totals are
-    not computed twice.  q_init is summed here in constant memory; the gap
+    not computed twice.  q_init is computed here in constant memory, in
+    O(1) time for real qubits; the gap
     is the coherent gap plus q_init's Carnot-weighted free energy, not a
     difference of totals.  The outcome's ``per_step`` is built from ``spec``
     when read.

@@ -726,6 +726,13 @@ def internal_resource(
         work = 0.0  # an equilibrium copy is free, also at t_room = inf
         if t_hot > spec.t_room:
             work = spec.t_room * relative_entropy(spec.e_c, t_hot, spec.t_room)
+            if work == INFINITE:
+                # E_C/T_R overflows, so D does, and C's room population is 1:
+                # T_R·D = s_H E_C (T_H - T_R)/T_H + T_R ln(1 - s_H), whose
+                # last term is below E_C·4e-309 and is dropped.
+                work = resource_free_energy(
+                    spec.e_c * excited_population(spec.e_c, t_hot), t_hot, spec.t_room
+                )
     elif scenario == "coherent":
         mu = control
         if not 0.0 <= mu <= 1.0:

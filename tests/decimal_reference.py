@@ -163,6 +163,133 @@ def ladder_totals(e: float, t_cold: float, t_room: float, n: int) -> tuple[Decim
     return t_r * ladder_excess(e, t_cold, t_room, n), t_r * relative_entropy(e, t_cold, t_room)
 
 
+@functools.lru_cache(maxsize=None)
+def _tanh_coefficients(count: int) -> tuple[Decimal, ...]:
+    """(4^n - 1) B_2n/(2n)!/(2n + 1) for n = 1..count, at 60 digits."""
+    context = decimal.Context(prec=60, Emin=-999999, Emax=999999)
+    return tuple(
+        context.divide((4**n - 1) * b.numerator, b.denominator * (2 * n + 1))
+        for n, b in enumerate(bernoulli_over_factorial(count), start=1)
+    )
+
+
+@_in_context
+def _softplus_moment(y: Decimal) -> Decimal:
+    """-y ln(1 + e^-y) + Li2(-e^-y), whose derivative is y s(y); 0 at y = inf."""
+    q = exp(-y)
+    dilog, power, k = Decimal(0), -q, 1
+    while abs(power) > Decimal(10) ** -(decimal.getcontext().prec + 5):
+        dilog += power / (k * k)
+        k, power = k + 1, -power * q
+    return dilog - y * log1p(q)
+
+
+@_in_context
+def excited_moment(y: float | Decimal) -> Decimal:
+    """J(y), the integral of x s(x) over [0, y]; J(inf) = π²/12.
+
+    Its Taylor series, y²/4 - Σ (4^n - 1) B_2n/(2n)! y^(2n+1)/(2n + 1),
+    up to y = 1 (ratio (y/π)² <= 0.11), and J(1) plus the softplus moment's
+    change from 1 beyond.
+    """
+    y = Decimal(y)
+    if y > 1:
+        return excited_moment(1) + _softplus_moment(y) - _softplus_moment(Decimal(1))
+    y2 = y * y
+    total, power = y2 / 4, y * y2
+    for coefficient in _tanh_coefficients(64):
+        term = coefficient * power
+        total -= term
+        if abs(term) <= abs(total) * Decimal(10) ** -(decimal.getcontext().prec + 5):
+            break
+        power *= y2
+    return total
+
+
+@_in_context
+def _excited_energy_sum(spacing: Decimal, n: int, temp: Decimal) -> Decimal:
+    """Σ e_i s(e_i/temp) over e_i = (i/n) spacing, i = 1..n.
+
+    A direct sum up to ``DIRECT_SUM_LIMIT`` terms, and on to where the
+    terms fall below the working precision once past the peak of y s(y)
+    at y ≈ 1.28; beyond, its Euler-Maclaurin series to 24 terms at step
+    η = spacing/(n temp) < 0.05.
+    """
+    if temp.is_infinite():
+        return spacing * (n + 1) / 4
+    y = spacing / temp
+    eta = y / n
+    if n <= DIRECT_SUM_LIMIT or eta >= Decimal("0.05"):
+        negligible = Decimal(10) ** -(decimal.getcontext().prec + 10)
+        ratio = exp(-eta)
+        q, total = ratio, Decimal(0)
+        for i in range(1, n + 1):
+            term = i * spacing / n * (q / (1 + q))
+            total += term
+            if i * eta > 2 and term <= total * negligible:
+                break
+            q *= ratio
+        return total
+    s = excited_population(y, 1)
+    u, tanh = s * (1 - s), 1 - 2 * s
+    derivatives = s - y * u - HALF  # φ'(Y) - φ'(0) for φ(y) = y s(y)
+    total = _EM_CONSTANTS[0] * derivatives
+    for k in range(2, _EM_TERMS + 1):
+        odd = ODD_DERIVATIVES[k - 1]
+        even = [j * c for j, c in enumerate(ODD_DERIVATIVES[k - 2])][1:]
+        at_odd = sum(c * u**j for j, c in enumerate(odd))
+        at_even = sum(c * u**j for j, c in enumerate(even))
+        # φ^(2k-1) = y s^(2k-1) + (2k - 1) s^(2k-2), both 0 at y = 0.
+        derivative = -y * at_odd + (2 * k - 1) * tanh * u * at_even
+        total += _EM_CONSTANTS[k - 1] * eta ** (2 * k - 2) * derivative
+    return spacing * (n * excited_moment(y) / (y * y) + s / 2 + total / n)
+
+
+@_in_context
+def real_qubit_preheat(spacing: float, n: int, t_room: float, t_hot: float) -> Decimal:
+    """Σ e_i (s(e_i/T_H) - s(e_i/T_R)) over e_i = (i/n) spacing, i = 1..n.
+
+    The heat that brings the incoherent ladder's N hot-side qubits from
+    T_R to T_H.  ``spacing`` is taken as the float it is, so the reference
+    checks the sum alone.  The two excited-energy sums cancel to about
+    min(1, spacing/T_R) (T_H - T_R)/T_H of their size, so they are taken
+    with those digits on top of the 50.
+    """
+    spacing, t_room, t_hot = Decimal(spacing), Decimal(t_room), Decimal(t_hot)
+    if not spacing:
+        return Decimal(0)
+    share = 1 if t_hot.is_infinite() else (t_hot - t_room) / t_hot
+    scale = min(Decimal(1), spacing / t_room) * share
+    with decimal.localcontext() as context:
+        context.prec += max(0, -scale.adjusted()) + 5
+        return _excited_energy_sum(spacing, n, t_hot) - _excited_energy_sum(spacing, n, t_room)
+
+
+@_in_context
+def embedded_ladder_preheat(e_g: float, spacing: float, n: int, t_room: float, t_hot: float) -> Decimal:
+    """U(T_H) - U(T_R) of a ground level at 0 below levels e_g + (i/n) spacing, i = 0..n.
+
+    U(T) is the mean energy, Σ E w/Σ w with w = e^(-E/T).  The two means
+    agree to about min(1, g/T_R) (T_H - T_R)/(T_H (n + 2)) of their size,
+    with g the smallest level above the ground, so they are taken with
+    those digits and 10 more on top of the 50.
+    """
+    e_g, spacing, t_room, t_hot = Decimal(e_g), Decimal(spacing), Decimal(t_room), Decimal(t_hot)
+    levels = [e_g + i * spacing / n for i in range(n + 1)]
+    gaps = [level for level in (e_g, spacing / n) if level]
+    if not gaps:
+        return Decimal(0)
+    scale = min(Decimal(1), min(gaps) / t_room) * (t_hot - t_room) / t_hot / (n + 2)
+    with decimal.localcontext() as context:
+        context.prec += max(0, -scale.adjusted()) + 10
+
+        def mean_energy(temp: Decimal) -> Decimal:
+            weights = [exp(-level / temp) for level in levels]
+            return sum(level * w for level, w in zip(levels, weights)) / (1 + sum(weights))
+
+        return mean_energy(t_hot) - mean_energy(t_room)
+
+
 class Machine:
     """Populations and swap phases of the exactly resonant two-qubit machine."""
 

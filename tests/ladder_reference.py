@@ -1,12 +1,12 @@
 """The list-building ladder loops that ``qfridge.ladder`` replaced, kept verbatim.
 
 ``coherent_ladder`` once filled a list of N + 1 stage exponents and a list of
-N + 1 populations before its stage loop, ``_real_qubit_preheat`` called
-the validated ``boltzmann_population`` twice per stage, and
-``embedded_ladder_preheat`` built lists of N + 1 levels and weights.  The
-single-pass walks must do the same float operations in the same order; the
-tests compare against these copies with ``==``.  The embedded copy sums with
-``sum``, which adds floats left to right only before Python 3.12.
+N + 1 populations before its stage loop; the single-pass stage walk must do
+the same float operations in the same order, and the tests compare its
+stages against these with ``==``.  ``real_qubit_preheat`` is the stage loop
+that summed the incoherent ladder's preheat, calling the validated
+``boltzmann_population`` twice per stage; the tests hold the O(1) preheat to
+no worse than it against the decimal reference as T_H -> T_R.
 """
 
 from __future__ import annotations
@@ -59,19 +59,3 @@ def real_qubit_preheat(spec: LadderSpec, t_hot: float) -> float:
         )
     return total
 
-
-def embedded_ladder_preheat(spec: LadderSpec) -> float:
-    """The embedded preheat for a finite t_hot above t_room."""
-    t_hot = spec.t_hot
-    e_g = spec.e_ground_offset
-    if e_g is None:
-        e_g = 50.0 * max(t_hot, spec.t_room) * (spec.n_steps + 1)
-    spacing = _incoherent_max_gap(spec, t_hot) - spec.target_gap
-    levels = [e_g + (i / spec.n_steps) * spacing for i in range(spec.n_steps + 1)]
-
-    def mean_energy(temp: float) -> float:
-        weights = [math.exp(-lv / temp) for lv in levels]
-        partition = 1.0 + sum(weights)
-        return sum(lv * w for lv, w in zip(levels, weights)) / partition
-
-    return mean_energy(t_hot) - mean_energy(spec.t_room)

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import decimal
 import math
@@ -380,6 +381,38 @@ def _bit_identity_specs():
         yield LadderSpec(n, 0.21, 0.9, t_hot=3.0, e_ground_offset=1.5, target_gap=1.7)
 
 
+def _hot_side_spacing(spec):
+    return ladder._incoherent_max_gap(spec, spec.t_hot) - spec.target_gap
+
+
+def _reference_preheat(spec):
+    return decimal_reference.real_qubit_preheat(
+        _hot_side_spacing(spec), spec.n_steps, spec.t_room, spec.t_hot
+    )
+
+
+def _assert_preheat_matches_the_reference(spec, rel=1e-12):
+    """The real-qubit q_init, >= 0 and within ``rel`` of the 50-digit sum."""
+    q_init = ladder._real_qubit_preheat(spec, spec.t_hot)
+    assert q_init >= 0.0
+    assert q_init == pytest.approx(float(_reference_preheat(spec)), rel=rel, abs=0.0)
+    return q_init
+
+
+def _assert_embedded_preheat_matches_the_reference(spec, rel=1e-12):
+    e_g = spec.e_ground_offset
+    if e_g is None:
+        e_g = 50.0 * max(spec.t_hot, spec.t_room) * (spec.n_steps + 1)
+    expected = decimal_reference.embedded_ladder_preheat(
+        e_g, _hot_side_spacing(spec), spec.n_steps, spec.t_room, spec.t_hot
+    )
+    heat = embedded_ladder_preheat(spec)
+    assert heat >= 0.0
+    # A reference below the smallest normal float is held to its subnormal.
+    assert heat == pytest.approx(float(expected), rel=rel, abs=2.0**-1022 * rel)
+    return heat
+
+
 def _assert_totals_match_the_reference(out, spec, rel=1e-13):
     gap, df_target = decimal_reference.ladder_totals(
         spec.target_gap, spec.t_cold, spec.t_room, spec.n_steps
@@ -395,15 +428,15 @@ class TestSinglePassWalk:
 
     @pytest.mark.parametrize("spec", list(_bit_identity_specs()), ids=repr)
     def test_bit_identical_to_the_list_building_loops(self, spec):
-        # The stages and the preheats keep the loops' bits.  The totals are
-        # no longer a float sum over the stages; they are held to 1e-13 of
-        # the decimal reference (the loop's sum was off by up to 5.8e-11).
+        # The stages keep the loops' bits.  The totals and the real-qubit
+        # preheat are no longer float sums over the stages; they are held
+        # to 1e-13 and 1e-12 of the decimal reference.
         *_, stages = ladder_reference.coherent_ladder(spec)
         coh = coherent_ladder(spec)
         _assert_totals_match_the_reference(coh, spec)
         assert coh.per_step == stages
         if spec.e_ground_offset is None:
-            q_init = ladder_reference.real_qubit_preheat(spec, spec.t_hot)
+            q_init = _assert_preheat_matches_the_reference(spec)
         else:
             q_init = embedded_ladder_preheat(spec)
         preheat = resource_free_energy(q_init, spec.t_hot, spec.t_room)
@@ -425,12 +458,8 @@ class TestSinglePassWalk:
         ],
         ids=repr,
     )
-    def test_embedded_preheat_equals_the_list_form(self, spec):
-        expected = ladder_reference.embedded_ladder_preheat(spec)
-        if sys.version_info >= (3, 12):  # its sum of floats is compensated
-            assert embedded_ladder_preheat(spec) == pytest.approx(expected, rel=1e-9, abs=1e-300)
-        else:
-            assert embedded_ladder_preheat(spec) == expected
+    def test_embedded_preheat_matches_the_decimal_reference(self, spec):
+        _assert_embedded_preheat_matches_the_reference(spec)
 
     @seed(20261019)
     @settings(max_examples=200)
@@ -581,3 +610,189 @@ class TestTotalsAgainstTheDecimalReference:
         ):
             assert constant == float(b)
             assert coefficients == tuple(float(c) for c in reversed(q[1:]))
+
+
+def _drawn_preheats(count=64, seed=20261021):
+    """Incoherent ladders with T_H = inf or T_H/T_R in [1.01, 1e3], T_C/T_R
+    in [1e-3, 1), E/T_R in [1e-2, 700] and N from 1 to 2^20.
+
+    Every other ladder is drawn by its step η = S/(N T_R), S the hot-side
+    spacing: half of those with η above 0.25, where the room sum is direct.
+    """
+    rng = random.Random(seed)
+    for k in range(count):
+        t_room = 10.0 ** rng.uniform(-2.0, 2.0)
+        x_room = 10.0 ** rng.uniform(-2.0, math.log10(700.0))
+        if k % 5 == 0:
+            ratio = 1.0 - 10.0 ** rng.uniform(-12.0, -1.0)
+        else:
+            ratio = 10.0 ** rng.uniform(-3.0, -0.01)
+        hot_share = {2: 1.01, 6: 1e3}.get(k % 16, 10.0 ** rng.uniform(math.log10(1.01), 3.0))
+        t_hot = INFINITE if k % 4 == 0 else t_room * hot_share
+        spec = LadderSpec(1, t_room * ratio, t_room, t_hot=t_hot, target_gap=x_room * t_room)
+        y = _hot_side_spacing(spec) / t_room
+        if k % 8 == 7:
+            n = 2**20
+        elif k % 4 == 1:
+            n = max(1, int(y / rng.uniform(0.26, 4.0)))
+        elif k % 4 == 3:
+            n = max(1, int(y / rng.uniform(1e-3, 0.25)))
+        else:
+            n = max(1, round(2.0 ** rng.uniform(0.0, 20.0)))
+        yield dataclasses.replace(spec, n_steps=min(n, 2**20))
+
+
+def _near_preheats(count=48, seed=20261022):
+    """Ladders with T_H/T_R in (1, 1.01) whose q_init stays above the floats' floor.
+
+    S/T_R is drawn in [1e-2, 50] and T_C/T_R is set to give it, N up to 2^12.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        t_room = 10.0 ** rng.uniform(-2.0, 2.0)
+        x_room = 10.0 ** rng.uniform(-2.0, 1.5)
+        share = 10.0 ** rng.uniform(-8.0, -2.0)
+        y = 10.0 ** rng.uniform(-2.0, math.log10(50.0))
+        t_cold = t_room / (1.0 + y * share / x_room)
+        n = max(1, round(2.0 ** rng.uniform(0.0, 12.0)))
+        yield LadderSpec(n, t_cold, t_room, t_hot=t_room / (1.0 - share), target_gap=x_room * t_room)
+
+
+def _preheat_step(spec, temp):
+    return _hot_side_spacing(spec) / (spec.n_steps * temp)
+
+
+class TestPreheatAgainstTheDecimalReference:
+    """The real-qubit preheat, O(1) in N, against the 50-digit sum."""
+
+    def test_the_drawn_set_covers_the_stated_ranges(self):
+        specs = list(_drawn_preheats())
+        finite = [s.t_hot / s.t_room for s in specs if s.t_hot < INFINITE]
+        steps = [_preheat_step(s, s.t_room) for s in specs]
+        assert len(finite) < len(specs)
+        assert min(finite) < 1.0101 and max(finite) > 999.0
+        assert min(s.t_cold / s.t_room for s in specs) < 2e-3
+        assert max(s.t_cold / s.t_room for s in specs) > 1.0 - 1e-9
+        assert max(s.target_gap / s.t_room for s in specs) > 500.0
+        assert {1, 2**20} <= {s.n_steps for s in specs}
+        assert sum(h <= 0.25 for h in steps) > 8 and sum(h > 0.25 for h in steps) > 8
+
+    @pytest.mark.parametrize("spec", list(_drawn_preheats()), ids=repr)
+    def test_within_1e_12(self, spec):
+        _assert_preheat_matches_the_reference(spec)
+
+    def test_near_room_hot_bath_no_worse_than_the_stage_loop(self):
+        # As T_H -> T_R both lose about 2^-53 T_H/(T_H - T_R) of q_init to
+        # the cancelling populations (the series up to 10 times that on
+        # 1500 draws); the loop loses all of it once its ground populations
+        # round to 1.
+        ours, loop = [], []
+        for spec in _near_preheats():
+            expected = float(_reference_preheat(spec))
+            assert expected > 1e-300
+            bound = 16.0 * 2.0**-53 * spec.t_hot / (spec.t_hot - spec.t_room)
+            ours.append(abs(_assert_preheat_matches_the_reference(spec, rel=bound) / expected - 1.0))
+            loop.append(abs(ladder_reference.real_qubit_preheat(spec, spec.t_hot) / expected - 1.0))
+        assert max(ours) <= max(loop)
+        assert sorted(ours)[len(ours) // 2] <= sorted(loop)[len(loop) // 2]
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000, 2**20])
+    @pytest.mark.parametrize("t_hot", [1.5, 10.0, 1.7e308, INFINITE])
+    def test_exactly_zero_at_room_temperature_target(self, n, t_hot):
+        assert incoherent_ladder(LadderSpec(n, 0.8, 0.8, t_hot=t_hot)).q_init == 0.0
+
+    @pytest.mark.parametrize("t_hot", [1e300, 1.7e308, INFINITE])
+    def test_hottest_baths_meet_the_infinite_one(self, t_hot):
+        # S/T_H underflows to 0 or nearly: every hot-side qubit is half full.
+        for n in (1, 3, 1000, 2**20):
+            spec = LadderSpec(n, 0.5, 1.0, t_hot=t_hot)
+            q_init = incoherent_ladder(spec).q_init
+            assert math.isfinite(q_init)
+            assert q_init == pytest.approx(float(_reference_preheat(spec)), rel=1e-12, abs=0.0)
+
+    def test_a_million_stages_in_under_a_millisecond(self):
+        spec = LadderSpec(2**20, 0.5, 1.0, t_hot=10.0)
+        best = math.inf
+        for _ in range(5):
+            start = time.perf_counter()
+            incoherent_ladder(spec)
+            best = min(best, time.perf_counter() - start)
+        assert best < 1e-3
+
+    def test_math_calls_do_not_grow_with_the_stage_count(self, monkeypatch):
+        # Deterministic: the preheat and the coherent totals make the same
+        # calls into math at N = 2^10 and 2^20, and at most 4 exponentials.
+        calls = collections.Counter()
+
+        class CountingMath:
+            def __getattr__(self, name):
+                value = getattr(math, name)
+                if not callable(value):
+                    return value
+
+                def counted(*args):
+                    calls[name] += 1
+                    return value(*args)
+
+                return counted
+
+        monkeypatch.setattr(ladder, "math", CountingMath())
+        counts = []
+        for n in (2**10, 2**20):
+            calls.clear()
+            incoherent_ladder(LadderSpec(n, 0.5, 1.0, t_hot=10.0))
+            counts.append(dict(calls))
+        assert counts[0] == counts[1]
+        assert counts[0]["exp"] <= 4
+        assert sum(counts[0].values()) <= 40
+
+    def test_constants_are_the_exact_ones(self):
+        # π²/12 = J(inf); J(1000) differs from it by e^-1000.
+        assert ladder._PI2_OVER_12 == float(decimal_reference.excited_moment(1000.0))
+        # Half the integral of t·t^k over [0, 1], exact for k + 1 <= 19.
+        for k in range(19):
+            got = math.fsum(w * t**k for t, w in ladder._MOMENT_NODES)
+            assert got == pytest.approx(0.5 / (k + 2), rel=1e-14)
+
+    def test_the_reference_sum_and_series_agree(self):
+        n = decimal_reference.DIRECT_SUM_LIMIT + 1
+        for spacing, temp in ((1e-3, 1.0), (30.0, 1.3), (500.0, 1.0)):
+            with decimal.localcontext(decimal_reference.CONTEXT):
+                series = decimal_reference._excited_energy_sum(
+                    decimal.Decimal(spacing), n, decimal.Decimal(temp)
+                )
+                direct = sum(
+                    i * decimal.Decimal(spacing) / n
+                    * decimal_reference.excited_population(i * decimal.Decimal(spacing) / n, temp)
+                    for i in range(1, n + 1)
+                )
+                assert abs(direct - series) <= abs(series) * decimal.Decimal("1e-40")
+
+
+class TestEmbeddedPreheatAgainstTheDecimalReference:
+    def test_a_large_offset_no_longer_cancels_to_a_negative_heat(self):
+        # The offset dwarfs the spacing and both baths dwarf the offset: the
+        # two mean energies agree to 15 digits, and their float difference
+        # was -8.758e-47.
+        spec = LadderSpec(
+            48, 1.1180826838850895e-228, 1.0193853249751108e-17, t_hot=1.4215135289434277e108,
+            e_ground_offset=2.231165581752544e-31, target_gap=5e-324,
+        )
+        assert _assert_embedded_preheat_matches_the_reference(spec) > 0.0
+        inc = incoherent_ladder(spec)
+        assert inc.q_init > 0.0 and inc.gap >= coherent_ladder(spec).gap
+
+    @pytest.mark.parametrize("k", range(24))
+    def test_drawn_ladders(self, k):
+        rng = random.Random(20261023 + k)
+        t_room = 10.0 ** rng.uniform(-3.0, 3.0)
+        share = 10.0 ** rng.uniform(-12.0, 3.0)
+        spec = LadderSpec(
+            rng.choice([1, 2, 5, 48, 300]),
+            t_room * 10.0 ** rng.uniform(-3.0, 0.0),
+            t_room,
+            t_hot=t_room * (1.0 + share),
+            target_gap=t_room * 10.0 ** rng.uniform(-3.0, 2.0),
+            e_ground_offset=t_room * 10.0 ** rng.uniform(-20.0, 3.0),
+        )
+        _assert_embedded_preheat_matches_the_reference(spec)

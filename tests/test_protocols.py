@@ -1080,6 +1080,18 @@ class TestInternalResource:
         assert out.work_cost > 0.0
         assert out.work_cost == pytest.approx(want, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("t_room", [5e-324, 1e-310, 5e-309])
+    @pytest.mark.parametrize("e_c, t_hot", [(1.0, 2.0), (1.0, INFINITE), (3.0, 0.05), (700.0, 1.0)])
+    def test_incoherent_cost_stays_finite_where_e_c_over_t_room_overflows(self, t_room, e_c, t_hot):
+        # D overflows with E_C/T_R, T_R·D does not: it is E_C s_H (T_H - T_R)/T_H
+        # up to T_R ln(1 - s_H), below E_C·4e-309 (0.3775 at E_C = 1, T_H = 2).
+        out = protocols.internal_resource(MachineSpec.two_qubit(e_c, t_room), "incoherent", t_hot)
+        d = decimal_reference.relative_entropy(e_c, t_hot, t_room)
+        want = decimal_reference.CONTEXT.multiply(Decimal(t_room), d)
+        assert e_c / t_room == INFINITE
+        assert out.work_cost > 0.0
+        assert out.work_cost == pytest.approx(float(want), rel=1e-12, abs=0.0)
+
     def test_incoherent_infinite_bath_limit(self):
         spec = MachineSpec.two_qubit(1.0 / 3.0, 1.0, INFINITE)
         out = protocols.internal_resource(spec, "incoherent", INFINITE)
