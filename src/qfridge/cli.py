@@ -129,9 +129,8 @@ def curve_points(
             out = protocols.two_qubit_incoherent_single(replace(spec, t_hot=t_hot))
             points.append(CurvePoint(t_hot, out.work_cost, out.t_final, out.r_final))
     elif scenario == "coh-single":
-        for mu in _linspace(0.0, 1.0, grid):
-            r_target = protocols.coherent_single_population(spec, mu)
-            out = protocols.two_qubit_coherent_single(spec, r_target)
+        mus = _linspace(0.0, 1.0, grid)
+        for mu, out in zip(mus, protocols.coherent_single_curve(spec, mus)):
             points.append(CurvePoint(mu, out.work_cost, out.t_final, out.r_final))
     elif scenario in ("inc-repeat", "coh-repeat", "algo"):
         run = {

@@ -143,49 +143,73 @@ _BERNOULLI_TERMS = (
         ),
     ),
 )
-# Each term beside |B_2k/(2k)!| times the bound sum_j |q_j| 4^(1-j) on
-# |Q_k(u)|/u over 0 <= u <= 1/4.
-_EULER_MACLAURIN = tuple(
-    (b, q, abs(b) * sum(abs(c) * 0.25**j for j, c in enumerate(reversed(q))))
-    for b, q in _BERNOULLI_TERMS
-)
 
 
-def _euler_maclaurin_gap(x_room: float, x_cold: float, span: float, h: float) -> float:
-    """h·Σ_{i<N} s(x_room + i h) - ∫ s over [x_room, x_cold], for h = span/N <= 0.25.
+def _series_row(k: int) -> tuple[float, tuple[float, ...], tuple[float, ...], float, float, float]:
+    # B_2k/(2k)!, P_k = Q_k/u and R_k of F^(2k-1) = t R_k(u) - w u P_k(u) (see
+    # _bernoulli_series): R_k = (2k - 1) u Q_k-1' for k >= 2, from
+    # s^(2k-2) = (1 - 2s) u Q_k-1'(u), and R_1 = -1/2, which reads (y s)' = s - y u
+    # as s - 1/2 = -t/2.  Then |B_2k/(2k)!| times the bounds on |P_k|, R_k's
+    # constant r_0 and (R_k - r_0)/u over 0 <= u <= 1/4, each sum_j |c_j| 4^-j
+    # over its coefficients c_j of u^j.  Every polynomial is listed from its
+    # top power down, as Horner's rule reads it.
+    bernoulli, odd = _BERNOULLI_TERMS[k - 1]
+    previous = _BERNOULLI_TERMS[k - 2][1] if k > 1 else ()
+    slope = tuple((2 * k - 1) * (len(previous) - j) * c for j, c in enumerate(previous))
+    even = slope + (0.0 if k > 1 else -0.5,)
+    odd_bound, even_bound = (
+        abs(bernoulli) * sum(abs(c) * 0.25**j for j, c in enumerate(reversed(p))) for p in (odd, slope)
+    )
+    return bernoulli, odd, even, odd_bound, abs(bernoulli * even[-1]), even_bound
 
-    The Euler-Maclaurin series of the left sum's excess over its integral,
-    led by (h/2)(s_R - s_C).  s has poles at ±iπ, so the series diverges at
-    any h, but at h <= 0.25 its first eight terms are within 1e-16 of the
-    excess (at h = 0.5 they are off by up to 2e-12).
+
+_SERIES = tuple(_series_row(k) for k in range(1, len(_BERNOULLI_TERMS) + 1))
+
+
+def _end(y: float) -> tuple[float, float, float, float]:
+    # q = e^-y, the excited population s = q/(1 + q), u = s(1 - s) = s/(1 + q)
+    # and tanh(y/2) = 1 - 2s, exact also as y -> 0.
+    q = math.exp(-y)
+    s = q / (1.0 + q)
+    return q, s, s / (1.0 + q), math.tanh(0.5 * y)
+
+
+def _bernoulli_series(h: float, first: float, scale: float, a: tuple, b: tuple) -> float:
+    """Σ_k B_2k/(2k)! first h^(2k-2) (F^(2k-1)(b) - F^(2k-1)(a)), F = s or y s.
+
+    At first = h², the Bernoulli terms of the Euler-Maclaurin series of the
+    step-h sum h Σ F over [a, b]; at first = 1, those terms over h², which
+    stay finite as h underflows.  Each end is (w, u, t), u = s(1 - s), with
+    F^(2k-1) = t R_k(u) - w u P_k(u): w = 1 and t = 0 for F = s, whose odd
+    derivatives are -Q_k(u); w = y and t = tanh(y/2) for F = y s, whose are
+    -y Q_k(u) + (2k - 1) t u Q_k-1'(u).  The first term whose bound falls
+    below 2^-55 of ``scale`` ends the series: for h <= 0.25 each bound is at
+    most 0.11 of the one before.  s has poles at ±iπ, so the series diverges,
+    but at h <= 0.25 its first eight terms are within 1e-16 of the excess.
     """
-    q_r = math.exp(-x_room)
-    q_c = math.exp(-x_cold)
-    s_r = q_r / (1.0 + q_r)
-    s_c = q_c / (1.0 + q_c)
-    if s_r == 0.0:  # x_room > 745: every s underflows
-        return 0.0
-    # s_R - s_C = r_R s_C (e^span - 1) has no cancellation while span is small.
-    drop = s_c / (1.0 + q_r) * math.expm1(span) if span <= 1.0 else s_r - s_c
-    lead = 0.5 * h * drop
-    u_r = s_r * (1.0 - s_r)
-    u_c = s_c * (1.0 - s_c)
-    # The first term whose bound falls below 2^-55 of the leading one ends
-    # the series: for h <= 0.25 each bound is at most 0.11 of the one before.
-    cutoff = 2.0**-55 * lead / (u_r + u_c)
+    (w_a, u_a, t_a), (w_b, u_b, t_b) = a, b
+    # Each row's bound, summed over the ends, weighs its odd_bound by w u,
+    # its even_bound by t u and its even_floor by t.
+    odd_weight, even_weight, floor_weight = w_a * u_a + w_b * u_b, t_a * u_a + t_b * u_b, t_a + t_b
+    cutoff = 2.0**-55 * scale
     h2 = h * h
-    power = h2
-    correction = 0.0
-    for bernoulli, coefficients, bound in _EULER_MACLAURIN:
-        if power * bound <= cutoff:
+    power = first
+    total = 0.0
+    for bernoulli, odd, even, odd_bound, even_floor, even_bound in _SERIES:
+        if power * (odd_weight * odd_bound + even_weight * even_bound + floor_weight * even_floor) <= cutoff:
             break
-        p_r = p_c = 0.0
-        for c in coefficients:
-            p_r = p_r * u_r + c
-            p_c = p_c * u_c + c
-        correction += bernoulli * power * (p_r * u_r - p_c * u_c)
+        p_a = p_b = r_a = r_b = 0.0
+        for c in odd:
+            p_a = p_a * u_a + c
+            p_b = p_b * u_b + c
+        for c in even:
+            r_a = r_a * u_a + c
+            r_b = r_b * u_b + c
+        f_a = t_a * r_a - w_a * (u_a * p_a)
+        f_b = t_b * r_b - w_b * (u_b * p_b)
+        total += bernoulli * power * (f_b - f_a)
         power *= h2
-    return lead + correction
+    return total
 
 
 def _left_sum_drop(x_room: float, x_cold: float, h: float, n: int) -> float:
@@ -211,9 +235,10 @@ def coherent_ladder(spec: LadderSpec) -> LadderOutcome:
     The target's free-energy increase is T_R·D, with D the integral of the
     same excess over E/T, so the gap is T_R times the left Riemann sum's
     excess over its integral: positive and O(1/N).  For h <= 0.25 the gap
-    is its Euler-Maclaurin series, so the totals take O(1) time at any N;
-    beyond, the sum has fewer than 4 (E/T_C - E/T_R) terms.  Stage records
-    are built when ``per_step`` is read.
+    is its Euler-Maclaurin series for F = s, led by (h/2)(s_R - s_C), so
+    the totals take O(1) time at any N; beyond, the sum has fewer than
+    4 (E/T_C - E/T_R) terms.  Stage records are built when ``per_step`` is
+    read.
     """
     e = spec.target_gap
     t_room = spec.t_room
@@ -223,21 +248,28 @@ def coherent_ladder(spec: LadderSpec) -> LadderOutcome:
     df_target = t_room * relative_entropy(e, spec.t_cold, t_room)
     h = span / spec.n_steps
     if h <= 0.25:
-        gap = t_room * _euler_maclaurin_gap(x_room, x_cold, span, h)
+        q_r, s_r, u_r, _ = _end(x_room)
+        _, s_c, u_c, _ = _end(x_cold)
+        # s_R - s_C = r_R s_C (e^span - 1) has no cancellation while span is small.
+        drop = s_c / (1.0 + q_r) * math.expm1(span) if span <= 1.0 else s_r - s_c
+        lead = 0.5 * h * drop
+        gap = t_room * (lead + _bernoulli_series(h, h * h, lead, (1.0, u_r, 0.0), (1.0, u_c, 0.0)))
         return LadderOutcome(df_target + gap, df_target, gap, spec)
     w_total = t_room * h * _left_sum_drop(x_room, x_cold, h, spec.n_steps)
     # At h > 0.25 the gap is over 8% of w_total; only subnormals round below 0.
     return LadderOutcome(w_total, df_target, max(0.0, w_total - df_target), spec)
 
 
-def _incoherent_max_gap(spec: LadderSpec, t_hot: float) -> float:
-    # E (1/T_C - 1/T_H)/(1/T_R - 1/T_H), written as E plus a term >= 0 so that
-    # the spacing e_max - E is never negative and is exactly 0 at T_C = T_R.
+def _hot_side_spacing(spec: LadderSpec, t_hot: float) -> float:
+    # The hot-side gaps' spacing S = E (1/T_C - 1/T_R)/(1/T_R - 1/T_H), as
+    # E ((T_R - T_C)/T_C) (T_H/(T_H - T_R)): with no rounded reciprocal, S is
+    # within 3 ulps, >= 0 and exactly 0 at T_C = T_R.
     e = spec.target_gap
-    e_max = e + e * (1.0 / spec.t_cold - 1.0 / spec.t_room) / (1.0 / spec.t_room - 1.0 / t_hot)
-    if not e_max < math.inf:  # also NaN, once 1/T_C and 1/T_R both overflow
+    carnot = 1.0 if math.isinf(t_hot) else t_hot / (t_hot - spec.t_room)
+    spacing = e * ((spec.t_room - spec.t_cold) / spec.t_cold) * carnot
+    if not e + spacing < math.inf:
         raise DomainError(f"the incoherent ladder's largest stage gap overflows at t_hot = {t_hot}")
-    return e_max
+    return spacing
 
 
 def embedded_ladder_preheat(spec: LadderSpec) -> float:
@@ -264,7 +296,7 @@ def embedded_ladder_preheat(spec: LadderSpec) -> float:
     e_g = spec.e_ground_offset
     if e_g is None:
         e_g = 50.0 * max(t_hot, spec.t_room) * (spec.n_steps + 1)
-    spacing = _incoherent_max_gap(spec, t_hot) - spec.target_gap
+    spacing = _hot_side_spacing(spec, t_hot)
     if not e_g + spacing < math.inf:
         raise DomainError(
             f"e_ground_offset {e_g} overflows the embedded ladder's top level, "
@@ -317,21 +349,6 @@ _MOMENT_NODES = tuple(
 )
 
 
-def _preheat_term(k: int) -> tuple[float, tuple[float, ...], tuple[float, ...], float, float]:
-    # B_2k/(2k)!, Q_k, (2k - 1) Q_k-1' for the even derivative
-    # s^(2k-2) = (1 - 2s) u Q_k-1'(u), and the bounds of |B_2k/(2k)!| Q_k(u)/u
-    # and |B_2k/(2k)!| (2k - 1) Q_k-1'(u) over 0 <= u <= 1/4.  Each
-    # polynomial is listed from its top power down, as Horner's rule reads it.
-    bernoulli, odd, odd_bound = _EULER_MACLAURIN[k - 1]
-    previous = _BERNOULLI_TERMS[k - 2][1]
-    even = tuple((2 * k - 1) * (len(previous) - j) * c for j, c in enumerate(previous))
-    even_bound = abs(bernoulli) * sum(abs(c) * 0.25**j for j, c in enumerate(reversed(even)))
-    return bernoulli, odd, even, odd_bound, even_bound
-
-
-_PREHEAT_TERMS = tuple(_preheat_term(k) for k in range(2, len(_BERNOULLI_TERMS) + 1))
-
-
 def _energy_sums(spacing: float, n: int, temp: float) -> tuple[float, float]:
     """Σ e_i s(e_i/T) and Σ e_i (1/2 - s(e_i/T)) over e_i = (i/n) spacing, i = 1..n.
 
@@ -357,10 +374,7 @@ def _energy_sums(spacing: float, n: int, temp: float) -> tuple[float, float]:
             total += i * (q / (1.0 + q))
         excited = spacing * (total / n)
         return excited, spacing * (0.25 * (n + 1)) - excited
-    q = math.exp(-y)
-    s = q / (1.0 + q)
-    u = s / (1.0 + q)
-    tanh = math.tanh(0.5 * y)  # 1 - 2s, exact also as y -> 0
+    q, s, u, tanh = _end(y)
     if y <= 2.0:
         deficit = 0.0  # ∫ t (1/2 - s(t Y)) dt over [0, 1]
         for t, weight in _MOMENT_NODES:
@@ -374,24 +388,10 @@ def _energy_sums(spacing: float, n: int, temp: float) -> tuple[float, float]:
             power *= -q
         integral = ((_PI2_OVER_12 - y * math.log1p(q) + dilog) / y) / y
         deficit = 0.25 - integral
-    # B_2/2! (φ'(Y) - φ'(0)), with φ' = s - y u and φ'(0) = 1/2.
-    correction = -_BERNOULLI_TERMS[0][0] * (0.5 * tanh + y * u)
-    if u:
-        # φ^(2k-1)(0) = 0 for k >= 2.  The first term whose bound falls
-        # below 2^-55 of the smaller sum ends the series.
-        cutoff = 2.0**-55 * n * n * min(integral, deficit) / u
-        eta2 = eta * eta
-        power = eta2
-        for bernoulli, odd, even, odd_bound, even_bound in _PREHEAT_TERMS:
-            if power * (y * odd_bound + even_bound) <= cutoff:
-                break
-            p_odd = p_even = 0.0
-            for c in odd:
-                p_odd = p_odd * u + c
-            for c in even:
-                p_even = p_even * u + c
-            correction += bernoulli * power * u * (tanh * p_even - y * p_odd)
-            power *= eta2
+    # The Bernoulli terms of Σ φ(i η) times η.  φ and its odd derivatives
+    # are 0 at y = 0, where s = 1/2, u = 1/4 and t = 0.
+    scale = min(integral, deficit) * n * n
+    correction = _bernoulli_series(eta, 1.0, scale, (0.0, 0.25, 0.0), (y, u, tanh))
     return (
         spacing * (n * integral + 0.5 * s + correction / n),
         spacing * (n * deficit + 0.25 * tanh - correction / n),
@@ -403,7 +403,7 @@ def _real_qubit_preheat(spec: LadderSpec, t_hot: float) -> float:
     # difference of the excited-energy sums, or of their deficits from half
     # filling, whichever is smaller at its larger end, so it loses the
     # fewest digits.
-    spacing = _incoherent_max_gap(spec, t_hot) - spec.target_gap
+    spacing = _hot_side_spacing(spec, t_hot)
     if spacing == 0.0:
         return 0.0
     excited_hot, deficit_hot = _energy_sums(spacing, spec.n_steps, t_hot)
@@ -444,9 +444,8 @@ def incoherent_twin(spec: LadderSpec, coherent: LadderOutcome) -> LadderOutcome:
 
     For callers that already hold the coherent outcome, so its totals are
     not computed twice.  q_init is computed here in constant memory, in
-    O(1) time for real qubits; the gap
-    is the coherent gap plus q_init's Carnot-weighted free energy, not a
-    difference of totals.  The outcome's ``per_step`` is built from ``spec``
+    O(1) time for real qubits; the gap is the coherent gap plus q_init's
+    Carnot-weighted free energy, not a difference of totals.  The outcome's ``per_step`` is built from ``spec``
     when read.
     """
     t_hot = _driving_hot_bath(spec)

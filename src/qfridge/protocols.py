@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from . import virtual
 from .thermal import (
@@ -284,7 +284,10 @@ def coherent_single_population(spec: MachineSpec, mu: float) -> float:
     mu in [0, 1] walks the swap phases, an equal share each: r to r_B, or
     (through C) r to r_C by mu = 1/2, then on to r_B.
     """
-    frontier = _resonant(spec).frontier
+    return _mixing_population(_resonant(spec).frontier, mu)
+
+
+def _mixing_population(frontier: tuple[_Kink, ...], mu: float) -> float:
     if not 0.0 <= mu <= 1.0:
         raise DomainError(f"mu must lie in [0, 1], got {mu}")
     position = (len(frontier) - 1) * mu
@@ -384,6 +387,20 @@ def two_qubit_coherent_single(spec: MachineSpec, r_target: float) -> ProtocolOut
     """Work-optimal single-cycle coherent cooling of the resonant machine."""
     m = _resonant(spec)
     return _single_cycle(spec, m.r, r_target, _phase_work(m.frontier, r_target))
+
+
+def coherent_single_curve(spec: MachineSpec, mus: Iterable[float]) -> list[ProtocolOutcome]:
+    """:func:`two_qubit_coherent_single` at :func:`coherent_single_population` of each mu.
+
+    The points of the single-cycle coherent frontier, all priced on one
+    machine record.
+    """
+    m = _resonant(spec)
+    outcomes = []
+    for mu in mus:
+        r_target = _mixing_population(m.frontier, mu)
+        outcomes.append(_single_cycle(spec, m.r, r_target, _phase_work(m.frontier, r_target)))
+    return outcomes
 
 
 def _virtual_qubit(m: _Machine, c_pop: float, coherent: bool) -> virtual.VirtualQubit:

@@ -139,12 +139,8 @@ def coherent_single_cycle_curve(spec: MachineSpec) -> list[tuple[float, float]]:
     The frontier is linear in mu between these points, its ends and its one
     possible kink, so their linear interpolation is the whole frontier.
     """
-    points = []
-    for mu in (0.0, 0.5, 1.0):
-        r_target = protocols.coherent_single_population(spec, mu)
-        out = protocols.two_qubit_coherent_single(spec, r_target)
-        points.append((out.work_cost, out.r_final))
-    return points
+    curve = protocols.coherent_single_curve(spec, (0.0, 0.5, 1.0))
+    return [(out.work_cost, out.r_final) for out in curve]
 
 
 def check_pareto_sweep(seed: int, samples: int, *, mutate: str | None = None) -> CheckResult:

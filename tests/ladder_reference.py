@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from qfridge.ladder import LadderSpec, LadderStage, _incoherent_max_gap
+from qfridge.ladder import LadderSpec, LadderStage, _hot_side_spacing
 from qfridge.thermal import binary_entropy, boltzmann_population
 
 
@@ -50,7 +50,7 @@ def coherent_ladder(spec: LadderSpec) -> tuple[float, float, float, tuple[Ladder
 
 
 def real_qubit_preheat(spec: LadderSpec, t_hot: float) -> float:
-    spacing = _incoherent_max_gap(spec, t_hot) - spec.target_gap
+    spacing = _hot_side_spacing(spec, t_hot)
     total = 0.0
     for i in range(1, spec.n_steps + 1):
         e_ci = (i / spec.n_steps) * spacing

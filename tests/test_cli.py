@@ -15,7 +15,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import decimal_reference
-from qfridge import cli, ladder, protocols
+from qfridge import cli, ladder, protocols, verify
 from qfridge.cli import (
     CSV_HEADER,
     coherent_temperature_of_work,
@@ -159,6 +159,24 @@ class TestCurveCommand:
         auto = curve_points("inc-repeat", hot, 31)[-1]
         assert abs(auto.temperature - quantities["t_auto_star"]) <= 1e-12
         assert abs(auto.delta_f - quantities["delta_f_auto_star"]) <= 1e-12
+
+    @pytest.mark.parametrize("e_c", [0.4, 1.7])
+    def test_one_machine_record_per_coherent_single_curve(self, e_c, monkeypatch):
+        # Every point reads the one frontier; 2 records per point when each
+        # point's population and price built their own.
+        records = []
+        real = protocols._Machine
+
+        def counted(spec):
+            records.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(protocols, "_Machine", counted)
+        spec = MachineSpec.two_qubit(e_c, 1.0)
+        assert len(curve_points("coh-single", spec, 1000)) == 1000
+        assert len(records) == 1
+        assert len(verify.coherent_single_cycle_curve(spec)) == 3
+        assert len(records) == 2
 
     @pytest.mark.parametrize(
         "scenario",

@@ -335,6 +335,9 @@ def test_every_ladder_spec_is_rejected_or_finite(n, target_gap, temps):
         return
     assert all(math.isfinite(x) for x in (out.w_total, out.df_target, out.gap))
     assert all(math.isfinite(x) for x in out.per_step[-1])
+    # The second law: no ladder cools below its free-energy cost.
+    assert out.gap >= 0.0
+    assert out.w_total >= out.df_target >= 0.0
 
 
 @seed(20261020)
@@ -370,6 +373,11 @@ def test_every_incoherent_ladder_spec_is_rejected_or_finite(
         assert any(f in str(exc) or f.replace("_", " ") in str(exc) for f in fields), exc
         return
     assert all(math.isfinite(x) for x in (out.w_total, out.df_target, out.gap, out.q_init))
+    # The second law, and the twin's preheat on top of the coherent gap.
+    assert out.gap >= 0.0
+    assert out.w_total >= out.df_target >= 0.0
+    assert out.q_init >= 0.0
+    assert out.gap >= coherent_ladder(spec).gap
 
 
 def _bit_identity_specs():
@@ -382,7 +390,7 @@ def _bit_identity_specs():
 
 
 def _hot_side_spacing(spec):
-    return ladder._incoherent_max_gap(spec, spec.t_hot) - spec.target_gap
+    return ladder._hot_side_spacing(spec, spec.t_hot)
 
 
 def _reference_preheat(spec):
@@ -767,6 +775,42 @@ class TestPreheatAgainstTheDecimalReference:
                     for i in range(1, n + 1)
                 )
                 assert abs(direct - series) <= abs(series) * decimal.Decimal("1e-40")
+
+
+def _near_room_cold_targets(seed=20261024):
+    """Ladders with T_C/T_R = 1 - 10^-k, k = 1..15, each at T_H = inf, at
+    T_H/T_R in [1.01, 1e3] and at T_H/T_R in (1, 1.01)."""
+    rng = random.Random(seed)
+    for k in range(1, 16):
+        t_room = 10.0 ** rng.uniform(-2.0, 2.0)
+        target_gap = t_room * 10.0 ** rng.uniform(-2.0, 2.0)
+        for hot_share in (
+            INFINITE, 10.0 ** rng.uniform(math.log10(1.01), 3.0), 1.0 + 10.0 ** rng.uniform(-9.0, -2.0)
+        ):
+            t_hot = t_room * hot_share
+            n = rng.choice([1, 7, 256, 2**20])
+            yield LadderSpec(n, t_room * (1.0 - 10.0**-k), t_room, t_hot=t_hot, target_gap=target_gap)
+
+
+class TestHotSideSpacing:
+    """S, the hot-side spacing, and the q_init it prices, against decimal."""
+
+    @pytest.mark.parametrize("spec", list(_near_room_cold_targets()), ids=repr)
+    def test_within_1e_15_as_the_cold_target_nears_room(self, spec):
+        # From rounded reciprocals, 1/T_C - 1/T_R left S 4e-8 off at k = 6
+        # and 9% off at k = 15.
+        expected = decimal_reference.hot_side_spacing(
+            spec.target_gap, spec.t_cold, spec.t_room, spec.t_hot
+        )
+        assert ladder._hot_side_spacing(spec, spec.t_hot) == pytest.approx(
+            float(expected), rel=1e-15, abs=0.0
+        )
+        if spec.t_hot / spec.t_room >= 1.01:
+            q_init = incoherent_ladder(spec).q_init
+            reference = decimal_reference.real_qubit_preheat(
+                expected, spec.n_steps, spec.t_room, spec.t_hot
+            )
+            assert q_init == pytest.approx(float(reference), rel=1e-12, abs=0.0)
 
 
 class TestEmbeddedPreheatAgainstTheDecimalReference:
