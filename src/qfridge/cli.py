@@ -24,7 +24,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 from . import protocols
@@ -50,6 +50,10 @@ SCENARIOS = {
     "internal-coh": (),
     "ladder-coh": ("t_c",),
     "ladder-inc": ("t_h", "t_c"),
+}
+# The control each single-cycle scenario sweeps; protocols.single_cycle_curve prices them.
+_SINGLE_CYCLE_CONTROLS = {
+    "inc-single": "t_hot", "coh-single": "mu", "internal-inc": "t_hot", "internal-coh": "mu"
 }
 # Accepted though unread, because the recorded benchmark ops pass it (as
 # both ladder scenarios pass --e-c, which they accept and do not read).
@@ -124,14 +128,11 @@ def curve_points(
     if grid < 1:
         raise DomainError(f"grid must be >= 1, got {grid}")
     points: list[CurvePoint] = []
-    if scenario == "inc-single":
-        for t_hot in _hot_bath_grid(spec.t_room, grid):
-            out = protocols.two_qubit_incoherent_single(replace(spec, t_hot=t_hot))
-            points.append(CurvePoint(t_hot, out.work_cost, out.t_final, out.r_final))
-    elif scenario == "coh-single":
-        mus = _linspace(0.0, 1.0, grid)
-        for mu, out in zip(mus, protocols.coherent_single_curve(spec, mus)):
-            points.append(CurvePoint(mu, out.work_cost, out.t_final, out.r_final))
+    if scenario in _SINGLE_CYCLE_CONTROLS:
+        hot = _SINGLE_CYCLE_CONTROLS[scenario] == "t_hot"
+        controls = _hot_bath_grid(spec.t_room, grid) if hot else _linspace(0.0, 1.0, grid)
+        for control, out in zip(controls, protocols.single_cycle_curve(spec, scenario, controls)):
+            points.append(CurvePoint(control, out.work_cost, out.t_final, out.r_final))
     elif scenario in ("inc-repeat", "coh-repeat", "algo"):
         run = {
             "inc-repeat": lambda n: protocols.repeated_incoherent(spec, n),
@@ -146,14 +147,6 @@ def curve_points(
             points.append(CurvePoint(float(p.step), p.delta_f, t, p.r))
         out = run(INFINITE)
         points.append(CurvePoint(INFINITE, out.work_cost, out.t_final, out.r_final))
-    elif scenario == "internal-inc":
-        for t_hot in _hot_bath_grid(spec.t_room, grid):
-            out = protocols.internal_resource(spec, "incoherent", t_hot)
-            points.append(CurvePoint(t_hot, out.work_cost, out.t_final, out.r_final))
-    elif scenario == "internal-coh":
-        for mu in _linspace(0.0, 1.0, grid):
-            out = protocols.internal_resource(spec, "coherent", mu)
-            points.append(CurvePoint(mu, out.work_cost, out.t_final, out.r_final))
     elif scenario in _LADDER_SCENARIOS:
         if t_cold is None:
             raise DomainError(f"scenario {scenario} needs t_cold")

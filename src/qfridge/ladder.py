@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -58,6 +59,8 @@ class LadderSpec:
         if isinstance(n, bool) or not hasattr(type(n), "__index__") or n < 1:
             raise DomainError(f"ladder needs an integer n_steps >= 1, got {n!r}")
         object.__setattr__(self, "n_steps", operator.index(n))  # numpy ints too
+        if not self.n_steps <= sys.float_info.max:  # h = span/N takes N as a float
+            raise DomainError(f"n_steps overflows a float: got a {self.n_steps.bit_length()}-bit integer")
         if not 0.0 < self.t_room < math.inf:
             raise DomainError(f"t_room must be finite and > 0, got {self.t_room}")
         if not 0.0 < self.target_gap < math.inf:
@@ -179,18 +182,20 @@ def _bernoulli_series(h: float, first: float, scale: float, a: tuple, b: tuple) 
 
     At first = h², the Bernoulli terms of the Euler-Maclaurin series of the
     step-h sum h Σ F over [a, b]; at first = 1, those terms over h², which
-    stay finite as h underflows.  Each end is (w, u, t), u = s(1 - s), with
+    stay finite as h underflows.  The end b is (w, u, t), u = s(1 - s), with
     F^(2k-1) = t R_k(u) - w u P_k(u): w = 1 and t = 0 for F = s, whose odd
     derivatives are -Q_k(u); w = y and t = tanh(y/2) for F = y s, whose are
-    -y Q_k(u) + (2k - 1) t u Q_k-1'(u).  The first term whose bound falls
+    -y Q_k(u) + (2k - 1) t u Q_k-1'(u).  The end a is (w, u), at which t = 0:
+    either end of s, or y s at y = 0, where w = 0 too.  A polynomial whose
+    factor w or t is 0 is not evaluated.  The first term whose bound falls
     below 2^-55 of ``scale`` ends the series: for h <= 0.25 each bound is at
     most 0.11 of the one before.  s has poles at ±iπ, so the series diverges,
     but at h <= 0.25 its first eight terms are within 1e-16 of the excess.
     """
-    (w_a, u_a, t_a), (w_b, u_b, t_b) = a, b
+    (w_a, u_a), (w_b, u_b, t_b) = a, b
     # Each row's bound, summed over the ends, weighs its odd_bound by w u,
     # its even_bound by t u and its even_floor by t.
-    odd_weight, even_weight, floor_weight = w_a * u_a + w_b * u_b, t_a * u_a + t_b * u_b, t_a + t_b
+    odd_weight, even_weight, floor_weight = w_a * u_a + w_b * u_b, t_b * u_b, t_b
     cutoff = 2.0**-55 * scale
     h2 = h * h
     power = first
@@ -198,16 +203,17 @@ def _bernoulli_series(h: float, first: float, scale: float, a: tuple, b: tuple) 
     for bernoulli, odd, even, odd_bound, even_floor, even_bound in _SERIES:
         if power * (odd_weight * odd_bound + even_weight * even_bound + floor_weight * even_floor) <= cutoff:
             break
-        p_a = p_b = r_a = r_b = 0.0
+        p_a = p_b = r_b = 0.0
+        if w_a:
+            for c in odd:
+                p_a = p_a * u_a + c
         for c in odd:
-            p_a = p_a * u_a + c
             p_b = p_b * u_b + c
-        for c in even:
-            r_a = r_a * u_a + c
-            r_b = r_b * u_b + c
-        f_a = t_a * r_a - w_a * (u_a * p_a)
+        if t_b:
+            for c in even:
+                r_b = r_b * u_b + c
         f_b = t_b * r_b - w_b * (u_b * p_b)
-        total += bernoulli * power * (f_b - f_a)
+        total += bernoulli * power * (f_b + w_a * (u_a * p_a))
         power *= h2
     return total
 
@@ -253,7 +259,7 @@ def coherent_ladder(spec: LadderSpec) -> LadderOutcome:
         # s_R - s_C = r_R s_C (e^span - 1) has no cancellation while span is small.
         drop = s_c / (1.0 + q_r) * math.expm1(span) if span <= 1.0 else s_r - s_c
         lead = 0.5 * h * drop
-        gap = t_room * (lead + _bernoulli_series(h, h * h, lead, (1.0, u_r, 0.0), (1.0, u_c, 0.0)))
+        gap = t_room * (lead + _bernoulli_series(h, h * h, lead, (1.0, u_r), (1.0, u_c, 0.0)))
         return LadderOutcome(df_target + gap, df_target, gap, spec)
     w_total = t_room * h * _left_sum_drop(x_room, x_cold, h, spec.n_steps)
     # At h > 0.25 the gap is over 8% of w_total; only subnormals round below 0.
@@ -391,7 +397,7 @@ def _energy_sums(spacing: float, n: int, temp: float) -> tuple[float, float]:
     # The Bernoulli terms of Σ φ(i η) times η.  φ and its odd derivatives
     # are 0 at y = 0, where s = 1/2, u = 1/4 and t = 0.
     scale = min(integral, deficit) * n * n
-    correction = _bernoulli_series(eta, 1.0, scale, (0.0, 0.25, 0.0), (y, u, tanh))
+    correction = _bernoulli_series(eta, 1.0, scale, (0.0, 0.25), (y, u, tanh))
     return (
         spacing * (n * integral + 0.5 * s + correction / n),
         spacing * (n * deficit + 0.25 * tanh - correction / n),

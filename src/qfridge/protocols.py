@@ -185,13 +185,16 @@ def _degenerate_swap_population(r: float, r_b: float, c_pop: float) -> float:
 
 def two_qubit_incoherent_single(spec: MachineSpec) -> ProtocolOutcome:
     """Heat qubit C, swap the degenerate pair |010>, |101> once."""
-    return _incoherent_single(_resonant(spec, hot_bath=True))
+    return _incoherent_single(_resonant(spec, hot_bath=True), spec.t_hot)
 
 
-def _incoherent_single(m: _Machine) -> ProtocolOutcome:
-    r_final = _degenerate_swap_population(m.r, m.r_b, m.r_ch)
-    heat = m.spec.e_c * (m.r_c - m.r_ch)
-    work = resource_free_energy(heat, m.spec.t_hot, m.spec.t_room)
+def _incoherent_single(m: _Machine, t_hot: float) -> ProtocolOutcome:
+    if not t_hot >= m.spec.t_room:
+        raise DomainError(f"t_hot must be >= t_room, got t_hot={t_hot}, t_room={m.spec.t_room}")
+    r_ch = boltzmann_population(m.spec.e_c, t_hot)
+    r_final = _degenerate_swap_population(m.r, m.r_b, r_ch)
+    heat = m.spec.e_c * (m.r_c - r_ch)
+    work = resource_free_energy(heat, t_hot, m.spec.t_room)
     return _single_cycle(m.spec, m.r, r_final, work, heat)
 
 
@@ -385,22 +388,11 @@ def frontier_gap_sign(spec: MachineSpec) -> tuple[float, Callable[[float], int]]
 
 def two_qubit_coherent_single(spec: MachineSpec, r_target: float) -> ProtocolOutcome:
     """Work-optimal single-cycle coherent cooling of the resonant machine."""
-    m = _resonant(spec)
-    return _single_cycle(spec, m.r, r_target, _phase_work(m.frontier, r_target))
+    return _coherent_single(_resonant(spec), r_target)
 
 
-def coherent_single_curve(spec: MachineSpec, mus: Iterable[float]) -> list[ProtocolOutcome]:
-    """:func:`two_qubit_coherent_single` at :func:`coherent_single_population` of each mu.
-
-    The points of the single-cycle coherent frontier, all priced on one
-    machine record.
-    """
-    m = _resonant(spec)
-    outcomes = []
-    for mu in mus:
-        r_target = _mixing_population(m.frontier, mu)
-        outcomes.append(_single_cycle(spec, m.r, r_target, _phase_work(m.frontier, r_target)))
-    return outcomes
+def _coherent_single(m: _Machine, r_target: float) -> ProtocolOutcome:
+    return _single_cycle(m.spec, m.r, r_target, _phase_work(m.frontier, r_target))
 
 
 def _virtual_qubit(m: _Machine, c_pop: float, coherent: bool) -> virtual.VirtualQubit:
@@ -681,7 +673,7 @@ def boxed_limits(spec: MachineSpec) -> dict:
     m = _resonant(replace(spec, t_hot=INFINITE), hot_bath=True)
     e, e_b, e_c, t = spec.e, spec.e_b, spec.e_c, spec.t_room
     t_coh_star = t * e / e_b
-    inc = _incoherent_single(m)
+    inc = _incoherent_single(m, INFINITE)
     auto = _autonomous(m)
     coh_inf = _repeated_coherent(m, INFINITE)
     algo_inf = _algorithmic_cooling(m, INFINITE, 1.0, None)
@@ -733,8 +725,11 @@ def internal_resource(
     swap.  The incoherent variant dominates the coherent one at any
     temperature both can reach.
     """
-    m = _resonant(spec)
-    r_c = m.r_c
+    return _internal(_resonant(spec), scenario, control)
+
+
+def _internal(m: _Machine, scenario: str, control: float) -> ProtocolOutcome:
+    spec, r_c = m.spec, m.r_c
     if scenario == "incoherent":
         t_hot = control
         if not t_hot >= spec.t_room:
@@ -759,6 +754,26 @@ def internal_resource(
     else:
         raise DomainError(f"unknown scenario {scenario!r}")
     return _single_cycle(spec, m.r, _degenerate_swap_population(m.r, m.r_b, c_pop), work)
+
+
+def single_cycle_curve(
+    spec: MachineSpec, scenario: str, controls: Iterable[float]
+) -> list[ProtocolOutcome]:
+    """The single-cycle curve's outcome at each control, all priced on one machine record.
+
+    The controls are hot-bath temperatures t_hot >= t_room for ``inc-single``
+    and ``internal-inc``, mixings mu in [0, 1] for ``coh-single`` and ``internal-coh``.
+    """
+    price = {
+        "inc-single": _incoherent_single,
+        "coh-single": lambda m, mu: _coherent_single(m, _mixing_population(m.frontier, mu)),
+        "internal-inc": lambda m, t_hot: _internal(m, "incoherent", t_hot),
+        "internal-coh": lambda m, mu: _internal(m, "coherent", mu),
+    }.get(scenario)
+    if price is None:
+        raise DomainError(f"unknown single-cycle scenario {scenario!r}")
+    m = _resonant(spec)
+    return [price(m, control) for control in controls]
 
 
 @dataclass(frozen=True)

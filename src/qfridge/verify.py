@@ -139,7 +139,7 @@ def coherent_single_cycle_curve(spec: MachineSpec) -> list[tuple[float, float]]:
     The frontier is linear in mu between these points, its ends and its one
     possible kink, so their linear interpolation is the whole frontier.
     """
-    curve = protocols.coherent_single_curve(spec, (0.0, 0.5, 1.0))
+    curve = protocols.single_cycle_curve(spec, "coh-single", (0.0, 0.5, 1.0))
     return [(out.work_cost, out.r_final) for out in curve]
 
 

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import io
 import json
 import math
@@ -42,6 +43,18 @@ def _run(args):
 
 
 STANDARD = ["--e-c", "0.4", "--t-r", "1"]
+
+# Each single-cycle curve's one-point function, at one control.
+_ONE_POINT = {
+    "inc-single": lambda spec, t_hot: protocols.two_qubit_incoherent_single(
+        dataclasses.replace(spec, t_hot=t_hot)
+    ),
+    "coh-single": lambda spec, mu: protocols.two_qubit_coherent_single(
+        spec, protocols.coherent_single_population(spec, mu)
+    ),
+    "internal-inc": lambda spec, t_hot: protocols.internal_resource(spec, "incoherent", t_hot),
+    "internal-coh": lambda spec, mu: protocols.internal_resource(spec, "coherent", mu),
+}
 
 
 class TestCurveCommand:
@@ -114,6 +127,28 @@ class TestCurveCommand:
         out = protocols.internal_resource(spec, "coherent", pts[3].control)
         assert pts[3].r == pytest.approx(out.r_final, abs=1e-14)
 
+    @pytest.mark.parametrize("scenario", list(_ONE_POINT))
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            MachineSpec.two_qubit(0.4, 1.0),
+            MachineSpec.two_qubit(1.7, 1.0),  # E_C > E: the frontier swaps with C first
+            MachineSpec.two_qubit(1.0 / 3.0, 2.5, e=0.7),
+            MachineSpec.two_qubit(0.4, INFINITE),
+        ],
+    )
+    def test_every_single_cycle_point_equals_its_one_point_function(self, scenario, spec):
+        # Priced on one record, each point is still the one-point function's
+        # outcome at its control, field for field; the hot-bath grids end at
+        # t_hot = inf.
+        points = curve_points(scenario, spec, 41)
+        controls = [p.control for p in points]
+        singles = [_ONE_POINT[scenario](spec, control) for control in controls]
+        assert protocols.single_cycle_curve(spec, scenario, controls) == singles
+        for p, out in zip(points, singles):
+            assert p == cli.CurvePoint(p.control, out.work_cost, out.t_final, out.r_final)
+        assert controls[-1] == (1.0 if "coh" in scenario else INFINITE)
+
     def test_output_file_and_bit_stability(self, tmp_path):
         target_a = tmp_path / "a.csv"
         target_b = tmp_path / "b.csv"
@@ -160,10 +195,12 @@ class TestCurveCommand:
         assert abs(auto.temperature - quantities["t_auto_star"]) <= 1e-12
         assert abs(auto.delta_f - quantities["delta_f_auto_star"]) <= 1e-12
 
+    @pytest.mark.parametrize("scenario", ["inc-single", "coh-single", "internal-inc", "internal-coh"])
     @pytest.mark.parametrize("e_c", [0.4, 1.7])
-    def test_one_machine_record_per_coherent_single_curve(self, e_c, monkeypatch):
-        # Every point reads the one frontier; 2 records per point when each
-        # point's population and price built their own.
+    def test_one_machine_record_per_coherent_single_curve(self, e_c, scenario, monkeypatch):
+        # Every point is priced on the one record; coh-single built 2 records
+        # per point when each point's population and price built their own,
+        # and the other three built 1 per point.
         records = []
         real = protocols._Machine
 
@@ -173,7 +210,7 @@ class TestCurveCommand:
 
         monkeypatch.setattr(protocols, "_Machine", counted)
         spec = MachineSpec.two_qubit(e_c, 1.0)
-        assert len(curve_points("coh-single", spec, 1000)) == 1000
+        assert len(curve_points(scenario, spec, 1000)) == 1000
         assert len(records) == 1
         assert len(verify.coherent_single_cycle_curve(spec)) == 3
         assert len(records) == 2
@@ -889,6 +926,14 @@ class TestLadderCommand:
     def test_needs_stage_count(self, capsys):
         rc = main(["ladder", "--e-c", "0.4", "--t-c", "0.5"])
         assert rc == 2
+
+    def test_stage_count_past_the_float_range_is_usage_error_naming_it(self, capsys):
+        # coherent_ladder's h = span/N raised OverflowError here; --n 0 already exited 2.
+        rc = main(["ladder", "--t-c", "0.5", "--n", str(2**1100)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: n_steps overflows a float")
 
     def test_ground_offset_without_hot_bath_is_usage_error_naming_it(self, capsys):
         # Only the incoherent twin reads --e-g, and it needs T_H.

@@ -270,6 +270,18 @@ class TestSpecGuards:
         with pytest.raises(DomainError, match="n_steps"):
             LadderSpec(n_steps, 0.5, 1.0)
 
+    @pytest.mark.parametrize(
+        "n_steps", [int(sys.float_info.max) + 1, 2**1024, 2**1100], ids=["max+1", "2**1024", "2**1100"]
+    )
+    def test_stage_count_past_the_float_range_rejected(self, n_steps):
+        # coherent_ladder's h = span/N raised OverflowError on these.
+        with pytest.raises(DomainError, match="n_steps overflows a float"):
+            LadderSpec(n_steps, 0.5, 1.0)
+
+    def test_largest_float_stage_count_accepted(self):
+        out = coherent_ladder(LadderSpec(int(sys.float_info.max), 0.5, 1.0))
+        assert 0.0 <= out.gap < 1e-300 and math.isfinite(out.w_total)
+
     def test_hot_bath_whose_reciprocal_rounds_to_the_room_one_rejected(self):
         # t_hot > t_room, yet 1/t_hot == 1/t_room: the stage gaps divide by zero.
         t_room = 1.5000000000000002

@@ -998,6 +998,39 @@ class TestOptimalSequence:
         assert jumps.max() < 0.01  # no discontinuity at phase boundaries
 
 
+class TestSingleCycleCurve:
+    @pytest.mark.parametrize(
+        "spec, scenario, control",
+        [
+            (MachineSpec.two_qubit(0.4, 1.0), "inc-single", 0.999),
+            (MachineSpec.two_qubit(0.4, 1.0), "inc-single", math.nan),
+            (MachineSpec.two_qubit(0.4, INFINITE), "inc-single", 1e300),
+            (MachineSpec.two_qubit(0.4, 1.0), "internal-inc", 0.999),
+            (MachineSpec.two_qubit(0.4, 1.0), "internal-inc", math.nan),
+            (MachineSpec.two_qubit(0.4, INFINITE), "internal-inc", 1e300),
+            (MachineSpec.two_qubit(0.4, 1.0), "coh-single", -1e-9),
+            (MachineSpec.two_qubit(1.7, 1.0), "coh-single", 1.5),
+            (MachineSpec.two_qubit(0.4, 1.0), "coh-single", math.nan),
+            (MachineSpec.two_qubit(0.4, 1.0), "internal-coh", -1e-9),
+            (MachineSpec.two_qubit(0.4, 1.0), "internal-coh", 1.5),
+            (MachineSpec.two_qubit(0.4, 1.0), "internal-coh", math.nan),
+        ],
+    )
+    def test_control_out_of_range_is_rejected_naming_it(self, spec, scenario, control):
+        # A t_hot below t_room or a mu outside [0, 1], among valid controls.
+        good = 0.5 if "coh" in scenario else 2.0 * spec.t_room
+        message = {
+            "inc-single": "t_hot must be >= t_room",
+            "internal-inc": "internal hot temperature must be >= t_room",
+        }.get(scenario, r"mu must lie in \[0, 1\]")
+        with pytest.raises(DomainError, match=message):
+            protocols.single_cycle_curve(spec, scenario, [good, control])
+
+    def test_unknown_scenario_rejected(self):
+        with pytest.raises(DomainError, match="inc-repeat"):
+            protocols.single_cycle_curve(MachineSpec.two_qubit(0.4, 1.0), "inc-repeat", [1.0])
+
+
 class TestInternalResource:
     def test_infinite_room_temperature_costs_nothing(self):
         spec = MachineSpec.two_qubit(0.4, INFINITE)

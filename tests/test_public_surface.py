@@ -24,6 +24,7 @@ KEEP = {
     "precooled_population": "the algorithmic-cooling tests price their expected cycles with it",
     "precool_mixing_for_population": "the optimal-sequence tests check its mixing against bisection",
     "binary_entropy": "the ladder tests' entropy-bookkeeping route to T_R·D, independent of it",
+    "internal_resource": "exported in qfridge.__all__; the protocol tests price single points with it",
 }
 
 # Defaulted parameters that no source call sets, and why each stays.
